@@ -18,6 +18,7 @@ from .diagram import (
     Diagram,
     DiagramError,
     INFINITY,
+    InvariantError,
     bits,
     component_containing,
     components,
@@ -139,7 +140,8 @@ def support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     if is_elementary(F, G):
         meet = NestedSet.make(D, set(F.elements) & set(G.elements))
         unsat = meet.unsaturated()
-        assert len(unsat) == 1 and unsat[0][0] == supp
+        if len(unsat) != 1 or unsat[0][0] != supp:
+            raise InvariantError("support disagrees with the unsaturated element of the meet")
     return supp
 
 
@@ -237,7 +239,7 @@ def pair_from_triple(D: Diagram, B: int, alpha_g: int, alpha_f: int) -> tuple[Ne
     F = NestedSet.make(D, shared | {B1})
     G = NestedSet.make(D, shared | {B2})
     if triple_from_pair(D, G, F) != (B, alpha_g, alpha_f):
-        raise AssertionError("triple round-trip failed")
+        raise InvariantError("triple round-trip failed")
     return G, F
 
 

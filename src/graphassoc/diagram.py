@@ -31,6 +31,10 @@ class CapacityError(DiagramError):
     """More vertices than the bitmask representation supports."""
 
 
+class InvariantError(DiagramError):
+    """A computed result failed its own consistency check."""
+
+
 def bits(mask: int):
     """Iterate over the set bit positions of ``mask`` in increasing order."""
     while mask:

@@ -6,11 +6,16 @@ reverse inclusion form the face poset of a convex polytope of dimension
 ``|D| - 1``; a nested set of cardinality k labels a face of dimension
 ``|D| - k``, and the maximal nested sets (cardinality ``|D|``) label the
 vertices.
+
+The nested-set complex of a graph is flag, so the nested sets are D plus
+the cliques of the compatibility graph on proper connected subdiagrams;
+they are enumerated once per diagram and every face accessor reads that.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,44 +164,52 @@ def connected_subdiagrams(D: Diagram) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _nested_families(D: Diagram, size: int | None) -> tuple[NestedSet, ...]:
+def _nested_families(D: Diagram) -> tuple[NestedSet, ...]:
+    """Every nested set of D, ordered by cardinality, then canonically.
+
+    Tubes are indexed in ``element_key`` order, so a clique grown in index
+    order is sorted, and a later tube is never a proper subset of an earlier one.
+    """
     if not is_connected(D, D.full):
         raise DiagramError("ambient diagram must be connected")
-    candidates = [m for m in connected_subdiagrams(D) if m != D.full]
+    tubes = sorted((m for m in connected_subdiagrams(D) if m != D.full), key=element_key)
+    later = []  # bitmask of the later tubes compatible with each tube
+    for i, a in enumerate(tubes):
+        near = a | D.neighbors(a)
+        later.append(sum(1 << j for j in range(i + 1, len(tubes))
+                         if a & ~tubes[j] == 0 or not near & tubes[j]))
     out = []
-    chosen = []
 
-    def extend(start: int):
-        if size is None or len(chosen) + 1 == size:
-            out.append(NestedSet(D, tuple(sorted(chosen + [D.full], key=element_key))))
-            if size is not None:
-                return
-        for idx in range(start, len(candidates)):
-            m = candidates[idx]
-            if all(is_compatible(D, m, c) for c in chosen):
-                chosen.append(m)
-                extend(idx + 1)
-                chosen.pop()
+    def extend(chosen: tuple[int, ...], allowed: int):
+        out.append(NestedSet(D, chosen + (D.full,)))
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            extend(chosen + (tubes[i],), allowed & later[i])
 
-    extend(0)
-    out.sort(key=lambda H: tuple(tuple(bits(m)) for m in H.elements))
+    extend((), (1 << len(tubes)) - 1)
+    vertex_lists = {m: tuple(bits(m)) for m in tubes + [D.full]}
+    out.sort(key=lambda H: (len(H.elements), tuple(vertex_lists[m] for m in H.elements)))
     return tuple(out)
 
 
 def all_nested_sets(D: Diagram) -> tuple[NestedSet, ...]:
-    return _nested_families(D, None)
+    """All nested sets, ordered by dimension (highest first), then canonically."""
+    return _nested_families(D)
 
 
 def maximal_nested_sets(D: Diagram) -> tuple[NestedSet, ...]:
     """All nested sets of cardinality |D|, in deterministic order."""
-    return _nested_families(D, D.n)
+    return faces(D, 0)
 
 
 def faces(D: Diagram, dim: int) -> tuple[NestedSet, ...]:
     """All faces of the given dimension (nested sets of cardinality |D|-dim)."""
     if not 0 <= dim <= D.n - 1:
         raise DiagramError(f"dimension {dim} out of range 0..{D.n - 1}")
-    return _nested_families(D, D.n - dim)
+    families, size = _nested_families(D), D.n - dim
+    return families[bisect_left(families, size, key=len):bisect_right(families, size, key=len)]
 
 
 def f_vector(D: Diagram) -> list[int]:
@@ -238,14 +251,17 @@ def describe_face(D: Diagram, H: NestedSet) -> FaceDescriptor:
 
 
 def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]]:
-    """The 1-skeleton: maximal nested sets, joined when they differ by one element."""
+    """The 1-skeleton: maximal nested sets, joined when they differ by one element.
+
+    Each (n-1)-element nested set, an edge, lies in exactly two vertices.
+    """
     verts = maximal_nested_sets(D)
-    edges = []
+    ends = {}
     for i, F in enumerate(verts):
-        fset = set(F.elements)
-        for j in range(i + 1, len(verts)):
-            if len(fset - set(verts[j].elements)) == 1:
-                edges.append((i, j))
+        for B in F.elements:
+            if B != D.full:
+                ends.setdefault(tuple(m for m in F.elements if m != B), []).append(i)
+    edges = sorted((i, j) for i, j in ends.values())
     return verts, edges
 
 

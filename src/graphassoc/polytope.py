@@ -5,6 +5,10 @@ out by one inequality ``sum(t over B) >= c(B)`` per proper connected
 subdiagram B, for any superadditive weight function c.  Faces correspond
 to nested sets; all arithmetic is exact (``fractions.Fraction``), with no
 tolerances anywhere.
+
+Whether a slice of the polytope is nonempty is decided by pairwise
+compatibility and returned with a checked certificate: a vertex on the
+slice, or a Farkas combination of the constraints that sums to ``0 > 0``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, DiagramError, bits, components, is_compatible, is_connected
+from .diagram import (Diagram, DiagramError, InvariantError, bits, components,
+                       is_compatible, is_connected)
 from .nested import NestedSet, boundary_cycle, connected_subdiagrams, faces, maximal_nested_sets
 
 
@@ -82,105 +87,66 @@ def vertex_coordinates(R: Realization, F: NestedSet) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear-programming feasibility (Fourier-Motzkin)
+# certified feasibility
 
 
-def _normalize(coeffs, rhs):
-    for a in coeffs:
-        if a != 0:
-            scale = abs(a)
-            return tuple(c / scale for c in coeffs), rhs / scale
-    return tuple(coeffs), rhs
-
-
-def _feasible(n: int, equalities, inequalities) -> bool:
-    """Exact feasibility of ``A t = b``, ``C t >= d`` by substitution + elimination."""
-    eqs = [(list(c), r) for c, r in equalities]
-    ineqs = [(list(c), r) for c, r in inequalities]
-    # eliminate equality constraints by pivoting
-    for idx in range(len(eqs)):
-        coeffs, rhs = eqs[idx]
-        pivot = next((k for k, a in enumerate(coeffs) if a != 0), None)
-        if pivot is None:
-            if rhs != 0:
-                return False
-            continue
-        scale = coeffs[pivot]
-        coeffs = [a / scale for a in coeffs]
-        rhs = rhs / scale
-        eqs[idx] = (coeffs, rhs)
-        for rows in (eqs, ineqs):
-            for j, (c2, r2) in enumerate(rows):
-                if rows is eqs and j == idx:
-                    continue
-                factor = c2[pivot]
-                if factor != 0:
-                    rows[j] = (
-                        [x - factor * y for x, y in zip(c2, coeffs)],
-                        r2 - factor * rhs,
-                    )
-    # Fourier-Motzkin elimination on the surviving inequalities
-    rows = {_normalize(c, r) for c, r in ineqs}
-    for var in range(n):
-        lowers, uppers, rest = [], [], []
-        for coeffs, rhs in rows:
-            a = coeffs[var]
-            if a > 0:
-                lowers.append((coeffs, rhs, a))
-            elif a < 0:
-                uppers.append((coeffs, rhs, a))
-            else:
-                rest.append((coeffs, rhs))
-        new_rows = set(rest)
-        for cl, rl, al in lowers:
-            for cu, ru, au in uppers:
-                # lower bound from the positive row must not exceed the upper bound
-                merged = tuple(
-                    x / al - y / au if k != var else Fraction(0)
-                    for k, (x, y) in enumerate(zip(cl, cu))
-                )
-                new_rows.add(_normalize(merged, rl / al - ru / au))
-        rows = new_rows
-    return all(rhs <= 0 for coeffs, rhs in rows)
-
-
-def _polytope_system(R: Realization, extra_equal=()):
+def _check_vertex_witness(R: Realization, Bs) -> None:
+    """Extend the compatible family Bs to a vertex and check it lies on the face."""
     D = R.diagram
-    n = D.n
+    chosen = set(Bs) | {D.full}
+    for m in connected_subdiagrams(D):
+        if all(is_compatible(D, m, c) for c in chosen):
+            chosen.add(m)
+    t = vertex_coordinates(R, NestedSet.make(D, chosen))
+    table = dict(R.weights)
+    for B in connected_subdiagrams(D):
+        s, c = sum(t[k] for k in bits(B)), table[B]
+        if s < c or (s != c and (B == D.full or B in Bs)):
+            raise InvariantError(f"vertex witness fails the constraint of {D.vertex_names(B)}")
 
-    def indicator(mask):
-        return tuple(Fraction(1) if (mask >> k) & 1 else Fraction(0) for k in range(n))
 
-    eqs = [(indicator(D.full), R.weight(D.full))]
-    for B in extra_equal:
-        eqs.append((indicator(B), R.weight(B)))
-    ineqs = [
-        (indicator(B), R.weight(B))
-        for B in connected_subdiagrams(D)
-        if B != D.full
-    ]
-    return eqs, ineqs
+def _check_farkas(R: Realization, B1: int, B2: int) -> None:
+    """Check the combination t(B1|B2) + sum of t(C) - t(B1) - t(B2) proves emptiness.
+
+    C runs over the components of B1 & B2.  The rows with coefficient +1
+    are tube constraints ``t(B) >= c(B)`` and the rows with -1 are
+    equalities of the face, so a zero linear form with a positive gap
+    ``c(B1|B2) + sum c(C) - c(B1) - c(B2)`` is a contradiction ``0 > 0``.
+    """
+    D = R.diagram
+    plus = [B1 | B2] + components(D, B1 & B2)
+    form = [sum(m >> k & 1 for m in plus) - (B1 >> k & 1) - (B2 >> k & 1) for k in range(D.n)]
+    if any(form) or not all(is_connected(D, m) for m in plus):
+        raise InvariantError("the Farkas combination is not a zero form over tube rows")
+    gap = sum(R.weight(m) for m in plus) - R.weight(B1) - R.weight(B2)
+    if gap <= 0:
+        raise InvariantError(
+            f"no positive Farkas gap on {D.vertex_names(B1)} / {D.vertex_names(B2)}"
+        )
 
 
 def is_face_nonempty(R: Realization, Bs, cross_check: bool = False) -> bool:
     """Exact feasibility of the polytope sliced along the given hyperplanes.
 
-    This holds exactly when the subdiagrams are pairwise compatible,
-    which ``cross_check`` re-asserts.
+    The slice is nonempty exactly when the subdiagrams are pairwise
+    compatible.  The verdict is returned only with a certificate that has
+    passed its check, else ``InvariantError`` is raised: a vertex of the
+    polytope on every hyperplane, or a Farkas combination for an
+    incompatible pair.  ``cross_check`` is accepted and changes nothing,
+    since the certificate is always checked.
     """
     D = R.diagram
     Bs = list(Bs)
     for B in Bs:
         if B == 0 or B == D.full or not is_connected(D, B):
             raise DiagramError("face hyperplanes need proper connected subdiagrams")
-    eqs, ineqs = _polytope_system(R, Bs)
-    feasible = _feasible(D.n, eqs, ineqs)
-    if cross_check:
-        compat = all(
-            is_compatible(D, a, b) for i, a in enumerate(Bs) for b in Bs[i + 1:]
-        )
-        assert feasible == compat, "LP feasibility disagrees with compatibility"
-    return feasible
+    for i, a in enumerate(Bs):
+        for b in Bs[i + 1:]:
+            if not is_compatible(D, a, b):
+                _check_farkas(R, a, b)
+                return False
+    _check_vertex_witness(R, Bs)
+    return True
 
 
 # ---------------------------------------------------------------------------

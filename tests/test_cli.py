@@ -50,6 +50,15 @@ def test_support(p3_file):
     assert doc == {"supp": ["1", "2"], "zsupp": []}
 
 
+def test_invariant_error_is_exit_1(p3_file, monkeypatch):
+    from graphassoc.nested import NestedSet
+
+    monkeypatch.setattr(NestedSet, "unsaturated", lambda self: [])
+    result = run(["support", "--diagram", p3_file, "--pair", "1 2 3;1 2;1", "1 2 3;1 2;2"])
+    assert result.status == 1 and result.payload is None
+    assert "support" in result.message
+
+
 def test_sequence(p3_file):
     doc = payload(
         ["sequence", "--diagram", p3_file, "--pair", "1 2;1", "2 3;3"]

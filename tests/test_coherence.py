@@ -29,7 +29,7 @@ from graphassoc.coherence import (
     twist_associator,
     validate_good_sequence,
 )
-from graphassoc.diagram import DiagramError, bits, is_orthogonal
+from graphassoc.diagram import DiagramError, InvariantError, bits, is_orthogonal
 from graphassoc.nested import (
     NestedSet,
     TwoFace,
@@ -195,6 +195,21 @@ def test_pair_from_triple_examples():
         pair_from_triple(P3, 0b011, 1, 1)
     with pytest.raises(DiagramError):
         pair_from_triple(P3, 0b011, 2, 0)
+
+
+def test_broken_triple_roundtrip_is_invariant_error(monkeypatch):
+    import graphassoc.coherence as coherence
+
+    monkeypatch.setattr(coherence, "triple_from_pair", lambda D, G, F: (0, 0, 0))
+    with pytest.raises(InvariantError):
+        pair_from_triple(P3, 0b011, 1, 0)
+
+
+def test_support_disagreeing_with_meet_is_invariant_error(monkeypatch):
+    G, F = pair_from_triple(P3, 0b011, 1, 0)
+    monkeypatch.setattr(NestedSet, "unsaturated", lambda self: [])
+    with pytest.raises(InvariantError):
+        support(P3, G, F)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from graphassoc.diagram import DiagramError, is_compatible, is_connected
+from graphassoc.diagram import Diagram, DiagramError, bits, is_compatible, is_connected
 from graphassoc.nested import (
     NestedSet,
     TwoFace,
+    _nested_families,
+    all_nested_sets,
     classify_two_face,
     boundary_cycle,
     connected_subdiagrams,
@@ -18,6 +20,7 @@ from graphassoc.nested import (
     maximal_nested_sets,
 )
 from conftest import (
+    complete_diagram,
     connected_reps,
     cycle_diagram,
     labeled_connected,
@@ -102,6 +105,23 @@ def test_maximal_count_cycle_brute_force():
     assert len(maximal_nested_sets(C4)) == len(brute_force_maximal_families(C4))
 
 
+def test_face_accessors_share_one_enumeration():
+    D = Diagram.from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    before = _nested_families.cache_info().currsize
+    f = f_vector(D)
+    by_dim = [faces(D, k) for k in range(D.n)]
+    verts = maximal_nested_sets(D)
+    every = all_nested_sets(D)
+    assert _nested_families.cache_info().currsize == before + 1
+    assert f == [len(fs) for fs in by_dim]
+    assert all(a is b for a, b in zip(verts, by_dim[0]))
+    flat = [H for fs in reversed(by_dim) for H in fs]
+    assert len(every) == len(flat) and all(a is b for a, b in zip(every, flat))
+    for fs in by_dim:
+        keys = [tuple(tuple(bits(m)) for m in H.elements) for H in fs]
+        assert keys == sorted(keys)
+
+
 def test_faces_examples():
     assert [H.elements for H in faces(P3, 2)] == [(P3.full,)]
     assert len(faces(P3, 1)) == 5
@@ -178,6 +198,18 @@ def test_edge_graph_examples():
     assert degree == [2] * 5
     verts, edges = edge_graph(C3)
     assert len(verts) == 6 and len(edges) == 6
+
+
+def test_edge_graph_matches_pairwise_definition():
+    for D in connected_reps(4) + (cycle_diagram(5), complete_diagram(4)):
+        verts, edges = edge_graph(D)
+        expected = [
+            (i, j)
+            for i, F in enumerate(verts)
+            for j in range(i + 1, len(verts))
+            if len(set(F.elements) - set(verts[j].elements)) == 1
+        ]
+        assert edges == expected
 
 
 def test_edge_graph_connected():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from graphassoc.diagram import Diagram, DiagramError, is_compatible
+from graphassoc.diagram import Diagram, DiagramError, InvariantError, is_compatible
 from graphassoc.nested import NestedSet, connected_subdiagrams, maximal_nested_sets
 from graphassoc.polytope import (
+    Realization,
     RealizationError,
     export_polytope,
     is_face_nonempty,
@@ -15,7 +16,14 @@ from graphassoc.polytope import (
     parse_export,
     vertex_coordinates,
 )
-from conftest import connected_reps, labeled_connected, path_diagram, relabelings
+from conftest import (
+    complete_diagram,
+    connected_reps,
+    cycle_diagram,
+    labeled_connected,
+    path_diagram,
+    relabelings,
+)
 
 P2 = path_diagram(2)
 P3 = path_diagram(3)
@@ -129,6 +137,26 @@ def test_feasibility_iff_compatibility(n):
                     for b in Bs[i + 1:]
                 )
                 assert is_face_nonempty(R, Bs) == compat
+
+
+@pytest.mark.parametrize("D", [complete_diagram(6), cycle_diagram(7)], ids=["K6", "C7"])
+def test_feasibility_one_hyperplane_on_six_and_seven_vertices(D):
+    R = make_realization(D)
+    for B in connected_subdiagrams(D):
+        if bin(B).count("1") == 2:
+            assert is_face_nonempty(R, [B])
+    if D.n == 6:
+        assert not is_face_nonempty(R, [0b011, 0b110])
+
+
+def test_feasibility_certificate_rejects_broken_weights():
+    table = {m: Fraction(3) ** bin(m).count("1") for m in connected_subdiagrams(P3)}
+    table[P3.full] = Fraction(5)  # c(D) < c({1,2}) + c({2,3}) - c({2})
+    R = Realization(P3, tuple(sorted(table.items())))
+    with pytest.raises(InvariantError):
+        is_face_nonempty(R, [0b011, 0b110])
+    with pytest.raises(InvariantError):
+        is_face_nonempty(R, [0b001])
 
 
 # -- exports ------------------------------------------------------------------------
