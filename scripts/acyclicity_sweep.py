@@ -4,7 +4,8 @@
 For every connected diagram up to the requested size (one representative
 per isomorphism class), computes the integer homology of the oriented
 nested-set complex and reports cell counts, Euler characteristic and
-Betti numbers.  Every line should end in 'acyclic'.
+Betti numbers.  Every line should end in 'acyclic'; the exit status is
+1 if any line is 'UNEXPECTED', so the sweep can serve as a check.
 
 Usage: python scripts/acyclicity_sweep.py [max_n]
 """
@@ -37,6 +38,7 @@ def connected_reps(n):
 
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    unexpected = 0
     for n in range(1, max_n + 1):
         for D in connected_reps(n):
             counts = [len(chain_basis(D, k)) for k in range(D.n)]
@@ -49,12 +51,14 @@ def main():
                 if betti[0] == 1 and all(b == 0 for b in betti[1:]) and torsion_free
                 else "UNEXPECTED"
             )
+            unexpected += verdict == "UNEXPECTED"
             edges = sum(bin(a).count("1") for a in D.adj) // 2
             print(
                 f"n={n} edges={edges:<2} cells={counts} euler={euler} "
                 f"betti={betti} {verdict}"
             )
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,14 +1,24 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Exact linear algebra: one sparse eliminator for ranks, dense solves.
 
-Matrices are lists of row lists of ``Fraction``; vectors are tuples.
-Everything is dense and tiny: diagrams at desk scale give spaces of
-dimension a few dozen at most.
+Ranks and Smith normal forms go through ``eliminate``: the matrix is
+held as columns of ``{row: value}`` and each step pivots in the
+shortest remaining column, on its entry whose row is shortest, which
+keeps fill-in low on the sparse boundary and Dynkin matrices.  Over Q
+any nonzero entry may pivot, so nothing is left over and the pivot
+count is the rank.  Over Z only units may pivot: removing a unit pivot
+is a reduction of the chain complex (Kaczynski-Mrozek-Slusarek 1998)
+that leaves the Smith normal form of the rest unchanged, so an empty
+leftover block certifies that every invariant factor is 1.
+
+Solves (``solve_columns``) are dense: lists of row lists of
+``Fraction``, vectors as tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 
 def rref(M):
@@ -36,8 +46,65 @@ def rref(M):
     return A, pivots
 
 
+def eliminate(M, unit_pivots: bool):
+    """Sparse elimination of a dense row-list matrix.
+
+    Returns the number of pivots taken and the block left over, as dense
+    rows (empty when every column was eliminated).  With
+    ``unit_pivots`` only entries +1 and -1 may pivot and the arithmetic
+    stays integral; otherwise any nonzero entry may.
+    """
+    cols = {}
+    rows = {}
+    for r, row in enumerate(M):
+        for c, v in enumerate(row):
+            if v:
+                cols.setdefault(c, {})[r] = v
+                rows.setdefault(r, set()).add(c)
+    heap = [(len(col), c) for c, col in cols.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        size, pc = heappop(heap)
+        pivot_col = cols.get(pc)
+        if pivot_col is None or len(pivot_col) != size:
+            continue  # a stale entry: the column was eliminated or changed
+        candidates = [
+            r for r, v in pivot_col.items() if not unit_pivots or v == 1 or v == -1
+        ]
+        if not candidates:
+            continue  # no unit yet; the column is queued again if it changes
+        pr = min(candidates, key=lambda r: (len(rows[r]), r))
+        del cols[pc]
+        for r in pivot_col:
+            rows[r].discard(pc)
+        pv = pivot_col.pop(pr)
+        inv = pv if unit_pivots else 1 / Fraction(pv)
+        for c in rows.pop(pr):
+            col = cols[c]
+            f = col.pop(pr) * inv
+            for r, v in pivot_col.items():
+                nv = col.get(r, 0) - f * v
+                if nv:
+                    if r not in col:
+                        rows[r].add(c)
+                    col[r] = nv
+                elif r in col:
+                    del col[r]
+                    rows[r].discard(c)
+            if col:
+                heappush(heap, (len(col), c))
+            else:
+                del cols[c]
+        pivots += 1
+    left_rows = sorted({r for col in cols.values() for r in col})
+    leftover = [[col.get(r, 0) for col in cols.values()] for r in left_rows]
+    return pivots, leftover
+
+
 def rank(M) -> int:
-    return len(rref(M)[1])
+    """Rank over Q of a dense row-list matrix of ints or Fractions."""
+    return eliminate(M, unit_pivots=False)[0]
 
 
 def solve_columns(basis, vec):

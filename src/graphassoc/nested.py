@@ -95,13 +95,16 @@ class NestedSet:
         return len(self.elements) == self.diagram.n
 
     def inner_union(self, B: int) -> int:
-        """Union of the maximal elements properly contained in B (i_H(B))."""
+        """Union of the maximal elements properly contained in B (i_H(B)).
+
+        Every proper sub-element lies inside a maximal one, so this is
+        also the union of all elements properly contained in B.
+        """
         if B not in self.elements:
             raise DiagramError("element not in the nested set")
         inner = 0
-        proper = [m for m in self.elements if m != B and m & ~B == 0]
-        for m in proper:
-            if not any(m != other and m & ~other == 0 for other in proper):
+        for m in self.elements:
+            if m != B and m & ~B == 0:
                 inner |= m
         return inner
 

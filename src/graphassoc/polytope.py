@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import (Diagram, DiagramError, InvariantError, bits, components,
                        is_compatible, is_connected)
@@ -33,9 +34,14 @@ class Realization:
     diagram: Diagram
     weights: tuple[tuple[int, Fraction], ...]
 
+    @cached_property
+    def _table(self) -> dict[int, Fraction]:
+        """The weights as a lookup, built once per realization."""
+        return dict(self.weights)
+
     def weight(self, mask: int) -> Fraction:
         """c(B); disconnected arguments sum over their components."""
-        table = dict(self.weights)
+        table = self._table
         if mask in table:
             return table[mask]
         total = Fraction(0)
@@ -98,9 +104,8 @@ def _check_vertex_witness(R: Realization, Bs) -> None:
         if all(is_compatible(D, m, c) for c in chosen):
             chosen.add(m)
     t = vertex_coordinates(R, NestedSet.make(D, chosen))
-    table = dict(R.weights)
     for B in connected_subdiagrams(D):
-        s, c = sum(t[k] for k in bits(B)), table[B]
+        s, c = sum(t[k] for k in bits(B)), R.weight(B)
         if s < c or (s != c and (B == D.full or B in Bs)):
             raise InvariantError(f"vertex witness fails the constraint of {D.vertex_names(B)}")
 

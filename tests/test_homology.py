@@ -1,9 +1,13 @@
+import importlib.util
 import random
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from graphassoc._ratlinalg import eliminate, rref
 from graphassoc.diagram import DiagramError
 from graphassoc.homology import (
     OrientedCell,
@@ -265,23 +269,72 @@ def minor_gcd(M, k):
     return abs(g)
 
 
+def assert_determinant_divisors(M):
+    factors = smith_normal_form(M)
+    for k in range(1, len(factors) + 1):
+        prod = 1
+        for d in factors[:k]:
+            prod *= d
+        assert prod == minor_gcd(M, k)
+    if len(factors) < min(len(M), len(M[0])):
+        assert minor_gcd(M, len(factors) + 1) == 0
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+
+
 def test_snf_matches_determinant_divisors():
     rng = random.Random(5)
     for _ in range(25):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        factors = smith_normal_form(M)
-        for k in range(1, len(factors) + 1):
-            prod = 1
-            for d in factors[:k]:
-                prod *= d
-            assert prod == minor_gcd(M, k)
-        for a, b in zip(factors, factors[1:]):
-            assert b % a == 0
+        assert_determinant_divisors(M)
+
+
+def test_snf_on_leftover_blocks_matches_determinant_divisors():
+    # few or no unit entries: the unit-pivot pass stops early and the
+    # dense reduction has a block to work on
+    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+    assert smith_normal_form([[1, 0], [0, 2]]) == [1, 2]
+    assert eliminate([[2, 4], [6, 8]], unit_pivots=True) == (0, [[2, 4], [6, 8]])
+    assert eliminate([[1, 0], [0, 2]], unit_pivots=True) == (1, [[2]])
+    rng = random.Random(11)
+    for entries in ([0, 2, -2, 3, -3], [0, 0, 1, -1, 2, -2, 3, -3]):
+        for _ in range(40):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            M = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+            assert_determinant_divisors(M)
 
 
 # -- homology --------------------------------------------------------------------------
+
+
+def test_unit_pivots_leave_no_block_on_boundary_matrices():
+    for n in range(2, 6):
+        for D in connected_reps(n):
+            for k in range(1, D.n):
+                M = boundary_matrix(D, k)
+                pivots, leftover = eliminate(M, unit_pivots=True)
+                assert leftover == [] and pivots == len(rref(M)[1])
+
+
+def test_six_cycle_acyclic():
+    H = homology(cycle_diagram(6))
+    assert H[0] == (1, [])
+    assert all(h == (0, []) for h in H[1:])
+
+
+def test_acyclicity_sweep_exit_status(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "acyclicity_sweep.py"
+    spec = importlib.util.spec_from_file_location("acyclicity_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", ["acyclicity_sweep.py", "3"])
+    assert sweep.main() == 0
+    monkeypatch.setattr(sweep, "homology", lambda D: [(1, [2])] + [(0, [])] * (D.n - 1))
+    assert sweep.main() == 1
+    assert "UNEXPECTED" in capsys.readouterr().out
 
 
 def test_homology_examples():

@@ -153,6 +153,22 @@ def test_alpha_set_examples():
     assert top.alpha_set(P3.full) == P3.full
 
 
+def test_inner_union_is_union_of_maximal_sub_elements():
+    for n in range(1, 6):
+        for D in connected_reps(n):
+            for H in all_nested_sets(D):
+                for B in H.elements:
+                    proper = [m for m in H.elements if m != B and m & ~B == 0]
+                    maximal = [
+                        m for m in proper
+                        if not any(m != o and m & ~o == 0 for o in proper)
+                    ]
+                    expected = 0
+                    for m in maximal:
+                        expected |= m
+                    assert H.inner_union(B) == expected
+
+
 def test_alpha_set_requires_membership():
     with pytest.raises(DiagramError):
         ns(P3).alpha_set(0b011)
