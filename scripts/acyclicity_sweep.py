@@ -10,30 +10,10 @@ Betti numbers.  Every line should end in 'acyclic'; the exit status is
 Usage: python scripts/acyclicity_sweep.py [max_n]
 """
 
-import itertools
 import sys
 
-from graphassoc.diagram import Diagram, is_connected
+from graphassoc.families import connected_reps
 from graphassoc.homology import chain_basis, homology
-
-
-def connected_reps(n):
-    reps = {}
-    pairs = list(itertools.combinations(range(n), 2))
-    for selector in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if (selector >> k) & 1]
-        D = Diagram.from_edges([str(i + 1) for i in range(n)], edges)
-        if not is_connected(D, D.full):
-            continue
-        key = min(
-            tuple(sorted(
-                (min(p[i], p[j]), max(p[i], p[j]))
-                for i, j in edges
-            ))
-            for p in itertools.permutations(range(n))
-        )
-        reps.setdefault(key, D)
-    return reps.values()
 
 
 def main():

@@ -8,36 +8,12 @@ in the quasi-Coxeter presentation.
 Usage: python scripts/face_census.py [max_n]
 """
 
-import itertools
 import sys
+from collections import Counter
 
 from graphassoc.coherence import pentagon_relations
-from graphassoc.diagram import Diagram
-from graphassoc.nested import TwoFace, classify_two_face, f_vector, faces
-
-
-def path(n):
-    return Diagram.from_edges([str(i + 1) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Diagram.from_edges([str(i + 1) for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(legs):
-    return Diagram.from_edges(["c"] + [str(i) for i in range(1, legs + 1)], [(0, i) for i in range(1, legs + 1)])
-
-
-def complete(n):
-    return Diagram.from_edges([str(i + 1) for i in range(n)], list(itertools.combinations(range(n), 2)))
-
-
-def census(D):
-    counts = {kind: 0 for kind in TwoFace}
-    if D.n >= 3:
-        for H in faces(D, 2):
-            counts[classify_two_face(D, H)] += 1
-    return counts
+from graphassoc.families import complete, cycle, path, star
+from graphassoc.nested import TwoFace, f_vector, two_faces
 
 
 def main():
@@ -48,7 +24,7 @@ def main():
     for name, build, sizes in families:
         for n in sizes:
             D = build(n)
-            counts = census(D)
+            counts = Counter(kind for _face, kind in two_faces(D))
             words = len(pentagon_relations(D))
             print(
                 f"{name + str(n):<12} {str(f_vector(D)):<24}"

@@ -81,34 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, D: Diagram) -> dict:
     if args.command == "faces":
-        if args.dim is None:
-            return nested.face_poset_json(D)
-        out = []
-        for H in nested.faces(D, args.dim):
-            out.append(
-                {
-                    "elements": [D.vertex_names(m) for m in H.elements],
-                    "dim": H.dim,
-                    "unsaturated": [
-                        {"B": D.vertex_names(B), "alpha": D.vertex_names(a)}
-                        for B, a in H.unsaturated()
-                    ],
-                }
-            )
-        return {"faces": out}
+        return nested.face_poset_json(D, args.dim)
     if args.command == "fvector":
         return {"f": nested.f_vector(D)}
     if args.command == "twofaces":
-        faces = []
-        counts = {"square": 0, "pentagon": 0, "hexagon": 0}
-        if D.n >= 3:
-            for H in nested.faces(D, 2):
-                kind = nested.classify_two_face(D, H).value
-                counts[kind] += 1
-                faces.append(
-                    {"elements": [D.vertex_names(m) for m in H.elements], "kind": kind}
-                )
-        return {"twofaces": faces, "counts": counts}
+        return nested.two_faces_json(D)
     if args.command == "polytope":
         R = polytope.make_realization(D)
         doc = polytope.export_polytope(R)
@@ -122,24 +99,13 @@ def _dispatch(args, D: Diagram) -> dict:
     if args.command == "homology":
         return homology.homology_json(D)
     if args.command == "dynkin":
-        M = dynkin.load_coefficients(D, args.coeffs)
-        return dynkin.dynkin_json(D, M)
+        return dynkin.dynkin_json(D, dynkin.load_coefficients(D, args.coeffs))
     if args.command == "relations":
         return coherence.presentation_json(D)
+    F, G = (parse_nested_set(D, text) for text in args.pair)
     if args.command == "sequence":
-        F = parse_nested_set(D, args.pair[0])
-        G = parse_nested_set(D, args.pair[1])
-        seq = coherence.good_elementary_sequence(D, F, G)
-        return {
-            "sequence": [[D.vertex_names(m) for m in H.elements] for H in seq]
-        }
-    if args.command == "support":
-        F = parse_nested_set(D, args.pair[0])
-        G = parse_nested_set(D, args.pair[1])
-        supp = coherence.support(D, F, G)
-        zsupp = coherence.central_support(D, F, G) if F.elements != G.elements else 0
-        return {"supp": D.vertex_names(supp), "zsupp": D.vertex_names(zsupp)}
-    raise DiagramError(f"unknown subcommand {args.command!r}")
+        return coherence.sequence_json(D, F, G)
+    return coherence.support_json(D, F, G)
 
 
 def run(argv) -> CommandResult:

@@ -28,12 +28,11 @@ from .diagram import (
 from .nested import (
     NestedSet,
     TwoFace,
-    classify_two_face,
     connected_subdiagrams,
-    faces,
     first_maximal_nested_set,
     ascending_chain,
     maximal_nested_sets,
+    two_faces,
 )
 
 
@@ -361,16 +360,32 @@ def general_associator_letters(D: Diagram, G: NestedSet, F: NestedSet) -> list[L
     return out
 
 
-def _two_face_data(D: Diagram, H: NestedSet):
-    (B, alpha), = H.unsaturated()
-    inner = H.inner_union(B)
-    alphas = list(bits(alpha))
+def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
+    """Pairs (2-face, coherence word) for the pentagonal and hexagonal 2-faces.
 
-    def comp_of(anchor_mask: int) -> int:
-        removed = alpha & ~anchor_mask
-        return component_containing(D, removed, anchor_mask, within=B)
+    Both words walk the hexagon; a pentagon's split pair (j, k) has an
+    empty component, and its letter is dropped.
+    """
+    out = []
+    for H, kind in two_faces(D):
+        if kind is TwoFace.SQUARE:
+            continue
+        (B, alpha), = H.unsaturated()
 
-    return B, inner, alphas, comp_of
+        def comp(x: int, y: int) -> int:
+            anchor = (1 << x) | (1 << y)
+            return component_containing(D, alpha & ~anchor, anchor, within=B)
+
+        i, j, k = bits(alpha)
+        if kind is TwoFace.PENTAGON:
+            # relabel so the split pair is (j, k): i is the quotient middle
+            (j, k), = [(x, y) for x, y in ((i, j), (i, k), (j, k)) if not comp(x, y)]
+            (i,) = set(bits(alpha)) - {j, k}
+        letters = [(B, k, i), (comp(j, k), k, j), (B, i, j), (comp(i, k), i, k),
+                   (B, j, k), (comp(i, j), j, i)]
+        word = tuple(associator_letter(*letter) for letter in letters if letter[0])
+        out.append((H, RelationWord(f"{kind.value}{len(word)}", word)))
+    return out
 
 
 def pentagon_relations(D: Diagram) -> list[RelationWord]:
@@ -379,54 +394,7 @@ def pentagon_relations(D: Diagram) -> list[RelationWord]:
     Square 2-faces impose no condition and are omitted; together with the
     orientation convention these words generate all coherence relations.
     """
-    if D.n < 3:
-        return []
-    out = []
-    for H in faces(D, 2):
-        kind = classify_two_face(D, H)
-        if kind is TwoFace.SQUARE:
-            continue
-        B, _inner, alphas, comp_of = _two_face_data(D, H)
-        pair_comp = {}
-        for x in alphas:
-            for y in alphas:
-                if x != y:
-                    pair_comp[(x, y)] = comp_of((1 << x) | (1 << y))
-        if kind is TwoFace.PENTAGON:
-            # relabel so the split pair is (j, k): i is the quotient middle
-            empties = [p for p in pair_comp if pair_comp[p] == 0 and p[0] < p[1]]
-            (j, k), = empties
-            (i,) = [x for x in alphas if x not in (j, k)]
-            word = [
-                associator_letter(B, k, i),
-                associator_letter(B, i, j),
-                associator_letter(pair_comp[(i, k)], i, k),
-                associator_letter(B, j, k),
-                associator_letter(pair_comp[(i, j)], j, i),
-            ]
-            out.append(RelationWord("pentagon5", tuple(word)))
-        else:
-            i, j, k = alphas
-            word = [
-                associator_letter(B, k, i),
-                associator_letter(pair_comp[(j, k)], k, j),
-                associator_letter(B, i, j),
-                associator_letter(pair_comp[(i, k)], i, k),
-                associator_letter(B, j, k),
-                associator_letter(pair_comp[(i, j)], j, i),
-            ]
-            out.append(RelationWord("hexagon6", tuple(word)))
-    return out
-
-
-def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
-    """Pairs (2-face, coherence word) for the non-square 2-faces."""
-    words = iter(pentagon_relations(D))
-    out = []
-    for H in faces(D, 2):
-        if classify_two_face(D, H) is not TwoFace.SQUARE:
-            out.append((H, next(words)))
-    return out
+    return [word for _face, word in relations_by_face(D)]
 
 
 def braid_relations(D: Diagram, include_commuting: bool = False) -> list[RelationWord]:
@@ -531,6 +499,17 @@ def _letter_json(D: Diagram, letter: Letter) -> dict:
         },
         "exp": exp,
     }
+
+
+def sequence_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
+    """The good elementary sequence from F to G, each step as vertex lists."""
+    return {"sequence": [H.vertex_lists() for H in good_elementary_sequence(D, F, G)]}
+
+
+def support_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
+    """Support and central support of the pair (F, G) as vertex lists."""
+    data = pair_support(D, F, G)
+    return {"supp": D.vertex_names(data.supp), "zsupp": D.vertex_names(data.zsupp)}
 
 
 def presentation_json(D: Diagram, include_commuting: bool = False) -> dict:

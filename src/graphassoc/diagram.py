@@ -86,6 +86,10 @@ class Diagram:
                 raise DiagramError("label on a non-edge")
             if label != INFINITY and (label < 3 or label != int(label)):
                 raise DiagramError(f"edge label {label} must be >= 3 or infinity")
+        # built here, not by a cached_property: writing an attribute after
+        # construction materializes the instance __dict__, and CPython then
+        # reads every attribute of this diagram more slowly
+        object.__setattr__(self, "_labels", dict(self.edge_labels))
 
     @staticmethod
     def from_edges(names, edges=()) -> "Diagram":
@@ -138,10 +142,7 @@ class Diagram:
             raise DiagramError("no label on a vertex pair (i, i)")
         if not self.adj[i] & (1 << j):
             return 2
-        for key, label in self.edge_labels:
-            if key == (min(i, j), max(i, j)):
-                return label
-        return INFINITY
+        return self._labels.get((min(i, j), max(i, j)), INFINITY)
 
     def neighbors(self, mask: int) -> int:
         """Vertices outside ``mask`` joined to it by an edge."""

@@ -159,18 +159,17 @@ def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) 
                     seeds[(B0, mask_of(T))] = tuple(
                         Fraction(rng.randint(-2, 2)) for _ in range(ambient_dim)
                     )
+    seeds = sorted(seeds.items())
     table = {}
     for B in connected_subdiagrams(D):
         verts = list(bits(B))
         for r in range(len(verts) + 1):
             for keep in combinations(verts, r):
                 S = mask_of(keep)
-                vectors = [
-                    vec
-                    for (B0, T), vec in sorted(seeds.items())
-                    if B0 & ~B == 0 and (S & B0) & ~T == 0
+                # MatrixCoefficients reduces each entry to independent columns
+                table[(B, S)] = [
+                    vec for (B0, T), vec in seeds if B0 & ~B == 0 and (S & B0) & ~T == 0
                 ]
-                table[(B, S)] = independent_columns(vectors)
     return MatrixCoefficients(ambient_dim, table)
 
 
@@ -199,9 +198,10 @@ class CochainSpace:
     bases: tuple[tuple[tuple[Fraction, ...], ...], ...]
     offsets: tuple[int, ...]
     dim: int
+    index: dict = field(compare=False, repr=False)
 
     def slot_index(self, B: int, alpha) -> int:
-        return self.slots.index((B, tuple(alpha)))
+        return self.index[(B, tuple(alpha))]
 
     def ambient(self, vec, slot_i: int):
         """Ambient vector of one slot component of a local-coordinates cochain."""
@@ -224,7 +224,8 @@ def cochain_space(D: Diagram, M: CoefficientSystem, p: int) -> CochainSpace:
     for basis in bases:
         offsets.append(total)
         total += len(basis)
-    return CochainSpace(p, M.ambient_dim, slots, bases, tuple(offsets), total)
+    index = {slot: i for i, slot in enumerate(slots)}
+    return CochainSpace(p, M.ambient_dim, slots, bases, tuple(offsets), total, index)
 
 
 def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
@@ -240,7 +241,6 @@ def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
         return []
     dst = cochain_space(D, M, p + 1)
     rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    slot_of = {slot: i for i, slot in enumerate(src.slots)}
 
     def add_block(ti, si, coeff):
         tbasis, toff = dst.bases[ti], dst.offsets[ti]
@@ -262,14 +262,14 @@ def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
             sign = (-1) ** idx
             rest = tuple(v for v in alpha if v != a)
             if p == 0:
-                add_block(ti, slot_of[(B, ())], Fraction(1))
+                add_block(ti, src.index[(B, ())], Fraction(1))
                 for C in components(D, B & ~(1 << a)):
-                    add_block(ti, slot_of[(C, ())], Fraction(-1))
+                    add_block(ti, src.index[(C, ())], Fraction(-1))
                 break  # p = 0 has a single alpha vertex; formula handled above
-            add_block(ti, slot_of[(B, rest)], Fraction(sign))
+            add_block(ti, src.index[(B, rest)], Fraction(sign))
             C = component_containing(D, 1 << a, mask_of(rest), within=B)
             if C:
-                add_block(ti, slot_of[(C, rest)], Fraction(-sign))
+                add_block(ti, src.index[(C, rest)], Fraction(-sign))
     return rows
 
 

@@ -139,13 +139,11 @@ def is_nested(D: Diagram, masks) -> bool:
     masks = list(masks)
     for m in masks:
         D.check_subset(m)
-    if D.full not in masks:
+    try:
+        NestedSet(D, tuple(masks)).validate()
+    except DiagramError:
         return False
-    if not all(is_connected(D, m) for m in masks):
-        return False
-    return all(
-        is_compatible(D, a, b) for i, a in enumerate(masks) for b in masks[i + 1:]
-    )
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +297,11 @@ def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:
     return TwoFace.HEXAGON if edge_count == 3 else TwoFace.PENTAGON
 
 
+def two_faces(D: Diagram) -> list[tuple[NestedSet, TwoFace]]:
+    """Every 2-face with its kind, in ``faces(D, 2)`` order; none below 3 vertices."""
+    return [(H, classify_two_face(D, H)) for H in faces(D, 2)] if D.n >= 3 else []
+
+
 def boundary_cycle(D: Diagram, H: NestedSet) -> list[NestedSet]:
     """The vertices of a 2-face in cyclic order along its boundary."""
     if H.dim != 2:
@@ -319,22 +322,30 @@ def boundary_cycle(D: Diagram, H: NestedSet) -> list[NestedSet]:
     return cycle
 
 
-def face_poset_json(D: Diagram) -> dict:
-    """JSON-able face-poset export: every face with dimension and alpha data."""
-    out = []
-    for dim in range(D.n - 1, -1, -1):
-        for H in faces(D, dim):
-            out.append(
-                {
-                    "elements": [D.vertex_names(m) for m in H.elements],
-                    "dim": H.dim,
-                    "unsaturated": [
-                        {"B": D.vertex_names(B), "alpha": D.vertex_names(a)}
-                        for B, a in H.unsaturated()
-                    ],
-                }
-            )
-    return {"faces": out}
+def face_poset_json(D: Diagram, dim: int | None = None) -> dict:
+    """JSON-able face-poset export: every face, or those of one dimension, with alpha data."""
+    return {
+        "faces": [
+            {
+                "elements": H.vertex_lists(),
+                "dim": H.dim,
+                "unsaturated": [
+                    {"B": D.vertex_names(B), "alpha": D.vertex_names(a)}
+                    for B, a in H.unsaturated()
+                ],
+            }
+            for H in (all_nested_sets(D) if dim is None else faces(D, dim))
+        ]
+    }
+
+
+def two_faces_json(D: Diagram) -> dict:
+    """JSON-able 2-face census: every 2-face with its kind, and the count of each kind."""
+    pairs = two_faces(D)
+    return {
+        "twofaces": [{"elements": H.vertex_lists(), "kind": kind.value} for H, kind in pairs],
+        "counts": {kind.value: sum(k is kind for _, k in pairs) for kind in TwoFace},
+    }
 
 
 def first_maximal_nested_set(D: Diagram, S: int | None = None) -> tuple[int, ...]:

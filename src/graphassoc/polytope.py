@@ -172,7 +172,7 @@ def export_polytope(R: Realization) -> dict:
     D = R.diagram
     verts = [
         {
-            "face": [D.vertex_names(m) for m in F.elements],
+            "face": F.vertex_lists(),
             "coords": [_fmt(c) for c in vertex_coordinates(R, F)],
         }
         for F in maximal_nested_sets(D)

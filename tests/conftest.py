@@ -4,69 +4,19 @@ from functools import lru_cache
 import pytest
 from hypothesis import settings
 
-from graphassoc.diagram import Diagram, is_connected
+from graphassoc import families
+from graphassoc.diagram import Diagram
 
 settings.register_profile("fast", max_examples=50, deadline=None)
 settings.load_profile("fast")
 
 
-def path_diagram(n, label=None):
-    edges = [(i, i + 1) if label is None else (i, i + 1, label) for i in range(n - 1)]
-    return Diagram.from_edges([str(i + 1) for i in range(n)], edges)
-
-
-def cycle_diagram(n, label=None):
-    edges = [(i, (i + 1) % n) if label is None else (i, (i + 1) % n, label) for i in range(n)]
-    return Diagram.from_edges([str(i + 1) for i in range(n)], edges)
-
-
-def star_diagram(legs):
-    edges = [(0, i) for i in range(1, legs + 1)]
-    return Diagram.from_edges(["0"] + [str(i) for i in range(1, legs + 1)], edges)
-
-
-def complete_diagram(n):
-    edges = list(itertools.combinations(range(n), 2))
-    return Diagram.from_edges([str(i + 1) for i in range(n)], edges)
-
-
-@lru_cache(maxsize=None)
-def labeled_connected(n):
-    """All connected diagrams on n named vertices (default infinite labels)."""
-    out = []
-    pairs = list(itertools.combinations(range(n), 2))
-    for selector in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if (selector >> k) & 1]
-        D = Diagram.from_edges([str(i + 1) for i in range(n)], edges)
-        if is_connected(D, D.full):
-            out.append(D)
-    return tuple(out)
-
-
-def _canon(D):
-    n = D.n
-    best = None
-    for perm in itertools.permutations(range(n)):
-        key = tuple(
-            sorted(
-                (min(perm[i], perm[j]), max(perm[i], perm[j]))
-                for i in range(n)
-                for j in range(i + 1, n)
-                if D.adj[i] & (1 << j)
-            )
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
-@lru_cache(maxsize=None)
-def connected_reps(n):
-    """One representative per isomorphism class of connected n-vertex diagrams."""
-    reps = {}
-    for D in labeled_connected(n):
-        reps.setdefault(_canon(D), D)
-    return tuple(reps.values())
+path_diagram = families.path
+cycle_diagram = families.cycle
+star_diagram = families.star
+complete_diagram = families.complete
+labeled_connected = lru_cache(maxsize=None)(families.labeled_connected)
+connected_reps = lru_cache(maxsize=None)(families.connected_reps)
 
 
 def relabelings(D, count=2, seed=0):
