@@ -32,6 +32,7 @@ from .nested import (
     first_maximal_nested_set,
     ascending_chain,
     maximal_nested_sets,
+    split_components,
     two_faces,
 )
 
@@ -145,7 +146,12 @@ def support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
 
 
 def kappa(D: Diagram, collection) -> list[int]:
-    """Connected subdiagrams orthogonal to or contained in every member."""
+    """Connected subdiagrams orthogonal to or contained in every member.
+
+    Lemma: the result is closed under connected subsets, because
+    containment in and orthogonality to a member pass to subsets; so
+    every vertex of a result is itself a (singleton) result.
+    """
     out = []
     for B in connected_subdiagrams(D):
         if all(B & ~C == 0 or is_orthogonal(D, B, C) for C in collection):
@@ -154,17 +160,20 @@ def kappa(D: Diagram, collection) -> list[int]:
 
 
 def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
-    """Union of the kappa-elements of the symmetric difference inside the support."""
+    """Union of the kappa-elements of the symmetric difference inside the support.
+
+    By the lemma of ``kappa`` that union is the set of vertices v of the
+    support with {v} in kappa, and {v} is in kappa exactly when v is not a
+    neighbour of any member C: the support minus ``D.neighbors(C)``.
+    """
     _check_maximal(F)
     _check_maximal(G)
     delta = symmetric_difference(F, G)
     if not delta:
         return 0
-    supp = support(D, F, G)
-    z = 0
-    for B in kappa(D, delta):
-        if B & ~supp == 0:
-            z |= B
+    z = support(D, F, G)
+    for C in delta:
+        z &= ~D.neighbors(C)
     return z
 
 
@@ -371,18 +380,14 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
         if kind is TwoFace.SQUARE:
             continue
         (B, alpha), = H.unsaturated()
-
-        def comp(x: int, y: int) -> int:
-            anchor = (1 << x) | (1 << y)
-            return component_containing(D, alpha & ~anchor, anchor, within=B)
-
-        i, j, k = bits(alpha)
+        split = split_components(D, B, alpha)
+        i, j, k = split  # the alpha vertices, ascending
         if kind is TwoFace.PENTAGON:
-            # relabel so the split pair is (j, k): i is the quotient middle
-            (j, k), = [(x, y) for x, y in ((i, j), (i, k), (j, k)) if not comp(x, y)]
-            (i,) = set(bits(alpha)) - {j, k}
-        letters = [(B, k, i), (comp(j, k), k, j), (B, i, j), (comp(i, k), i, k),
-                   (B, j, k), (comp(i, j), j, i)]
+            # relabel so the empty split is at i, the quotient middle
+            (i,) = [z for z in split if not split[z]]
+            j, k = [z for z in split if z != i]
+        letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
+                   (B, j, k), (split[k], j, i)]
         word = tuple(associator_letter(*letter) for letter in letters if letter[0])
         out.append((H, RelationWord(f"{kind.value}{len(word)}", word)))
     return out

@@ -278,18 +278,6 @@ def component_containing(D: Diagram, removed: int, anchor: int, within: int | No
     return 0
 
 
-def _quotient_adjacent(D: Diagram, b_components: list[int], a: int, b: int) -> bool:
-    # a, b are surviving vertex indices; linked in D/B iff D-adjacent or both
-    # non-orthogonal to a common component of B.
-    if D.adj[a] & (1 << b):
-        return True
-    for comp in b_components:
-        nbrs = D.neighbors(comp)
-        if nbrs & (1 << a) and nbrs & (1 << b):
-            return True
-    return False
-
-
 def quotient(D: Diagram, B: int) -> tuple[Diagram, dict[int, int]]:
     """The quotient diagram on ``V(D) - V(B)`` and the old->new vertex map.
 
@@ -300,64 +288,50 @@ def quotient(D: Diagram, B: int) -> tuple[Diagram, dict[int, int]]:
     D.check_subset(B)
     if B == 0 or B == D.full:
         raise DiagramError("quotient needs a proper nonempty subdiagram")
-    b_components = components(D, B)
+    b_neighbors = [D.neighbors(comp) for comp in components(D, B)]
     survivors = [i for i in bits(D.full & ~B)]
     old_to_new = {old: new for new, old in enumerate(survivors)}
     edges = []
     for x, a in enumerate(survivors):
         for b in survivors[x + 1:]:
-            if _quotient_adjacent(D, b_components, a, b):
-                if D.adj[a] & (1 << b):
-                    edges.append((x, old_to_new[b], D.label(a, b)))
-                else:
-                    edges.append((x, old_to_new[b], INFINITY))
+            pair = (1 << a) | (1 << b)
+            if D.adj[a] & (1 << b):
+                edges.append((x, old_to_new[b], D.label(a, b)))
+            elif any(nbrs & pair == pair for nbrs in b_neighbors):
+                edges.append((x, old_to_new[b], INFINITY))
     Q = Diagram.from_edges([D.names[i] for i in survivors], edges)
     return Q, old_to_new
 
 
 def quotient_components(D: Diagram, B: int, S: int) -> list[int]:
-    """Components of ``S`` in the quotient D/B, expressed as masks of D.
+    """Components of ``S`` in the quotient D/B, as masks of D sorted by least vertex.
 
-    ``S`` must be a set of surviving vertices (disjoint from B).
+    ``S`` must be a set of surviving vertices (disjoint from B).  Lemma:
+    they are the S-parts of the components of ``S | B`` in D, because an
+    edge of D/B is an edge of D or a path through one component of B, and
+    a path of D inside ``S | B`` leaves S only to cross one component of B.
     """
     D.check_subset(S)
     if S & B:
         raise DiagramError("subdiagram of the quotient meets B")
-    b_components = components(D, B)
-    out = []
-    remaining = S
-    while remaining:
-        seed_index = (remaining & -remaining).bit_length() - 1
-        comp = {seed_index}
-        frontier = [seed_index]
-        while frontier:
-            a = frontier.pop()
-            for b in bits(remaining):
-                if b not in comp and _quotient_adjacent(D, b_components, a, b):
-                    comp.add(b)
-                    frontier.append(b)
-        mask = mask_of(comp)
-        out.append(mask)
-        remaining &= ~mask
-    return out
+    D.check_subset(B)
+    return sorted((comp & S for comp in components(D, S | B) if comp & S), key=lambda m: m & -m)
 
 
 def lift(D: Diagram, B: int, A: int) -> int:
     """Lift a connected subdiagram ``A`` of D/B back into D.
 
-    The lift is ``A`` together with every component of B that is
-    non-orthogonal to ``A``; it is connected in D, and its quotient image
-    is ``A`` again.
+    The lift is the component of ``A | B`` that contains ``A``: by the
+    quotient lemma (see ``quotient_components``) all of ``A`` lies in one
+    component, and the components of B in it are exactly those
+    non-orthogonal to ``A``, since two components of B are never joined
+    by an edge.  It is connected in D, and its quotient image is ``A``.
     """
     if A == 0:
         raise DiagramError("cannot lift the empty subdiagram")
     if len(quotient_components(D, B, A)) != 1:
         raise DiagramError("subdiagram is not connected in the quotient")
-    out = A
-    for comp in components(D, B):
-        if not is_orthogonal(D, comp, A):
-            out |= comp
-    return out
+    return component_containing(D, 0, A, within=A | B)
 
 
 def induced(D: Diagram, S: int) -> tuple[Diagram, dict[int, int]]:

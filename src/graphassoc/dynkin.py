@@ -328,11 +328,10 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
     return values
 
 
-def _cellular_coboundary(D: Diagram, k: int, values, ambient_dim: int):
-    # cochain degree k-1 -> k: transpose of the chain boundary
-    M = boundary_matrix(D, k)
+def _cellular_coboundary(M, values, ambient_dim: int):
+    # cochain degree k-1 -> k: transpose of the chain boundary matrix M of degree k
     out = []
-    for c in range(len(chain_basis(D, k))):
+    for c in range(len(M[0])):
         total = [Fraction(0)] * ambient_dim
         for r, row in enumerate(M):
             if row[c]:
@@ -376,6 +375,7 @@ def verify_chain_map(
     failures = []
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
     diffs = [dynkin_diff(D, M, p) for p in range(D.n)]
+    boundaries = {k: boundary_matrix(D, k) for k in range(1, D.n)}
 
     def random_vec(dim):
         return tuple(
@@ -394,7 +394,7 @@ def verify_chain_map(
                 lhs = [g0 for _ in chain_basis(D, 0)]
             else:
                 gk = cellular_embedding_g(D, M, k, vec)
-                lhs = _cellular_coboundary(D, k, gk, M.ambient_dim)
+                lhs = _cellular_coboundary(boundaries[k], gk, M.ambient_dim)
             if lhs != rhs:
                 failures.append(f"chain-map identity fails at degree {k}")
                 break

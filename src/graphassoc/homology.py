@@ -17,12 +17,13 @@ homology group.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
 from ._ratlinalg import eliminate, rank  # rank: re-exported for callers of this module
-from .diagram import Diagram, DiagramError, bits, component_containing
-from .nested import NestedSet, faces
+from .diagram import Diagram, DiagramError, InvariantError, bits, component_containing, is_compatible
+from .nested import NestedSet, element_key, faces
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,18 @@ def shuffle_number(beta, alpha) -> int:
 
 
 def boundary_cell(D: Diagram, cell: OrientedCell) -> dict[OrientedCell, int]:
-    """Signed boundary of one oriented cell, over canonical representatives."""
+    """Signed boundary of one oriented cell, over canonical representatives.
+
+    The cell's nested set is validated once; each face adds one element
+    ``D_beta``, which meets alpha and so is new, and only its
+    compatibility with the others is checked.
+    """
     cell, base_sign = canonicalize(cell)
     if cell.dim == 0:
         return {}
     out: dict[OrientedCell, int] = {}
     H = cell.nested
+    H.validate()
     entries = cell.orientation
     prefix = 0  # running exponent sum (|alpha_1|-1) + ... + (|alpha_{i-1}|-1)
     for i, (B, alpha) in enumerate(entries):
@@ -131,7 +138,11 @@ def boundary_cell(D: Diagram, cell: OrientedCell) -> dict[OrientedCell, int]:
                     * (-1) ** (len(beta) - 1)
                     * (-1) ** shuffle_number(beta, alpha)
                 )
-                G = NestedSet.make(D, set(H.elements) | {D_beta})
+                if not all(is_compatible(D, D_beta, m) for m in H.elements):
+                    raise InvariantError("boundary face is not a nested set")
+                elements = list(H.elements)
+                insort(elements, D_beta, key=element_key)
+                G = NestedSet(D, tuple(elements))
                 rest = tuple(v for v in alpha if v not in beta)
                 induced_or = list(entries[:i])
                 if len(beta) >= 2:

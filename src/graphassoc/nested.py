@@ -23,12 +23,12 @@ from .diagram import (
     Diagram,
     DiagramError,
     bits,
+    component_containing,
     components,
     induced,
     is_compatible,
     is_connected,
     quotient,
-    quotient_components,
 )
 
 
@@ -217,16 +217,6 @@ def f_vector(D: Diagram) -> list[int]:
     return [len(faces(D, k)) for k in range(D.n)]
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """A face presented by its nested set, dimension and factorization data."""
-
-    nested: NestedSet
-    dim: int
-    unsaturated: tuple[tuple[int, int], ...]
-    factors: tuple[Diagram, ...]
-
-
 def face_factorization(D: Diagram, H: NestedSet) -> list[Diagram]:
     """Quotient diagrams ``B / i_H(B)`` over the unsaturated elements of H.
 
@@ -245,10 +235,6 @@ def face_factorization(D: Diagram, H: NestedSet) -> list[Diagram]:
                 inner_in_sub |= 1 << old_to_new[v]
             out.append(quotient(sub, inner_in_sub)[0])
     return out
-
-
-def describe_face(D: Diagram, H: NestedSet) -> FaceDescriptor:
-    return FaceDescriptor(H, H.dim, tuple(H.unsaturated()), tuple(face_factorization(D, H)))
 
 
 def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]]:
@@ -272,29 +258,32 @@ class TwoFace(enum.Enum):
     HEXAGON = "hexagon"
 
 
+def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
+    """For each vertex z of ``alpha``: the component of ``B - z`` holding the rest of alpha.
+
+    The value is 0 when ``B - z`` separates the other alpha vertices.  For
+    a 3-vertex alpha set, two of them are joined in the quotient
+    ``B / i_H(B)`` exactly when the split at the third is nonzero (the
+    quotient lemma of ``diagram.quotient_components``).
+    """
+    return {z: component_containing(D, 1 << z, alpha & ~(1 << z), within=B) for z in bits(alpha)}
+
+
 def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:
     """Classify a 2-face by the shape of its unsaturated quotient.
 
     Two unsaturated elements give a square.  Otherwise the single
     unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, a
-    triangle (hexagon face) or a path (pentagon face).
+    triangle (hexagon face: all three splits nonzero) or a path
+    (pentagon face).
     """
     if H.dim != 2:
         raise DiagramError("classification needs a 2-dimensional face")
     unsat = H.unsaturated()
     if len(unsat) == 2:
         return TwoFace.SQUARE
-    B, alpha = unsat[0]
-    inner = H.inner_union(B)
-    edge_count = 0
-    alphas = list(bits(alpha))
-    for x, a in enumerate(alphas):
-        for b in alphas[x + 1:]:
-            joined = len(quotient_components(D, inner, (1 << a) | (1 << b))) == 1 \
-                if inner else bool(D.adj[a] & (1 << b))
-            if joined:
-                edge_count += 1
-    return TwoFace.HEXAGON if edge_count == 3 else TwoFace.PENTAGON
+    (B, alpha), = unsat
+    return TwoFace.HEXAGON if all(split_components(D, B, alpha).values()) else TwoFace.PENTAGON
 
 
 def two_faces(D: Diagram) -> list[tuple[NestedSet, TwoFace]]:

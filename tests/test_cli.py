@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -155,9 +156,11 @@ def test_polytope_payload_embeds_off_in_low_dimension(p3_file):
 
 
 def test_unknown_subcommand_exits_2(p3_file):
+    # the child imports graphassoc from this process's path, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "graphassoc.cli", "nonsense", "--diagram", p3_file],
         capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 2
 

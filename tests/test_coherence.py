@@ -39,7 +39,7 @@ from graphassoc.nested import (
     faces,
     maximal_nested_sets,
 )
-from conftest import cycle_diagram, labeled_connected, path_diagram
+from conftest import connected_reps, cycle_diagram, labeled_connected, path_diagram
 
 P2 = path_diagram(2, label=3)
 P3 = path_diagram(3)
@@ -94,6 +94,23 @@ def test_elementary_support_formulas(n):
             B, alpha = unsat[0]
             assert support(D, F, G) == B
             assert central_support(D, F, G) == B & ~alpha
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_central_support_is_union_of_kappa_inside_support(n):
+    """The neighbour-removal formula agrees with the kappa definition on every pair."""
+    for D in connected_reps(5) if n == 5 else labeled_connected(n):
+        mns = maximal_nested_sets(D)
+        for i, F in enumerate(mns):
+            for G in mns[i:]:  # (G, F) has the same symmetric difference and support
+                delta = symmetric_difference(F, G)
+                supp = support(D, F, G)
+                expected = 0
+                if delta:
+                    for B in kappa(D, delta):
+                        if B & ~supp == 0:
+                            expected |= B
+                assert central_support(D, F, G) == central_support(D, G, F) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

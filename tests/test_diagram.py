@@ -19,6 +19,7 @@ from graphassoc.diagram import (
     mask_of,
     parse_diagram,
     quotient,
+    quotient_components,
 )
 from conftest import labeled_connected, path_diagram, star_diagram
 
@@ -200,18 +201,32 @@ def _connected_masks(D):
 
 
 def _quotient_connected(D, B, m):
-    from graphassoc.diagram import quotient_components
-
     return len(quotient_components(D, B, m)) == 1
 
 
 def _quotient_orthogonal(D, B, A1, A2):
-    from graphassoc.diagram import quotient_components
-
     if A1 & A2:
         return False
     comps = quotient_components(D, B, A1 | A2)
     return all(not (c & A1 and c & A2) for c in comps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_components_match_built_quotient(n):
+    """Components of S in D/B, read off S | B in D, equal those of the built quotient."""
+    for D in labeled_connected(n):
+        for B in range(1, D.full):
+            Q, old_to_new = quotient(D, B)
+            new_to_old = {new: old for old, new in old_to_new.items()}
+            rest = D.full & ~B
+            S = rest
+            while True:  # every subset of the survivors, the empty one included
+                image = mask_of(old_to_new[v] for v in bits(S))
+                expected = [mask_of(new_to_old[v] for v in bits(c)) for c in components(Q, image)]
+                assert quotient_components(D, B, S) == expected
+                if S == 0:
+                    break
+                S = (S - 1) & rest
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

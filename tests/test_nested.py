@@ -255,7 +255,7 @@ def test_classify_examples():
 
 def test_classification_matches_boundary_length():
     expected = {TwoFace.SQUARE: 4, TwoFace.PENTAGON: 5, TwoFace.HEXAGON: 6}
-    for D in [P3, C3, P5, star_diagram(3), cycle_diagram(4)]:
+    for D in [E for n in range(3, 6) for E in connected_reps(n)]:
         for H in faces(D, 2):
             kind = classify_two_face(D, H)
             assert len(boundary_cycle(D, H)) == expected[kind]
