@@ -1,14 +1,15 @@
 """Exact linear algebra: one sparse eliminator for ranks, dense solves.
 
 Ranks and Smith normal forms go through ``eliminate``: the matrix is
-held as columns of ``{row: value}`` and each step pivots in the
-shortest remaining column, on its entry whose row is shortest, which
-keeps fill-in low on the sparse boundary and Dynkin matrices.  Over Q
-any nonzero entry may pivot, so nothing is left over and the pivot
-count is the rank.  Over Z only units may pivot: removing a unit pivot
-is a reduction of the chain complex (Kaczynski-Mrozek-Slusarek 1998)
-that leaves the Smith normal form of the rest unchanged, so an empty
-leftover block certifies that every invariant factor is 1.
+given as columns of ``{row: value}`` (``columns`` converts dense rows)
+and each step pivots in the shortest remaining column, on its entry
+whose row is shortest, which keeps fill-in low on the sparse boundary
+and Dynkin matrices.  Over Q any nonzero entry may pivot, so nothing is
+left over and the pivot count is the rank.  Over Z only units may
+pivot: removing a unit pivot is a reduction of the chain complex
+(Kaczynski-Mrozek-Slusarek 1998) that leaves the Smith normal form of
+the rest unchanged, so an empty leftover block certifies that every
+invariant factor is 1.
 
 Solves (``solve_columns``) are dense: lists of row lists of
 ``Fraction``, vectors as tuples.
@@ -46,21 +47,30 @@ def rref(M):
     return A, pivots
 
 
-def eliminate(M, unit_pivots: bool):
-    """Sparse elimination of a dense row-list matrix.
-
-    Returns the number of pivots taken and the block left over, as dense
-    rows (empty when every column was eliminated).  With
-    ``unit_pivots`` only entries +1 and -1 may pivot and the arithmetic
-    stays integral; otherwise any nonzero entry may.
-    """
-    cols = {}
-    rows = {}
+def columns(M):
+    """The columns ``{row: value}`` of a dense row-list matrix, zero columns included."""
+    cols = [{} for _ in (M[0] if M else ())]
     for r, row in enumerate(M):
         for c, v in enumerate(row):
             if v:
-                cols.setdefault(c, {})[r] = v
-                rows.setdefault(r, set()).add(c)
+                cols[c][r] = v
+    return cols
+
+
+def eliminate(cols, unit_pivots: bool):
+    """Sparse elimination of a matrix given as columns ``{row: value}``.
+
+    The input columns are left untouched.  Returns the number of pivots
+    taken and the block left over, as dense rows (empty when every
+    column was eliminated).  With ``unit_pivots`` only entries +1 and -1
+    may pivot and the arithmetic stays integral; otherwise any nonzero
+    entry may.
+    """
+    cols = {c: dict(col) for c, col in enumerate(cols) if col}
+    rows = {}
+    for c, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(c)
     heap = [(len(col), c) for c, col in cols.items()]
     heapify(heap)
     pivots = 0
@@ -104,7 +114,7 @@ def eliminate(M, unit_pivots: bool):
 
 def rank(M) -> int:
     """Rank over Q of a dense row-list matrix of ints or Fractions."""
-    return eliminate(M, unit_pivots=False)[0]
+    return eliminate(columns(M), unit_pivots=False)[0]
 
 
 def solve_columns(basis, vec):
@@ -136,19 +146,14 @@ def product_is_zero(A, B) -> bool:
     """True iff the matrix product A @ B vanishes, exploiting sparsity."""
     if not A or not B:
         return True
-    a_cols = {}
-    for r, row in enumerate(A):
-        for k, v in enumerate(row):
-            if v:
-                a_cols.setdefault(k, []).append((r, v))
+    a_cols = columns(A)
     for c in range(len(B[0])):
         acc = {}
-        for k in range(len(B)):
-            b = B[k][c]
-            if not b or k not in a_cols:
-                continue
-            for r, v in a_cols[k]:
-                acc[r] = acc.get(r, 0) + v * b
+        for k, row in enumerate(B):
+            b = row[c]
+            if b:
+                for r, v in a_cols[k].items():
+                    acc[r] = acc.get(r, 0) + v * b
         if any(x != 0 for x in acc.values()):
             return False
     return True

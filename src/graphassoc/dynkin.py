@@ -27,7 +27,7 @@ from .diagram import (
     components,
     mask_of,
 )
-from .homology import boundary_matrix, chain_basis
+from .homology import cell_complex
 from .nested import connected_subdiagrams, irreducible_cell
 
 
@@ -293,9 +293,10 @@ def dynkin_cohomology(D: Diagram, M: CoefficientSystem) -> list[int]:
 # embedding into cellular cochains
 
 
-def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
+def cellular_embedding_g(D: Diagram, M: CoefficientSystem | CochainSpace, k: int, vec):
     """Image of a degree-k Dynkin cochain among cellular cochains.
 
+    ``M`` is the coefficient system or its degree-k ``CochainSpace``.
     Degree 0 lands in the augmentation slot (a single ambient vector);
     degree k >= 1 yields one ambient vector per cell of dimension k-1
     (aligned with the canonical cell basis), supported on irreducible
@@ -303,12 +304,14 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
     """
     if not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
-    space = cochain_space(D, M, k)
-    zero = tuple(Fraction(0) for _ in range(M.ambient_dim))
+    space = M if isinstance(M, CochainSpace) else cochain_space(D, M, k)
+    if space.degree != k:
+        raise DiagramError(f"cochain space of degree {space.degree} given for degree {k}")
+    zero = tuple(Fraction(0) for _ in range(space.ambient_dim))
     if k == 0:
         return space.ambient(vec, space.slot_index(D.full, ()))
     values = []
-    for cell in chain_basis(D, k - 1):
+    for cell in cell_complex(D)[0][k - 1]:
         H = cell.nested
         if k == 1:
             total = list(zero)
@@ -317,26 +320,22 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
                 amb = space.ambient(vec, space.slot_index(B, (a,)))
                 total = [x + y for x, y in zip(total, amb)]
             values.append(tuple(total))
-            continue
-        unsat = H.unsaturated()
-        if len(unsat) != 1:
+        elif len(cell.orientation) == 1:
+            (B, alpha), = cell.orientation
+            values.append(space.ambient(vec, space.slot_index(B, alpha)))
+        else:
             values.append(zero)
-            continue
-        B, alpha_mask = unsat[0]
-        alpha = tuple(bits(alpha_mask))
-        values.append(space.ambient(vec, space.slot_index(B, alpha)))
     return values
 
 
-def _cellular_coboundary(M, values, ambient_dim: int):
-    # cochain degree k-1 -> k: transpose of the chain boundary matrix M of degree k
+def _cellular_coboundary(boundary_columns, values, ambient_dim: int):
+    # cochain degree k-1 -> k: transpose of the chain boundary of degree k, column by column
     out = []
-    for c in range(len(M[0])):
+    for col in boundary_columns:
         total = [Fraction(0)] * ambient_dim
-        for r, row in enumerate(M):
-            if row[c]:
-                for t in range(ambient_dim):
-                    total[t] += row[c] * values[r][t]
+        for r, v in col.items():
+            for t in range(ambient_dim):
+                total[t] += v * values[r][t]
         out.append(tuple(total))
     return out
 
@@ -375,7 +374,7 @@ def verify_chain_map(
     failures = []
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
     diffs = [dynkin_diff(D, M, p) for p in range(D.n)]
-    boundaries = {k: boundary_matrix(D, k) for k in range(1, D.n)}
+    cells, index, boundary = cell_complex(D)
 
     def random_vec(dim):
         return tuple(
@@ -388,30 +387,24 @@ def verify_chain_map(
             dvec = _apply(diffs[k], vec) if spaces[k].dim else tuple(
                 Fraction(0) for _ in range(spaces[k + 1].dim)
             )
-            rhs = cellular_embedding_g(D, M, k + 1, dvec)
+            rhs = cellular_embedding_g(D, spaces[k + 1], k + 1, dvec)
             if k == 0:
-                g0 = cellular_embedding_g(D, M, 0, vec)
-                lhs = [g0 for _ in chain_basis(D, 0)]
+                lhs = [cellular_embedding_g(D, spaces[0], 0, vec)] * len(cells[0])
             else:
-                gk = cellular_embedding_g(D, M, k, vec)
-                lhs = _cellular_coboundary(boundaries[k], gk, M.ambient_dim)
+                gk = cellular_embedding_g(D, spaces[k], k, vec)
+                lhs = _cellular_coboundary(boundary[k], gk, M.ambient_dim)
             if lhs != rhs:
                 failures.append(f"chain-map identity fails at degree {k}")
                 break
     for k in range(2, D.n + 1):
         space = spaces[k]
-        cells = chain_basis(D, k - 1)
         for i, (B, alpha) in enumerate(space.slots):
             for j in range(len(space.bases[i])):
                 vec = [Fraction(0)] * space.dim
                 vec[space.offsets[i] + j] = Fraction(1)
-                values = cellular_embedding_g(D, M, k, vec)
-                witness = irreducible_cell(D, B, mask_of(alpha))
-                cell_index = next(
-                    idx for idx, c in enumerate(cells)
-                    if c.nested.elements == witness.elements
-                )
-                if all(x == 0 for x in values[cell_index]):
+                values = cellular_embedding_g(D, space, k, vec)
+                witness = index[k - 1][irreducible_cell(D, B, mask_of(alpha)).elements]
+                if all(x == 0 for x in values[witness]):
                     failures.append(
                         f"g^{k} kills the basis vector at B={D.vertex_names(B)}, "
                         f"alpha={[D.names[v] for v in alpha]}"

@@ -9,6 +9,12 @@ representative with a sign.  The boundary operator drops one cell
 dimension by splitting an alpha set; the complex computes the homology
 of the associahedron (contractible, so acyclic).
 
+Each diagram's complex is built once by ``cell_complex`` and cached:
+the canonical cells of each dimension, a cell -> index map and every
+boundary as sparse signed columns, with each sign computed by
+arithmetic on the canonical data.  ``boundary_cell``, ``chain_basis``
+and ``homology`` read it; ``boundary_matrix`` is a dense view of it.
+
 Sign convention: under the volume-form identification with the faces of
 the convex realization, this boundary is the negative of the geometric
 cellular boundary.  The global sign changes no kernel, image or
@@ -17,12 +23,13 @@ homology group.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
 
-from ._ratlinalg import eliminate, rank  # rank: re-exported for callers of this module
-from .diagram import Diagram, DiagramError, InvariantError, bits, component_containing, is_compatible
+from ._ratlinalg import columns, eliminate, rank  # rank: re-exported for callers of this module
+from .diagram import Diagram, DiagramError, InvariantError, bits, component_containing, mask_of
 from .nested import NestedSet, element_key, faces
 
 
@@ -58,35 +65,21 @@ def oriented(H: NestedSet) -> OrientedCell:
     return OrientedCell(H, tuple((B, tuple(bits(a))) for B, a in H.unsaturated()))
 
 
-def _perm_sign(seq, target) -> int:
-    order = [target.index(x) for x in seq]
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
-
-
 def canonicalize(cell: OrientedCell) -> tuple[OrientedCell, int]:
-    """Reduce to the canonical representative, returning it with the relation sign."""
+    """Reduce to the canonical representative, returning it with the relation sign.
+
+    Each pair of entries listed against the canonical enumeration adds
+    ``(|a1|-1)(|a2|-1)`` to the sign exponent, and each inversion in an
+    alpha order adds 1.
+    """
     cell.validate()
-    entries = list(cell.orientation)
-    sign = 1
-    # bubble sort of the enumeration, each adjacent swap contributes eq-or-1 sign
-    key = lambda e: ((e[0] & -e[0]).bit_length(), bin(e[0]).count("1"))
-    for i in range(len(entries)):
-        for j in range(len(entries) - 1 - i):
-            if key(entries[j]) > key(entries[j + 1]):
-                a, b = entries[j], entries[j + 1]
-                sign *= (-1) ** ((len(a[1]) - 1) * (len(b[1]) - 1))
-                entries[j], entries[j + 1] = b, a
-    fixed = []
-    for B, order in entries:
-        ascending = tuple(sorted(order))
-        sign *= _perm_sign(order, ascending)
-        fixed.append((B, ascending))
-    return OrientedCell(cell.nested, tuple(fixed)), sign
+    canon = oriented(cell.nested)
+    place = {B: i for i, (B, _) in enumerate(canon.orientation)}
+    entries = cell.orientation
+    swaps = sum((len(a) - 1) * (len(b) - 1) for i, (A, a) in enumerate(entries)
+                for B, b in entries[i + 1:] if place[A] > place[B])
+    inversions = sum(x > y for _, order in entries for i, x in enumerate(order) for y in order[i + 1:])
+    return canon, (-1) ** (swaps + inversions)
 
 
 def shuffle_number(beta, alpha) -> int:
@@ -107,57 +100,73 @@ def shuffle_number(beta, alpha) -> int:
     return sum(j - t for t, j in enumerate(positions, start=1))
 
 
+@lru_cache(maxsize=8)
+def cell_complex(D: Diagram):
+    """The oriented cell complex of D as ``(cells, index, boundary)``, by dimension k.
+
+    ``cells[k]`` holds the canonical oriented cells over ``faces(D, k)``,
+    ``index[k]`` maps a cell's elements to its position, and
+    ``boundary[k]`` one column ``{row: +-1}`` per k-cell (empty for k = 0).
+
+    A face splits the alpha set of entry i into beta (the alpha set of
+    the new element ``D_beta``) and rest.  ``(B, rest)`` keeps B's place
+    in the enumeration and beta and rest stay ascending, so only
+    ``(D_beta, beta)``, listed before ``(B, rest)``, moves: passing
+    entries e adds ``(|beta|-1) * sum(|alpha_e|-1)`` to the sign exponent.
+    """
+    cells = tuple(tuple(oriented(H) for H in faces(D, k)) for k in range(D.n))
+    index = tuple({cell.nested.elements: i for i, cell in enumerate(row)} for row in cells)
+    boundary = [tuple({} for _ in cells[0])]
+    key = lambda m: ((m & -m).bit_length(), m.bit_count())  # the enumeration order
+    for k in range(1, D.n):
+        cols = []
+        for cell in cells[k]:
+            col = {}
+            elements, entries = cell.nested.elements, cell.orientation
+            element_keys = [element_key(m) for m in elements]
+            keys = [key(B) for B, _ in entries]
+            # prefix[j]: the sum of |alpha_e| - 1 over the first j entries
+            prefix = [0, *accumulate(len(alpha) - 1 for _, alpha in entries)]
+            for i, (B, alpha) in enumerate(entries):
+                alpha_mask = mask_of(alpha)
+                for size in range(1, len(alpha)):
+                    for beta in combinations(alpha, size):
+                        beta_mask = mask_of(beta)
+                        D_beta = component_containing(
+                            D, alpha_mask & ~beta_mask, beta_mask, within=B
+                        )
+                        if D_beta == 0:
+                            continue
+                        exponent = prefix[i] + size - 1 + shuffle_number(beta, alpha)
+                        if size >= 2:
+                            slot = bisect_left(keys, key(D_beta))
+                            lo, hi = sorted((slot, i))
+                            # passing (B, rest) counts |rest| - 1 = |alpha| - 1 - size
+                            passed = prefix[hi] - prefix[lo] - (size if slot > i else 0)
+                            exponent += (size - 1) * passed
+                        at = bisect_left(element_keys, element_key(D_beta))
+                        row = index[k - 1].get(elements[:at] + (D_beta,) + elements[at:])
+                        if row is None or row in col:
+                            raise InvariantError("boundary face is not a new nested set")
+                        col[row] = (-1) ** exponent
+            cols.append(col)
+        boundary.append(tuple(cols))
+    return cells, index, tuple(boundary)
+
+
 def boundary_cell(D: Diagram, cell: OrientedCell) -> dict[OrientedCell, int]:
     """Signed boundary of one oriented cell, over canonical representatives.
 
-    The cell's nested set is validated once; each face adds one element
-    ``D_beta``, which meets alpha and so is new, and only its
-    compatibility with the others is checked.
+    The cell's column of ``cell_complex(D)``, times the sign that brings
+    ``cell`` to canonical form.
     """
-    cell, base_sign = canonicalize(cell)
-    if cell.dim == 0:
-        return {}
-    out: dict[OrientedCell, int] = {}
-    H = cell.nested
-    H.validate()
-    entries = cell.orientation
-    prefix = 0  # running exponent sum (|alpha_1|-1) + ... + (|alpha_{i-1}|-1)
-    for i, (B, alpha) in enumerate(entries):
-        alpha_mask = sum(1 << v for v in alpha)
-        for size in range(1, len(alpha)):
-            for beta in combinations(alpha, size):
-                beta_mask = sum(1 << v for v in beta)
-                D_beta = component_containing(
-                    D, alpha_mask & ~beta_mask, beta_mask, within=B
-                )
-                if D_beta == 0:
-                    continue
-                sign = (
-                    base_sign
-                    * (-1) ** prefix
-                    * (-1) ** (len(beta) - 1)
-                    * (-1) ** shuffle_number(beta, alpha)
-                )
-                if not all(is_compatible(D, D_beta, m) for m in H.elements):
-                    raise InvariantError("boundary face is not a nested set")
-                elements = list(H.elements)
-                insort(elements, D_beta, key=element_key)
-                G = NestedSet(D, tuple(elements))
-                rest = tuple(v for v in alpha if v not in beta)
-                induced_or = list(entries[:i])
-                if len(beta) >= 2:
-                    induced_or.append((D_beta, beta))
-                if len(rest) >= 2:
-                    induced_or.append((B, rest))
-                induced_or.extend(entries[i + 1:])
-                canon, extra = canonicalize(OrientedCell(G, tuple(induced_or)))
-                coeff = out.get(canon, 0) + sign * extra
-                if coeff:
-                    out[canon] = coeff
-                else:
-                    out.pop(canon, None)
-        prefix += len(alpha) - 1
-    return out
+    cell, sign = canonicalize(cell)
+    cells, index, boundary = cell_complex(D)
+    k = cell.dim
+    c = index[k].get(cell.nested.elements) if 0 <= k < D.n else None
+    if c is None:
+        raise DiagramError("cell is not a face of the diagram")
+    return {cells[k - 1][r]: sign * v for r, v in boundary[k][c].items()}
 
 
 def boundary(D: Diagram, chain: dict[OrientedCell, int]) -> dict[OrientedCell, int]:
@@ -177,39 +186,36 @@ def boundary(D: Diagram, chain: dict[OrientedCell, int]) -> dict[OrientedCell, i
 
 
 def chain_basis(D: Diagram, k: int) -> list[OrientedCell]:
-    """Canonical oriented cells of dimension k, in deterministic order."""
-    return [oriented(H) for H in faces(D, k)]
+    """Canonical oriented cells of dimension k, in ``faces(D, k)`` order."""
+    if not 0 <= k <= D.n - 1:
+        raise DiagramError(f"dimension {k} out of range")
+    return list(cell_complex(D)[0][k])
 
 
 def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
-    """The matrix of the boundary operator in the canonical cell bases.
+    """Dense view of the boundary operator in the canonical cell bases.
 
     Rows are (k-1)-cells, columns k-cells; for ``k = 0`` the matrix has
     no rows.
     """
     if not 0 <= k <= D.n - 1:
         raise DiagramError(f"dimension {k} out of range")
-    cols = chain_basis(D, k)
-    if k == 0:
-        return []
-    rows = chain_basis(D, k - 1)
-    index = {cell: r for r, cell in enumerate(rows)}
-    M = [[0] * len(cols) for _ in rows]
-    for c, cell in enumerate(cols):
-        for face_cell, coeff in boundary_cell(D, cell).items():
-            M[index[face_cell]][c] = coeff
+    cells, _, boundary = cell_complex(D)
+    M = [[0] * len(cells[k]) for _ in cells[k - 1]] if k else []
+    for c, col in enumerate(boundary[k]):
+        for r, v in col.items():
+            M[r][c] = v
     return M
 
 
 def boundary_matrix_json(D: Diagram, k: int) -> dict:
-    M = boundary_matrix(D, k)
-    entries = [
-        [r, c, v] for r, row in enumerate(M) for c, v in enumerate(row) if v
-    ]
+    if not 0 <= k <= D.n - 1:
+        raise DiagramError(f"dimension {k} out of range")
+    cells, _, boundary = cell_complex(D)
     return {
-        "rows": len(chain_basis(D, k - 1)) if k > 0 else 0,
-        "cols": len(chain_basis(D, k)),
-        "entries": entries,
+        "rows": len(cells[k - 1]) if k > 0 else 0,
+        "cols": len(cells[k]),
+        "entries": sorted([r, c, v] for c, col in enumerate(boundary[k]) for r, v in col.items()),
     }
 
 
@@ -225,7 +231,7 @@ def smith_normal_form(M) -> list[int]:
     block is empty on the boundary matrices of every connected diagram
     with at most five vertices and of C6, C7, K6 and the 5-leg star.
     """
-    pivots, A = eliminate(M, unit_pivots=True)
+    pivots, A = eliminate(columns(M), unit_pivots=True)
     rows = len(A)
     cols = len(A[0]) if rows else 0
     factors = [1] * pivots
@@ -295,17 +301,16 @@ def homology(D: Diagram) -> list[tuple[int, list[int]]]:
     The complex is the cellular chain complex of a contractible polytope,
     so the expected answer is Z in degree 0 and nothing above.
     """
-    n = D.n
-    counts = [len(faces(D, k)) for k in range(n)]
-    mats = {k: boundary_matrix(D, k) for k in range(1, n)}
-    snfs = {k: smith_normal_form(mats[k]) for k in mats}
+    cells, _, boundary = cell_complex(D)
+    snfs = {}
+    for k in range(1, D.n):
+        # unit pivots on the sparse columns, then the Smith form of the block left over
+        pivots, leftover = eliminate(boundary[k], unit_pivots=True)
+        snfs[k] = [1] * pivots + smith_normal_form(leftover)
     out = []
-    for k in range(n):
-        rank_k = len(snfs[k]) if k in snfs else 0
-        rank_k1 = len(snfs[k + 1]) if k + 1 in snfs else 0
-        betti = counts[k] - rank_k - rank_k1
-        torsion = [d for d in snfs.get(k + 1, []) if d > 1]
-        out.append((betti, torsion))
+    for k, row in enumerate(cells):
+        betti = len(row) - len(snfs.get(k, [])) - len(snfs.get(k + 1, []))
+        out.append((betti, [d for d in snfs.get(k + 1, []) if d > 1]))
     return out
 
 

@@ -1,14 +1,17 @@
+import hashlib
 import importlib.util
+import json
 import random
 import sys
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from graphassoc._ratlinalg import eliminate, rref
-from graphassoc.diagram import DiagramError
+from graphassoc._ratlinalg import columns, eliminate, rref
+from graphassoc.diagram import DiagramError, component_containing, mask_of
 from graphassoc.homology import (
     OrientedCell,
     boundary,
@@ -25,7 +28,14 @@ from graphassoc.homology import (
     smith_normal_form,
 )
 from graphassoc.nested import NestedSet, faces
-from conftest import connected_reps, cycle_diagram, labeled_connected, path_diagram
+from conftest import (
+    complete_diagram,
+    connected_reps,
+    cycle_diagram,
+    labeled_connected,
+    path_diagram,
+    star_diagram,
+)
 
 P2 = path_diagram(2)
 P3 = path_diagram(3)
@@ -216,6 +226,84 @@ def test_boundary_squared_exhaustive(n):
                 assert boundary(D, boundary_cell(D, cell)) == {}
 
 
+def induced_boundary(D, cell):
+    """Oracle: each face's induced orientation, unsorted, reduced by the validating canonicalize."""
+    out = {}
+    prefix = 0
+    for i, (B, alpha) in enumerate(cell.orientation):
+        alpha_mask = mask_of(alpha)
+        for size in range(1, len(alpha)):
+            for beta in combinations(alpha, size):
+                beta_mask = mask_of(beta)
+                D_beta = component_containing(D, alpha_mask & ~beta_mask, beta_mask, within=B)
+                if not D_beta:
+                    continue
+                rest = tuple(v for v in alpha if v not in beta)
+                induced = (
+                    cell.orientation[:i]
+                    + (((D_beta, beta),) if len(beta) >= 2 else ())
+                    + (((B, rest),) if len(rest) >= 2 else ())
+                    + cell.orientation[i + 1:]
+                )
+                G = NestedSet.make(D, cell.nested.elements + (D_beta,))
+                canon, sign = canonicalize(OrientedCell(G, induced))
+                out[canon] = (-1) ** (prefix + size - 1 + shuffle_number(beta, alpha)) * sign
+        prefix += len(alpha) - 1
+    return out
+
+
+def test_boundary_signs_match_validating_canonicalize():
+    diagrams = [D for n in range(1, 6) for D in connected_reps(n)] + [cycle_diagram(6)]
+    for D in diagrams:
+        for k in range(D.n):
+            for cell in chain_basis(D, k):
+                assert boundary_cell(D, cell) == induced_boundary(D, cell)
+
+
+# sha256 of json.dumps(boundary_matrix(D, k)) for k = 0, 1, ...
+BOUNDARY_DIGESTS = [
+    (cycle_diagram(6), [
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "7b05b352584a8cfd1b2fe8d556e57519fda69e650c531168fe96d91b4a2b0dfd",
+        "cd6d668a4d9ff8a5b02e64fd66034bffe36ead86ad1e078a475fbcd9e1a63358",
+        "4a8081e4e7c1780c8f11c4543937030f7457e1602fa0ef0dda30547ea7d66ede",
+        "96bb27228ad2b2f38a0e3cf13b5c3c6edb2231ac93bd0b52a9fa94657c82cdc9",
+        "09a88ad8bf6f9b6fa8cdaec7843bba19c91f9b1477fb43015f8da469ef077c73",
+    ]),
+    (complete_diagram(5), [
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "17874419e61dcf650b5c8f183272bd2253dbec398e3a076b84f484d244188a17",
+        "fcc7fcd44cf94bb099697e5b091852b473fc576b432260416f0082a69a1c63f5",
+        "749a83a14699b8711beb340b6f1f360a48ed9b3636016094341c9c8161ddb94c",
+        "16dce48d3daf50613814635d3bb926cbde53000d46289f76026abbb305479c39",
+    ]),
+    (path_diagram(6), [
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "331e749869e05aba709deab731ea71bc420947e804d2d8bee5997f2868667345",
+        "d6f5c67c22c60330e92cb5019845dc7a633b9a567f6a3c39d61c9a78b4d9fac9",
+        "5d3c50328bb4d4a2b50c0802aa64259c4b2d09baf8fae403a8580a8f8dd2f3b4",
+        "c4ea92d9f0cc59257ad0e574121af30b5ad117e21603b67a7248c234a206009c",
+        "135c473496e260899cdf0d58cc738edd618a1d033c595708549168bc3dbac683",
+    ]),
+    (star_diagram(4), [
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "40f723738c1d35aa45d03fd08749306eadd7847cf8bd964ce8cab8620d1f0545",
+        "180dbc174138272949c5df38b2fd28042301996a709cd108edd00d8d466b8555",
+        "f8bd27342f30646605a499a9c7317dfa7776b4340cfbb380c40744d217ea6b8d",
+        "98b40578dcdad2f17555b77d228c7e8a77132320ca7f11c651aa115829ecadec",
+    ]),
+]
+
+
+def test_boundary_matrices_are_pinned():
+    for D, digests in BOUNDARY_DIGESTS:
+        found = [
+            hashlib.sha256(json.dumps(boundary_matrix(D, k)).encode()).hexdigest()
+            for k in range(D.n)
+        ]
+        assert found == digests
+
+
 def test_boundary_rejects_mixed_dimensions():
     cells = {oriented(faces(P3, 0)[0]): 1, oriented(faces(P3, 1)[0]): 1}
     with pytest.raises(DiagramError):
@@ -296,8 +384,8 @@ def test_snf_on_leftover_blocks_matches_determinant_divisors():
     # dense reduction has a block to work on
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
     assert smith_normal_form([[1, 0], [0, 2]]) == [1, 2]
-    assert eliminate([[2, 4], [6, 8]], unit_pivots=True) == (0, [[2, 4], [6, 8]])
-    assert eliminate([[1, 0], [0, 2]], unit_pivots=True) == (1, [[2]])
+    assert eliminate(columns([[2, 4], [6, 8]]), unit_pivots=True) == (0, [[2, 4], [6, 8]])
+    assert eliminate(columns([[1, 0], [0, 2]]), unit_pivots=True) == (1, [[2]])
     rng = random.Random(11)
     for entries in ([0, 2, -2, 3, -3], [0, 0, 1, -1, 2, -2, 3, -3]):
         for _ in range(40):
@@ -315,7 +403,7 @@ def test_unit_pivots_leave_no_block_on_boundary_matrices():
         for D in connected_reps(n):
             for k in range(1, D.n):
                 M = boundary_matrix(D, k)
-                pivots, leftover = eliminate(M, unit_pivots=True)
+                pivots, leftover = eliminate(columns(M), unit_pivots=True)
                 assert leftover == [] and pivots == len(rref(M)[1])
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from graphassoc._ratlinalg import eliminate, rank, rref
+from graphassoc._ratlinalg import columns, eliminate, rank, rref
 
 
 def rref_rank(M):
@@ -13,7 +13,7 @@ def test_rank_degenerate_shapes():
     assert rank([[], []]) == rref_rank([[], []]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[0], [Fraction(3, 2)]]) == 1
-    assert eliminate([[0, 0, 0]], unit_pivots=False) == (0, [])
+    assert eliminate(columns([[0, 0, 0]]), unit_pivots=False) == (0, [])
 
 
 def test_rank_matches_rref_on_random_matrices():
@@ -33,10 +33,13 @@ def test_rank_matches_rref_on_random_matrices():
         if rows >= 2 and rng.random() < 0.3:
             M[-1] = [a + 2 * b for a, b in zip(M[0], M[1])]  # a dependent row
         assert rank(M) == rref_rank(M)
-        assert eliminate(M, unit_pivots=False)[1] == []
+        assert eliminate(columns(M), unit_pivots=False)[1] == []
 
 
 def test_unit_pivots_revisit_columns_that_gain_a_unit():
     # column 0 has no unit until column 1's pivot is eliminated from it
-    assert eliminate([[2, 1]], unit_pivots=True) == (1, [])
-    assert eliminate([[2, 1], [3, 1]], unit_pivots=True) == (2, [])
+    assert eliminate(columns([[2, 1]]), unit_pivots=True) == (1, [])
+    assert eliminate(columns([[2, 1], [3, 1]]), unit_pivots=True) == (2, [])
+    # sparse columns as given, with an empty column and unused rows: the
+    # pivot of column 2 takes the only unit of column 1
+    assert eliminate([{}, {0: 2, 3: 1}, {3: 1}], unit_pivots=True) == (1, [[2]])
