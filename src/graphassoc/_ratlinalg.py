@@ -1,4 +1,4 @@
-"""Exact linear algebra: one sparse eliminator for ranks, dense solves.
+"""Exact linear algebra: one sparse eliminator for ranks, factored spans.
 
 Ranks and Smith normal forms go through ``eliminate``: the matrix is
 given as columns of ``{row: value}`` (``columns`` converts dense rows)
@@ -11,40 +11,87 @@ pivot: removing a unit pivot is a reduction of the chain complex
 the rest unchanged, so an empty leftover block certifies that every
 invariant factor is 1.
 
-Solves (``solve_columns``) are dense: lists of row lists of
-``Fraction``, vectors as tuples.
+Subspaces are factored once into a ``Span``: one echelon pass over the
+spanning vectors gives the independent subfamily, the reduced row
+echelon basis and the equations cutting the span out, so membership is
+a check of those equations and the coordinates of a member in the
+echelon basis are its entries at the pivots.  No linear system is
+solved per vector.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 
-def rref(M):
-    """Reduced row echelon form and pivot columns (copy, input untouched)."""
-    A = [list(row) for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        scale = A[r][c]
-        A[r] = [x / scale for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                factor = A[i][c]
-                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, pivots
+class Span:
+    """The span of a family of vectors in Q^dim, factored by one echelon pass.
+
+    ``independent`` is the maximal independent subfamily in input order
+    (a vector is kept iff it is not in the span of those before it);
+    ``rows`` is the reduced row echelon basis, one row per pivot of the
+    ascending ``pivots``; ``equations`` holds, for each coordinate c off
+    the pivots, the terms ``(p, x)`` with ``w[c] == sum(w[p] * x)`` for
+    every w in the span.  The pass stops once the rank reaches ``dim``.
+    """
+
+    __slots__ = ("independent", "rows", "pivots", "equations")
+
+    def __init__(self, vectors, dim: int):
+        kept, rows, pivots = [], [], []
+        for v in vectors:
+            if len(pivots) == dim:
+                break
+            v = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+            w = v
+            for row, p in zip(rows, pivots):
+                f = w[p]
+                if f:
+                    w = [a - f * b if b else a for a, b in zip(w, row)]
+            lead = next((c for c, x in enumerate(w) if x), None)
+            if lead is None:
+                continue
+            kept.append(v)
+            inv = 1 / w[lead]
+            new = [x * inv if x else x for x in w]
+            for i, row in enumerate(rows):
+                f = row[lead]
+                if f:
+                    rows[i] = [a - f * b if b else a for a, b in zip(row, new)]
+            at = bisect(pivots, lead)
+            pivots.insert(at, lead)
+            rows.insert(at, new)
+        self.independent = tuple(kept)
+        self.rows = tuple(map(tuple, rows))
+        self.pivots = tuple(pivots)
+        free = sorted(set(range(dim)) - set(pivots))
+        self.equations = tuple(
+            (c, tuple((p, row[c]) for p, row in zip(pivots, self.rows) if row[c]))
+            for c in free
+        )
+
+    def contains(self, w) -> bool:
+        """True iff w (a vector in Q^dim) lies in the span."""
+        return all(w[c] == sum(w[p] * x for p, x in terms) for c, terms in self.equations)
+
+
+@lru_cache(maxsize=256)
+def _solve_cached(basis, dim: int) -> Span:
+    """The factored span of a tuple of basis tuples in Q^dim, cached per basis."""
+    return Span(basis, dim)
+
+
+def independent_columns(vectors):
+    """A maximal independent subfamily, keeping the original order."""
+    return Span(vectors, len(vectors[0]) if vectors else 0).independent
+
+
+def subspace_leq(sub, sup) -> bool:
+    """True iff span(sub) is contained in span(sup), columns as vectors."""
+    return not sub or all(map(Span(sup, len(sub[0])).contains, sub))
 
 
 def columns(M):
@@ -117,31 +164,6 @@ def rank(M) -> int:
     return eliminate(columns(M), unit_pivots=False)[0]
 
 
-def solve_columns(basis, vec):
-    """Coefficients expressing ``vec`` in the given column vectors, or None."""
-    return _solve_cached(tuple(tuple(v) for v in basis), tuple(vec))
-
-
-@lru_cache(maxsize=1 << 18)
-def _solve_cached(basis, vec):
-    if not basis:
-        return None if any(x != 0 for x in vec) else ()
-    n = len(basis[0])
-    aug = [[basis[j][i] for j in range(len(basis))] + [vec[i]] for i in range(n)]
-    A, pivots = rref(aug)
-    if len(basis) in pivots:
-        return None
-    coords = [Fraction(0)] * len(basis)
-    for r, c in enumerate(pivots):
-        coords[c] = A[r][-1]
-    return tuple(coords)
-
-
-def subspace_leq(sub, sup) -> bool:
-    """True iff span(sub) is contained in span(sup), columns as vectors."""
-    return all(solve_columns(sup, v) is not None for v in sub)
-
-
 def product_is_zero(A, B) -> bool:
     """True iff the matrix product A @ B vanishes, exploiting sparsity."""
     if not A or not B:
@@ -157,12 +179,3 @@ def product_is_zero(A, B) -> bool:
         if any(x != 0 for x in acc.values()):
             return False
     return True
-
-
-def independent_columns(vectors):
-    """A maximal independent subfamily, keeping the original order."""
-    kept = []
-    for v in vectors:
-        if solve_columns(kept, v) is None:
-            kept.append(tuple(Fraction(x) for x in v))
-    return tuple(kept)

@@ -8,6 +8,12 @@ antisymmetry in alpha is realized by keeping ascending orders only.
 The differential alternately forgets a vertex of alpha or restricts to
 the component around the rest, and in degrees >= 2 the whole complex
 embeds into the cellular cochain complex of the associahedron.
+
+Each subspace is factored once into a ``Span`` (``span``), and a slot's
+cochain coordinates are taken in the reduced echelon rows of its span.
+A source row's coordinates in a target slot are then its entries at the
+target's pivots, so the differential is built as sparse columns with
+one membership check per row and no linear solve.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from ._ratlinalg import independent_columns, rank, solve_columns, subspace_leq
+from ._ratlinalg import Span, _solve_cached, columns, eliminate
 from .diagram import (
     Diagram,
     DiagramError,
@@ -38,6 +44,8 @@ class CoefficientError(DiagramError):
 class CoefficientSystem:
     """Base class: subclasses provide ``ambient_dim`` and ``subspace``.
 
+    Systems that hold their subspaces factored override ``span`` too.
+
     Every subspace is given in the coordinates of one shared ambient
     space, so the inclusion maps the differential needs are literal
     containments of spans.  This is a design commitment: systems that
@@ -52,16 +60,21 @@ class CoefficientSystem:
         """Basis vectors (ambient coordinates) of M(B, S)."""
         raise NotImplementedError
 
+    def span(self, B: int, S: int) -> Span:
+        """M(B, S) factored (see ``Span``); by default through a bounded cache."""
+        basis = tuple(tuple(v) for v in self.subspace(B, S))
+        return _solve_cached(basis, self.ambient_dim)
+
     def validate(self, D: Diagram) -> "CoefficientSystem":
-        """Check every inclusion used by the differential, by exact rank tests."""
+        """Check every inclusion used by the differential, by membership in factored spans."""
         for B in connected_subdiagrams(D):
             verts = list(bits(B))
             for r in range(len(verts) + 1):
                 for keep in combinations(verts, r):
                     S2 = mask_of(keep)
-                    big = self.subspace(B, S2)
+                    big = self.span(B, S2).rows
                     for v in keep:
-                        if not subspace_leq(big, self.subspace(B, S2 & ~(1 << v))):
+                        if not all(map(self.span(B, S2 & ~(1 << v)).contains, big)):
                             raise CoefficientError(
                                 f"monotonicity fails at B={D.vertex_names(B)}, "
                                 f"S={D.vertex_names(S2)}"
@@ -69,7 +82,7 @@ class CoefficientSystem:
             for p1 in range(1, len(verts) + 1):
                 for alpha in combinations(verts, p1):
                     amask = mask_of(alpha)
-                    target = self.subspace(B, B & ~amask)
+                    target = self.span(B, B & ~amask)
                     for a in alpha:
                         rest = amask & ~(1 << a)
                         if rest == 0:
@@ -78,7 +91,7 @@ class CoefficientSystem:
                             C = component_containing(D, 1 << a, rest, within=B)
                             comps = [C] if C else []
                         for C in comps:
-                            if not subspace_leq(self.subspace(C, C & ~rest), target):
+                            if not all(map(target.contains, self.span(C, C & ~rest).rows)):
                                 raise CoefficientError(
                                     f"nesting fails at B={D.vertex_names(B)}, "
                                     f"C={D.vertex_names(C)}"
@@ -107,9 +120,13 @@ class ConstantCoefficients(CoefficientSystem):
     """One-dimensional coefficients: every subspace is the full line."""
 
     ambient_dim = 1
+    _line = Span(((1,),), 1)
 
     def subspace(self, B: int, S: int):
-        return ((Fraction(1),),)
+        return self._line.independent
+
+    def span(self, B: int, S: int) -> Span:
+        return self._line
 
 
 @dataclass
@@ -118,18 +135,20 @@ class MatrixCoefficients(CoefficientSystem):
 
     ambient_dim: int
     table: dict = field(default_factory=dict)
+    _spans: dict = field(init=False, repr=False, compare=False)
+    _full: Span = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.table = {
-            key: independent_columns(vectors) for key, vectors in self.table.items()
-        }
+        n = self.ambient_dim
+        self._spans = {key: Span(vectors, n) for key, vectors in self.table.items()}
+        self.table = {key: span.independent for key, span in self._spans.items()}
+        self._full = Span([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     def subspace(self, B: int, S: int):
-        full = tuple(
-            tuple(Fraction(int(i == j)) for j in range(self.ambient_dim))
-            for i in range(self.ambient_dim)
-        )
-        return self.table.get((B, S), full)
+        return self.table.get((B, S), self._full.independent)
+
+    def span(self, B: int, S: int) -> Span:
+        return self._spans.get((B, S), self._full)
 
     @staticmethod
     def from_json(D: Diagram, doc: dict) -> "MatrixCoefficients":
@@ -190,12 +209,12 @@ def dynkin_basis(D: Diagram, p: int) -> list[tuple[int, tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class CochainSpace:
-    """Degree-p cochains in slot-local coordinates."""
+    """Degree-p cochains in slot-local coordinates: the echelon rows of each slot's span."""
 
     degree: int
     ambient_dim: int
     slots: tuple[tuple[int, tuple[int, ...]], ...]
-    bases: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    spans: tuple[Span, ...]
     offsets: tuple[int, ...]
     dim: int
     index: dict = field(compare=False, repr=False)
@@ -205,7 +224,7 @@ class CochainSpace:
 
     def ambient(self, vec, slot_i: int):
         """Ambient vector of one slot component of a local-coordinates cochain."""
-        basis = self.bases[slot_i]
+        basis = self.spans[slot_i].rows
         off = self.offsets[slot_i]
         out = [Fraction(0)] * self.ambient_dim
         for j, bvec in enumerate(basis):
@@ -218,75 +237,91 @@ class CochainSpace:
 
 def cochain_space(D: Diagram, M: CoefficientSystem, p: int) -> CochainSpace:
     slots = tuple(dynkin_basis(D, p))
-    bases = tuple(M.subspace(B, B & ~mask_of(alpha)) for B, alpha in slots)
+    spans = tuple(M.span(B, B & ~mask_of(alpha)) for B, alpha in slots)
     offsets = []
     total = 0
-    for basis in bases:
+    for span in spans:
         offsets.append(total)
-        total += len(basis)
+        total += len(span.rows)
     index = {slot: i for i, slot in enumerate(slots)}
-    return CochainSpace(p, M.ambient_dim, slots, bases, tuple(offsets), total, index)
+    return CochainSpace(p, M.ambient_dim, slots, spans, tuple(offsets), total, index)
+
+
+def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
+    """Columns ``{row: value}`` of the differential from ``src`` to the next degree ``dst``.
+
+    Each block maps a source slot's echelon rows into a target slot: a
+    row must lie in the target span (else ``CoefficientError``), and its
+    coordinates there are its entries at the target's pivots.
+    """
+    cols = [{} for _ in range(src.dim)]
+
+    def add_block(ti, si, coeff):
+        target, toff = dst.spans[ti], dst.offsets[ti]
+        for j, row in enumerate(src.spans[si].rows):
+            if not target.contains(row):
+                B, alpha = dst.slots[ti]
+                raise CoefficientError(
+                    f"subspace inclusion fails at slot B={D.vertex_names(B)}, "
+                    f"alpha={[D.names[v] for v in alpha]}"
+                )
+            col = cols[src.offsets[si] + j]
+            for r, p in enumerate(target.pivots):
+                if row[p]:
+                    col[toff + r] = coeff * row[p]
+
+    for ti, (B, alpha) in enumerate(dst.slots):
+        if src.degree == 0:
+            (a,) = alpha
+            add_block(ti, src.index[(B, ())], 1)
+            for C in components(D, B & ~(1 << a)):
+                add_block(ti, src.index[(C, ())], -1)
+            continue
+        for idx, a in enumerate(alpha):
+            sign = (-1) ** idx
+            rest = alpha[:idx] + alpha[idx + 1:]
+            add_block(ti, src.index[(B, rest)], sign)
+            C = component_containing(D, 1 << a, mask_of(rest), within=B)
+            if C:
+                add_block(ti, src.index[(C, rest)], -sign)
+    return cols
 
 
 def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
-    """Matrix of the degree-p differential in slot-local coordinates.
+    """Dense matrix of the degree-p differential in slot-local coordinates.
 
     Rows run over degree p+1, columns over degree p; the top differential
     (p = |D|) is the empty matrix.
     """
     if not 0 <= p <= D.n:
         raise DiagramError(f"degree {p} out of range 0..{D.n}")
-    src = cochain_space(D, M, p)
     if p == D.n:
         return []
-    dst = cochain_space(D, M, p + 1)
+    src, dst = cochain_space(D, M, p), cochain_space(D, M, p + 1)
     rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-
-    def add_block(ti, si, coeff):
-        tbasis, toff = dst.bases[ti], dst.offsets[ti]
-        sbasis, soff = src.bases[si], src.offsets[si]
-        for j, svec in enumerate(sbasis):
-            coords = solve_columns(tbasis, svec)
-            if coords is None:
-                B, alpha = dst.slots[ti]
-                raise CoefficientError(
-                    f"subspace inclusion fails at slot B={D.vertex_names(B)}, "
-                    f"alpha={[D.names[v] for v in alpha]}"
-                )
-            for r, x in enumerate(coords):
-                if x:
-                    rows[toff + r][soff + j] += coeff * x
-
-    for ti, (B, alpha) in enumerate(dst.slots):
-        for idx, a in enumerate(alpha):
-            sign = (-1) ** idx
-            rest = tuple(v for v in alpha if v != a)
-            if p == 0:
-                add_block(ti, src.index[(B, ())], Fraction(1))
-                for C in components(D, B & ~(1 << a)):
-                    add_block(ti, src.index[(C, ())], Fraction(-1))
-                break  # p = 0 has a single alpha vertex; formula handled above
-            add_block(ti, src.index[(B, rest)], Fraction(sign))
-            C = component_containing(D, 1 << a, mask_of(rest), within=B)
-            if C:
-                add_block(ti, src.index[(C, rest)], Fraction(-sign))
+    for c, col in enumerate(_differential_columns(D, src, dst)):
+        for r, v in col.items():
+            rows[r][c] = v
     return rows
 
 
-def _rat_rank(M) -> int:
-    """Rank of a Dynkin differential: a name of its own, so traces can time it."""
-    return rank(M)
+def _rat_rank(cols) -> int:
+    """Rank of a Dynkin differential given as columns: a name of its own, so traces can time it."""
+    return eliminate(cols, unit_pivots=False)[0]
+
+
+def _cohomology(D: Diagram, M: CoefficientSystem):
+    """Cochain dimensions and cohomology dimensions in degrees 0..|D|."""
+    spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
+    ranks = [_rat_rank(_differential_columns(D, lo, hi)) for lo, hi in zip(spaces, spaces[1:])]
+    ranks.append(0)
+    dims = [space.dim for space in spaces]
+    return dims, [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(D.n + 1)]
 
 
 def dynkin_cohomology(D: Diagram, M: CoefficientSystem) -> list[int]:
     """Rational cohomology dimensions in degrees 0..|D|."""
-    dims = [cochain_space(D, M, p).dim for p in range(D.n + 1)]
-    ranks = [_rat_rank(dynkin_differential(D, M, p)) for p in range(D.n)] + [0]
-    out = []
-    for p in range(D.n + 1):
-        below = ranks[p - 1] if p > 0 else 0
-        out.append(dims[p] - ranks[p] - below)
-    return out
+    return _cohomology(D, M)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +342,25 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem | CochainSpace, k: int
     space = M if isinstance(M, CochainSpace) else cochain_space(D, M, k)
     if space.degree != k:
         raise DiagramError(f"cochain space of degree {space.degree} given for degree {k}")
-    zero = tuple(Fraction(0) for _ in range(space.ambient_dim))
     if k == 0:
         return space.ambient(vec, space.slot_index(D.full, ()))
-    values = []
-    for cell in cell_complex(D)[0][k - 1]:
+    return [_g_on_cell(space, vec, cell) for cell in cell_complex(D)[0][k - 1]]
+
+
+def _g_on_cell(space: CochainSpace, vec, cell):
+    """The value of g^k(vec) on one (k-1)-cell, for k = ``space.degree`` >= 1."""
+    if space.degree == 1:
         H = cell.nested
-        if k == 1:
-            total = list(zero)
-            for B in H.elements:
-                a = next(bits(H.alpha_set(B)))
-                amb = space.ambient(vec, space.slot_index(B, (a,)))
-                total = [x + y for x, y in zip(total, amb)]
-            values.append(tuple(total))
-        elif len(cell.orientation) == 1:
-            (B, alpha), = cell.orientation
-            values.append(space.ambient(vec, space.slot_index(B, alpha)))
-        else:
-            values.append(zero)
-    return values
+        total = [Fraction(0)] * space.ambient_dim
+        for B in H.elements:
+            a = next(bits(H.alpha_set(B)))
+            amb = space.ambient(vec, space.slot_index(B, (a,)))
+            total = [x + y for x, y in zip(total, amb)]
+        return tuple(total)
+    if len(cell.orientation) == 1:
+        (B, alpha), = cell.orientation
+        return space.ambient(vec, space.slot_index(B, alpha))
+    return tuple(Fraction(0) for _ in range(space.ambient_dim))
 
 
 def _cellular_coboundary(boundary_columns, values, ambient_dim: int):
@@ -340,8 +375,14 @@ def _cellular_coboundary(boundary_columns, values, ambient_dim: int):
     return out
 
 
-def _apply(matrix, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
+def _apply(cols, vec, rows: int):
+    """The product of a matrix given as columns ``{row: value}`` with a vector."""
+    out = [Fraction(0)] * rows
+    for col, x in zip(cols, vec):
+        if x:
+            for r, v in col.items():
+                out[r] += v * x
+    return tuple(out)
 
 
 @dataclass
@@ -365,15 +406,15 @@ def verify_chain_map(
     """Check d_cell . g = g . d_D exactly on random cochains, plus injectivity.
 
     Random rational cochains are drawn at every degree; for degrees >= 2
-    each slot basis vector must keep a nonzero image (evaluated on an
-    explicitly built irreducible cell).
+    each slot basis vector must keep a nonzero image on the irreducible
+    cell of its slot, where alone g is evaluated.
     """
     if trials < 1:
         raise DiagramError("need at least one trial")
     rng = rng or random.Random(7)
     failures = []
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
-    diffs = [dynkin_diff(D, M, p) for p in range(D.n)]
+    diffs = [columns(dynkin_diff(D, M, p)) for p in range(D.n)]
     cells, index, boundary = cell_complex(D)
 
     def random_vec(dim):
@@ -384,9 +425,7 @@ def verify_chain_map(
     for k in range(D.n):
         for _ in range(trials):
             vec = random_vec(spaces[k].dim)
-            dvec = _apply(diffs[k], vec) if spaces[k].dim else tuple(
-                Fraction(0) for _ in range(spaces[k + 1].dim)
-            )
+            dvec = _apply(diffs[k], vec, spaces[k + 1].dim)
             rhs = cellular_embedding_g(D, spaces[k + 1], k + 1, dvec)
             if k == 0:
                 lhs = [cellular_embedding_g(D, spaces[0], 0, vec)] * len(cells[0])
@@ -399,12 +438,11 @@ def verify_chain_map(
     for k in range(2, D.n + 1):
         space = spaces[k]
         for i, (B, alpha) in enumerate(space.slots):
-            for j in range(len(space.bases[i])):
+            witness = cells[k - 1][index[k - 1][irreducible_cell(D, B, mask_of(alpha)).elements]]
+            for j in range(len(space.spans[i].rows)):
                 vec = [Fraction(0)] * space.dim
                 vec[space.offsets[i] + j] = Fraction(1)
-                values = cellular_embedding_g(D, space, k, vec)
-                witness = index[k - 1][irreducible_cell(D, B, mask_of(alpha)).elements]
-                if all(x == 0 for x in values[witness]):
+                if all(x == 0 for x in _g_on_cell(space, vec, witness)):
                     failures.append(
                         f"g^{k} kills the basis vector at B={D.vertex_names(B)}, "
                         f"alpha={[D.names[v] for v in alpha]}"
@@ -413,8 +451,8 @@ def verify_chain_map(
 
 
 def dynkin_json(D: Diagram, M: CoefficientSystem) -> dict:
-    dims = [cochain_space(D, M, p).dim for p in range(D.n + 1)]
-    return {"HD": dynkin_cohomology(D, M), "dims": dims}
+    dims, HD = _cohomology(D, M)
+    return {"HD": HD, "dims": dims}
 
 
 def load_coefficients(D: Diagram, path: str | None) -> CoefficientSystem:

@@ -118,6 +118,7 @@ def cell_complex(D: Diagram):
     index = tuple({cell.nested.elements: i for i, cell in enumerate(row)} for row in cells)
     boundary = [tuple({} for _ in cells[0])]
     key = lambda m: ((m & -m).bit_length(), m.bit_count())  # the enumeration order
+    splits = {}  # (B, alpha, beta) -> D_beta: the same splits recur across many cells
     for k in range(1, D.n):
         cols = []
         for cell in cells[k]:
@@ -132,9 +133,12 @@ def cell_complex(D: Diagram):
                 for size in range(1, len(alpha)):
                     for beta in combinations(alpha, size):
                         beta_mask = mask_of(beta)
-                        D_beta = component_containing(
-                            D, alpha_mask & ~beta_mask, beta_mask, within=B
-                        )
+                        split = (B, alpha_mask, beta_mask)
+                        D_beta = splits.get(split)
+                        if D_beta is None:
+                            D_beta = splits[split] = component_containing(
+                                D, alpha_mask & ~beta_mask, beta_mask, within=B
+                            )
                         if D_beta == 0:
                             continue
                         exponent = prefix[i] + size - 1 + shuffle_number(beta, alpha)

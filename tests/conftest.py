@@ -19,6 +19,31 @@ labeled_connected = lru_cache(maxsize=None)(families.labeled_connected)
 connected_reps = lru_cache(maxsize=None)(families.connected_reps)
 
 
+def rref(M):
+    """Reduced row echelon form and pivot columns (copy, input untouched): the dense oracle."""
+    A = [list(row) for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        scale = A[r][c]
+        A[r] = [x / scale for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c] != 0:
+                factor = A[i][c]
+                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, pivots
+
+
 def relabelings(D, count=2, seed=0):
     """A few nontrivial labeled isomorphs of D (names permuted in place)."""
     import random

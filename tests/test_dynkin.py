@@ -21,7 +21,7 @@ from graphassoc.dynkin import (
 )
 from graphassoc.homology import chain_basis
 from graphassoc.nested import NestedSet
-from conftest import connected_reps, cycle_diagram, path_diagram, star_diagram
+from conftest import complete_diagram, connected_reps, cycle_diagram, path_diagram, star_diagram
 
 P1 = path_diagram(1)
 P2 = path_diagram(2)
@@ -117,6 +117,46 @@ def test_cohomology_examples():
     assert dynkin_cohomology(P1, CONST) == [0, 0]
 
 
+# (diagram, seed) -> (HD, dims) of random_coefficient_system(D, 2 + seed % 3, Random(100 + seed))
+PINNED_RANDOM_SYSTEMS = {
+    ("P4", 0): ([0, 5, 0, 0, 0], [9, 34, 30, 12, 2]),
+    ("P4", 1): ([0, 3, 0, 0, 0], [19, 51, 44, 18, 3]),
+    ("P4", 2): ([0, 1, 2, 0, 0], [10, 37, 47, 23, 4]),
+    ("P4", 3): ([0, 2, 1, 0, 0], [8, 28, 29, 12, 2]),
+    ("S3", 0): ([0, 6, 0, 0, 0], [10, 40, 36, 14, 2]),
+    ("S3", 1): ([0, 2, 0, 0, 0], [23, 60, 53, 21, 3]),
+    ("S3", 2): ([0, 1, 1, 0, 0], [10, 42, 55, 27, 4]),
+    ("S3", 3): ([0, 2, 1, 0, 0], [7, 30, 34, 14, 2]),
+    ("C4", 0): ([0, 9, 0, 0, 0], [10, 49, 44, 16, 2]),
+    ("C4", 1): ([0, 4, 0, 0, 0], [27, 75, 65, 24, 3]),
+    ("C4", 2): ([0, 1, 4, 0, 0], [17, 60, 74, 32, 4]),
+    ("C4", 3): ([0, 1, 1, 0, 0], [11, 39, 42, 16, 2]),
+    ("K4", 0): ([0, 6, 0, 0, 0], [16, 56, 48, 16, 2]),
+    ("K4", 1): ([0, 2, 0, 0, 0], [28, 76, 67, 24, 3]),
+    ("K4", 2): ([0, 2, 6, 0, 0], [16, 65, 81, 32, 4]),
+    ("K4", 3): ([0, 1, 1, 0, 0], [17, 50, 47, 16, 2]),
+    ("P5", 0): ([0, 6, 0, 0, 0, 0], [18, 64, 70, 42, 14, 2]),
+    ("P5", 1): ([0, 3, 2, 0, 0, 0], [30, 90, 104, 63, 21, 3]),
+    ("P5", 2): ([0, 1, 6, 0, 0, 0], [15, 68, 117, 83, 28, 4]),
+    ("P5", 3): ([0, 2, 1, 0, 0, 0], [15, 55, 69, 42, 14, 2]),
+}
+PINNED_DIAGRAMS = {
+    "P4": path_diagram(4),
+    "S3": star_diagram(3),
+    "C4": cycle_diagram(4),
+    "K4": complete_diagram(4),
+    "P5": path_diagram(5),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_RANDOM_SYSTEMS))
+def test_random_system_cohomology_is_pinned(name, seed):
+    D = PINNED_DIAGRAMS[name]
+    M = random_coefficient_system(D, 2 + seed % 3, random.Random(100 + seed))
+    HD, dims = PINNED_RANDOM_SYSTEMS[(name, seed)]
+    assert dynkin_json(D, M) == {"HD": HD, "dims": dims}
+
+
 def test_degree_zero_cohomology_vanishes_everywhere():
     rng = random.Random(9)
     for n in range(1, 5):
@@ -145,6 +185,22 @@ def test_invalid_coefficient_system_rejected():
     )
     with pytest.raises(CoefficientError):
         bad.validate(P3)
+
+
+def test_unvalidated_broken_inclusion_fails_in_the_differential():
+    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    bad = MatrixCoefficients(2, {(0b11, 0b11): (e1,), (0b11, 0b10): (e2,)})
+    with pytest.raises(CoefficientError) as err:
+        dynkin_cohomology(P2, bad)
+    assert str(err.value) == "subspace inclusion fails at slot B=['1', '2'], alpha=['1']"
+    for D in (P3, C3):
+        table = dict(random_coefficient_system(D, 3, random.Random(0)).table)
+        table[(0b111, 0b100)] = ()  # the degree-2 slot (D, (1, 2)) gets the zero space
+        with pytest.raises(CoefficientError) as err:
+            dynkin_cohomology(D, MatrixCoefficients(3, table))
+        assert str(err.value) == (
+            "subspace inclusion fails at slot B=['1', '2', '3'], alpha=['1', '2']"
+        )
 
 
 def test_coefficient_json_roundtrip():
@@ -203,10 +259,11 @@ def test_chain_map_small_diagrams():
 
 
 def test_chain_map_random_coefficients():
-    rng = random.Random(21)
-    for D in [P3, C3]:
-        M = random_coefficient_system(D, 4, rng).validate(D)
-        assert verify_chain_map(D, M, 5, rng=rng)
+    for seed in (21, 22, 23):
+        rng = random.Random(seed)
+        for D in [P3, C3]:
+            M = random_coefficient_system(D, 4, rng).validate(D)
+            assert verify_chain_map(D, M, 5, rng=rng)
 
 
 def test_chain_map_detects_corruption():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from graphassoc._ratlinalg import columns, eliminate, rref
+from graphassoc._ratlinalg import columns, eliminate
 from graphassoc.diagram import DiagramError, component_containing, mask_of
 from graphassoc.homology import (
     OrientedCell,
@@ -34,6 +34,7 @@ from conftest import (
     cycle_diagram,
     labeled_connected,
     path_diagram,
+    rref,
     star_diagram,
 )
 
