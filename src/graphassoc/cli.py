@@ -9,26 +9,33 @@ byte-identical outputs.  Exit status: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 from . import coherence, dynkin, homology, nested, polytope
-from .diagram import Diagram, DiagramError, INFINITY, ParseError, parse_diagram
+from .diagram import Diagram, DiagramError, INFINITY, ParseError, Value, parse_diagram
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(Value):
+    """One command's outcome; ``diagram`` is None when none was parsed."""
+
     command: str
-    fingerprint: str
+    diagram: Diagram | None
     payload: dict | None
     status: int
-    message: str = ""
+    message: str
+    __slots__ = _fields = ("command", "diagram", "payload", "status", "message")
+
+    @property
+    def fingerprint(self) -> str:
+        """The parsed diagram's fingerprint, or "" when none was parsed."""
+        return "" if self.diagram is None else fingerprint(self.diagram)
 
 
 def fingerprint(D: Diagram) -> str:
     """Canonical hash of the vertex/edge data."""
+    import hashlib  # only here: loading it is a real share of start-up
+
     parts = ["v:" + ",".join(D.names)]
     for (i, j), label in D.edge_labels:
         text = "inf" if label == INFINITY else str(int(label))
@@ -117,21 +124,20 @@ def run(argv) -> CommandResult:
         with open(args.diagram, "r", encoding="utf-8") as fh:
             D = parse_diagram(fh.read())
     except OSError as exc:
-        return CommandResult(echo, "", None, 2, f"cannot read diagram: {exc}")
+        return CommandResult(echo, None, None, 2, f"cannot read diagram: {exc}")
     except ParseError as exc:
-        return CommandResult(echo, "", None, 2, f"diagram parse error: {exc}")
+        return CommandResult(echo, None, None, 2, f"diagram parse error: {exc}")
     except DiagramError as exc:
-        return CommandResult(echo, "", None, 1, str(exc))
-    fp = fingerprint(D)
+        return CommandResult(echo, None, None, 1, str(exc))
     try:
         payload = _dispatch(args, D)
     except ParseError as exc:
-        return CommandResult(echo, fp, None, 2, str(exc))
-    except (DiagramError, polytope.RealizationError, dynkin.CoefficientError) as exc:
-        return CommandResult(echo, fp, None, 1, str(exc))
+        return CommandResult(echo, D, None, 2, str(exc))
+    except DiagramError as exc:  # RealizationError and CoefficientError included
+        return CommandResult(echo, D, None, 1, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return CommandResult(echo, fp, None, 1, f"invalid input: {exc}")
-    return CommandResult(echo, fp, payload, 0)
+        return CommandResult(echo, D, None, 1, f"invalid input: {exc}")
+    return CommandResult(echo, D, payload, 0, "")
 
 
 def main(argv=None) -> int:

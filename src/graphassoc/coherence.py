@@ -11,7 +11,6 @@ algebra.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import (
@@ -19,6 +18,7 @@ from .diagram import (
     DiagramError,
     INFINITY,
     InvariantError,
+    Value,
     bits,
     component_containing,
     components,
@@ -41,15 +41,17 @@ from .nested import (
 # letters and words
 
 
-@dataclass(frozen=True)
-class LocalGenerator:
+class LocalGenerator(Value):
     """The formal local monodromy S_i attached to a vertex."""
 
     vertex: int
+    __slots__ = _fields = ("vertex",)
+
+    def __init__(self, vertex: int):
+        object.__setattr__(self, "vertex", vertex)
 
 
-@dataclass(frozen=True)
-class AssociatorSymbol:
+class AssociatorSymbol(Value):
     """The formal associator of a connected subdiagram and an ordered vertex pair.
 
     Canonical letters store the ascending pair; the descending variant is
@@ -58,25 +60,38 @@ class AssociatorSymbol:
 
     support: int
     pair: tuple[int, int]
+    __slots__ = _fields = ("support", "pair")
+
+    def __init__(self, support: int, pair: tuple[int, int]):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "pair", pair)
 
 
-@dataclass(frozen=True)
-class TwistSymbol:
+class TwistSymbol(Value):
     """A twist letter attached to a connected subdiagram and one of its vertices."""
 
     support: int
     vertex: int
+    __slots__ = _fields = ("support", "vertex")
+
+    def __init__(self, support: int, vertex: int):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "vertex", vertex)
 
 
 Letter = tuple[object, int]
 
 
-@dataclass(frozen=True)
-class RelationWord:
+class RelationWord(Value):
     """A free-group word over tagged letters, with a relation-kind tag."""
 
     kind: str
     letters: tuple[Letter, ...]
+    __slots__ = _fields = ("kind", "letters")
+
+    def __init__(self, kind: str, letters: tuple[Letter, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -177,14 +192,14 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     return z
 
 
-@dataclass(frozen=True)
-class PairSupport:
+class PairSupport(Value):
     """Support data of an ordered pair of maximal nested sets."""
 
     pair: tuple[NestedSet, NestedSet]
     sym_diff: tuple[int, ...]
     supp: int
     zsupp: int
+    __slots__ = _fields = ("pair", "sym_diff", "supp", "zsupp")
 
 
 def pair_support(D: Diagram, F: NestedSet, G: NestedSet) -> PairSupport:

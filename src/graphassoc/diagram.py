@@ -12,7 +12,7 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 INFINITY = float("inf")
 
@@ -50,21 +50,79 @@ def mask_of(indices) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Value:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``_fields`` and keeps them, with any
+    derived state, in ``__slots__`` (``__slots__ = _fields = (...)`` when
+    there is none).  Instances are built positionally, compare and hash
+    by class and fields, refuse assignment with ``AttributeError`` and
+    pickle and copy by rebuilding from their fields.  Nothing is
+    generated: each class gets one ``attrgetter`` over its fields.
+    Classes built in hot loops define their own ``__init__``, since the
+    generic one loops over the fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Diagram(Value):
     """An edge-labeled simple graph on named vertices.
 
     ``names`` fixes the canonical vertex order, ``adj[i]`` is the bitmask
     of neighbours of vertex ``i`` and ``edge_labels`` stores the label of
     each edge as ``((i, j), label)`` with ``i < j``.  Labels of declared
     edges are at least 3 (or ``INFINITY``); non-edges are implicitly 2.
+
+    The hash is computed once here: every cache keyed on a diagram
+    looks it up.
     """
 
     names: tuple[str, ...]
     adj: tuple[int, ...]
-    edge_labels: tuple[tuple[tuple[int, int], float], ...] = ()
+    edge_labels: tuple[tuple[tuple[int, int], float], ...]
+    _fields = ("names", "adj", "edge_labels")
+    __slots__ = _fields + ("_labels", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, names, adj, edge_labels=()):
+        set_field = object.__setattr__
+        set_field(self, "names", names)
+        set_field(self, "adj", adj)
+        set_field(self, "edge_labels", edge_labels)
         if not self.names:
             raise DiagramError("diagram needs at least one vertex")
         if len(self.names) > MAX_VERTICES:
@@ -86,10 +144,16 @@ class Diagram:
                 raise DiagramError("label on a non-edge")
             if label != INFINITY and (label < 3 or label != int(label)):
                 raise DiagramError(f"edge label {label} must be >= 3 or infinity")
-        # built here, not by a cached_property: writing an attribute after
-        # construction materializes the instance __dict__, and CPython then
-        # reads every attribute of this diagram more slowly
-        object.__setattr__(self, "_labels", dict(self.edge_labels))
+        set_field(self, "_labels", dict(edge_labels))
+        set_field(self, "_hash", hash((names, adj, edge_labels)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._key(self) == other._key(other))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def from_edges(names, edges=()) -> "Diagram":

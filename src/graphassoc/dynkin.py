@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +27,7 @@ from ._ratlinalg import Span, _solve_cached, columns, eliminate
 from .diagram import (
     Diagram,
     DiagramError,
+    Value,
     bits,
     component_containing,
     components,
@@ -129,20 +129,34 @@ class ConstantCoefficients(CoefficientSystem):
         return self._line
 
 
-@dataclass
 class MatrixCoefficients(CoefficientSystem):
-    """Explicit subspace table; unlisted pairs default to the full space."""
+    """Explicit subspace table; unlisted pairs default to the full space.
 
-    ambient_dim: int
-    table: dict = field(default_factory=dict)
-    _spans: dict = field(init=False, repr=False, compare=False)
-    _full: Span = field(init=False, repr=False, compare=False)
+    Each listed basis is reduced to its independent vectors.  Equality
+    compares ``ambient_dim`` and the reduced table, not the derived spans.
+    """
 
-    def __post_init__(self):
-        n = self.ambient_dim
-        self._spans = {key: Span(vectors, n) for key, vectors in self.table.items()}
+    def __init__(self, ambient_dim: int, table: dict | None = None):
+        n = ambient_dim
+        table = {} if table is None else table
+        for (B, S), vectors in table.items():
+            for vec in vectors:
+                if len(vec) != n:
+                    raise CoefficientError(
+                        f"basis vector of M(B, S) at vertex positions B={list(bits(B))}, "
+                        f"S={list(bits(S))} has {len(vec)} entries, not ambient_dim {n}"
+                    )
+        self.ambient_dim = n
+        self._spans = {key: Span(vectors, n) for key, vectors in table.items()}
         self.table = {key: span.independent for key, span in self._spans.items()}
         self._full = Span([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.table) == (other.ambient_dim, other.table)
+
+    __hash__ = None
 
     def subspace(self, B: int, S: int):
         return self.table.get((B, S), self._full.independent)
@@ -207,9 +221,11 @@ def dynkin_basis(D: Diagram, p: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-@dataclass(frozen=True)
-class CochainSpace:
-    """Degree-p cochains in slot-local coordinates: the echelon rows of each slot's span."""
+class CochainSpace(Value):
+    """Degree-p cochains in slot-local coordinates: the echelon rows of each slot's span.
+
+    ``index`` maps each slot to its position in ``slots``.
+    """
 
     degree: int
     ambient_dim: int
@@ -217,7 +233,8 @@ class CochainSpace:
     spans: tuple[Span, ...]
     offsets: tuple[int, ...]
     dim: int
-    index: dict = field(compare=False, repr=False)
+    index: dict
+    __slots__ = _fields = ("degree", "ambient_dim", "slots", "spans", "offsets", "dim", "index")
 
     def slot_index(self, B: int, alpha) -> int:
         return self.index[(B, tuple(alpha))]
@@ -385,12 +402,12 @@ def _apply(cols, vec, rows: int):
     return tuple(out)
 
 
-@dataclass
-class ChainMapReport:
+class ChainMapReport(Value):
     """Outcome of the chain-map verification; falsy when a check failed."""
 
     ok: bool
     failures: list[str]
+    __slots__ = _fields = ("ok", "failures")
 
     def __bool__(self):
         return self.ok

@@ -24,17 +24,15 @@ homology group.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 
 from ._ratlinalg import columns, eliminate, rank  # rank: re-exported for callers of this module
-from .diagram import Diagram, DiagramError, InvariantError, bits, component_containing, mask_of
+from .diagram import Diagram, DiagramError, InvariantError, Value, bits, component_containing, mask_of
 from .nested import NestedSet, element_key, faces
 
 
-@dataclass(frozen=True)
-class OrientedCell:
+class OrientedCell(Value):
     """A nested set with ordered orientation data.
 
     ``orientation`` lists the unsaturated elements in enumeration order,
@@ -43,6 +41,11 @@ class OrientedCell:
 
     nested: NestedSet
     orientation: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = _fields = ("nested", "orientation")
+
+    def __init__(self, nested: NestedSet, orientation: tuple[tuple[int, tuple[int, ...]], ...]):
+        object.__setattr__(self, "nested", nested)
+        object.__setattr__(self, "orientation", orientation)
 
     @property
     def dim(self) -> int:

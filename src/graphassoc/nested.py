@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import (
     Diagram,
     DiagramError,
+    Value,
     bits,
     component_containing,
     components,
@@ -38,12 +38,28 @@ def element_key(mask: int):
     return (len(vs), vs)
 
 
-@dataclass(frozen=True)
-class NestedSet:
-    """An immutable nested set; ``elements`` is canonically sorted."""
+class NestedSet(Value):
+    """An immutable nested set; ``elements`` is canonically sorted.
+
+    The hash reads ``elements`` only (equal nested sets have equal
+    elements); equality compares the diagram too.
+    """
 
     diagram: Diagram
     elements: tuple[int, ...]
+    __slots__ = _fields = ("diagram", "elements")
+
+    def __init__(self, diagram: Diagram, elements: tuple[int, ...]):
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements and self.diagram == other.diagram
+
+    def __hash__(self):
+        return hash(self.elements)
 
     @staticmethod
     def make(D: Diagram, masks) -> "NestedSet":

@@ -14,11 +14,9 @@ slice, or a Farkas combination of the constraints that sums to ``0 > 0``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .diagram import (Diagram, DiagramError, InvariantError, bits, components,
+from .diagram import (Diagram, DiagramError, InvariantError, Value, bits, components,
                        is_compatible, is_connected)
 from .nested import NestedSet, boundary_cycle, connected_subdiagrams, faces, maximal_nested_sets
 
@@ -27,17 +25,20 @@ class RealizationError(DiagramError):
     """Weight function failing the superadditivity requirement."""
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A diagram with a superadditive weight on its connected subdiagrams."""
+class Realization(Value):
+    """A diagram with a superadditive weight on its connected subdiagrams.
+
+    ``_table`` is the weights as a lookup, built once per realization.
+    """
 
     diagram: Diagram
     weights: tuple[tuple[int, Fraction], ...]
+    _fields = ("diagram", "weights")
+    __slots__ = _fields + ("_table",)
 
-    @cached_property
-    def _table(self) -> dict[int, Fraction]:
-        """The weights as a lookup, built once per realization."""
-        return dict(self.weights)
+    def __init__(self, diagram: Diagram, weights: tuple[tuple[int, Fraction], ...]):
+        super().__init__(diagram, weights)
+        object.__setattr__(self, "_table", dict(weights))
 
     def weight(self, mask: int) -> Fraction:
         """c(B); disconnected arguments sum over their components."""

@@ -174,6 +174,26 @@ def test_fingerprint_tracks_content():
     assert result.fingerprint == ""
 
 
+@pytest.mark.parametrize("vector", [["1", "0", "0"], ["1"]])
+def test_coefficient_vector_of_wrong_length_is_exit_1(tmp_path, p3_file, capsys, vector):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({
+        "ambient_dim": 2,
+        "subspaces": [{"B": ["1", "2", "3"], "S": ["1", "2", "3"], "basis": [vector]}],
+    }))
+    argv = ["dynkin", "--diagram", p3_file, "--coeffs", str(coeffs)]
+    result = run(argv)
+    assert result.status == 1 and result.payload is None
+    assert result.message == (
+        "basis vector of M(B, S) at vertex positions B=[0, 1, 2], S=[0, 1, 2] "
+        f"has {len(vector)} entries, not ambient_dim 2"
+    )
+    assert result.fingerprint == fingerprint(parse_diagram(P3_TEXT))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == result.message + "\n"
+
+
 def test_parse_nested_set_full_diagram_implied():
     D = parse_diagram(P3_TEXT)
     H = parse_nested_set(D, "1 2;1")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -287,3 +289,19 @@ def test_vertex_name_roundtrip():
     assert D.vertex_names(0b101) == ["a", "c"]
     assert mask_of([D.index("a"), D.index("c")]) == 0b101
     assert list(bits(0b1011)) == [0, 1, 3]
+
+
+def test_diagrams_are_immutable_values():
+    text = "vertices: a b c\nedges: a-b:4 b-c"
+    D, again = parse_diagram(text), parse_diagram(text)
+    assert D is not again and D == again and hash(D) == hash(again)
+    assert D != parse_diagram("vertices: a b c\nedges: a-b:5 b-c")
+    assert D != parse_diagram("vertices: a b c\nedges: a-b:4")
+    assert {D: 1}[again] == 1
+    for clone in (pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D)):
+        assert clone == D and hash(clone) == hash(D)
+        assert clone.label(0, 1) == 4
+    with pytest.raises(AttributeError):
+        D.names = ("x", "y", "z")
+    with pytest.raises(AttributeError):
+        del D.adj

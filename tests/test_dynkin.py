@@ -203,6 +203,30 @@ def test_unvalidated_broken_inclusion_fails_in_the_differential():
         )
 
 
+def test_basis_vectors_must_have_ambient_dim_entries():
+    e1 = (Fraction(1), Fraction(0))
+    for vec in ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(1),)):
+        with pytest.raises(CoefficientError) as err:
+            MatrixCoefficients(2, {(0b11, 0b11): (e1,), (0b11, 0b01): (e1, vec)})
+        assert str(err.value) == (
+            "basis vector of M(B, S) at vertex positions B=[0, 1], S=[0] "
+            f"has {len(vec)} entries, not ambient_dim 2"
+        )
+
+
+def test_matrix_coefficients_equality_ignores_derived_spans():
+    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    M1 = MatrixCoefficients(2, {(0b11, 0b11): (e1,)})
+    M2 = MatrixCoefficients(2, {(0b11, 0b11): (e1, (Fraction(2), Fraction(0)))})
+    assert M1.table == M2.table == {(0b11, 0b11): (e1,)}
+    assert M1.span(0b11, 0b11) is not M2.span(0b11, 0b11)
+    assert M1 == M2
+    assert M1 != MatrixCoefficients(2, {(0b11, 0b11): (e2,)})
+    assert M1 != MatrixCoefficients(3, {})
+    with pytest.raises(TypeError):
+        hash(M1)
+
+
 def test_coefficient_json_roundtrip():
     rng = random.Random(4)
     M = random_coefficient_system(P3, 3, rng).validate(P3)

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib.util
 import json
+import pickle
 import random
 import sys
 from itertools import combinations
@@ -46,6 +48,20 @@ C3 = cycle_diagram(3)
 
 def ns(D, *lists):
     return NestedSet.from_vertex_lists(D, lists)
+
+
+# -- values -------------------------------------------------------------------
+
+
+def test_oriented_cells_are_immutable_values():
+    cell = oriented(ns(P3, [0, 1]))
+    assert cell == OrientedCell(ns(P3, [0, 1]), cell.orientation)
+    assert {cell: 1}[oriented(ns(P3, [1, 0]))] == 1
+    assert cell != OrientedCell(cell.nested, ((P3.full, (2, 1)),))
+    for clone in (pickle.loads(pickle.dumps(cell)), copy.copy(cell)):
+        assert clone == cell and hash(clone) == hash(cell)
+    with pytest.raises(AttributeError):
+        cell.orientation = ()
 
 
 # -- canonical form -----------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -70,6 +72,23 @@ def brute_force_maximal_families(D):
         ):
             found.append(frozenset(combo))
     return found
+
+
+# -- values -------------------------------------------------------------------
+
+
+def test_nested_sets_are_immutable_values():
+    H = ns(P3, [0, 1], [0])
+    assert H == ns(P3, [0], [0, 1]) and hash(H) == hash(ns(P3, [0], [0, 1]))
+    assert H != ns(P3, [0, 1], [1])
+    # the same masks on another diagram: equal hashes are allowed, equality is not
+    K = ns(C3, [0, 1], [0])
+    assert K.elements == H.elements and K != H
+    assert len({H, K}) == 2
+    for clone in (pickle.loads(pickle.dumps(H)), copy.copy(H)):
+        assert clone == H and hash(clone) == hash(H)
+    with pytest.raises(AttributeError):
+        H.elements = ()
 
 
 # -- nestedness and enumeration ----------------------------------------------

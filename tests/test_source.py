@@ -1,6 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphassoc"
@@ -35,3 +39,27 @@ def test_traced_layers_and_caches_exist():
     for mod_name, attr in cached:
         module = importlib.import_module(f"graphassoc.{mod_name}")
         assert hasattr(getattr(module, attr, None), "cache_info"), (mod_name, attr)
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """Every CLI call pays for its imports: these modules stay out of ``import graphassoc.cli``.
+
+    The baseline is the fresh interpreter's own ``sys.modules``, since
+    ``site`` may already have loaded some of them.
+    """
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import graphassoc.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path)),
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "graphassoc.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "hashlib", "ast"} == set()
