@@ -11,7 +11,6 @@ algebra.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 from .diagram import (
     Diagram,
@@ -28,6 +27,7 @@ from .diagram import (
 from .nested import (
     NestedSet,
     TwoFace,
+    _skeleton,
     connected_subdiagrams,
     first_maximal_nested_set,
     ascending_chain,
@@ -186,10 +186,14 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     delta = symmetric_difference(F, G)
     if not delta:
         return 0
-    z = support(D, F, G)
+    return _minus_neighbours(D, support(D, F, G), delta)
+
+
+def _minus_neighbours(D: Diagram, supp: int, delta) -> int:
+    """The central support from a known support: ``supp`` minus the neighbours of Δ."""
     for C in delta:
-        z &= ~D.neighbors(C)
-    return z
+        supp &= ~D.neighbors(C)
+    return supp
 
 
 class PairSupport(Value):
@@ -203,12 +207,9 @@ class PairSupport(Value):
 
 
 def pair_support(D: Diagram, F: NestedSet, G: NestedSet) -> PairSupport:
-    return PairSupport(
-        (F, G),
-        tuple(symmetric_difference(F, G)),
-        support(D, F, G),
-        central_support(D, F, G) if F.elements != G.elements else 0,
-    )
+    delta = symmetric_difference(F, G)
+    supp = support(D, F, G)
+    return PairSupport((F, G), tuple(delta), supp, _minus_neighbours(D, supp, delta))
 
 
 def are_equivalent(D: Diagram, pair1, pair2) -> bool:
@@ -270,44 +271,32 @@ def pair_from_triple(D: Diagram, B: int, alpha_g: int, alpha_f: int) -> tuple[Ne
 # good elementary sequences
 
 
-@lru_cache(maxsize=None)
-def _skeleton(D: Diagram):
-    from .nested import edge_graph
-
-    verts, edges = edge_graph(D)
-    adj = {i: [] for i in range(len(verts))}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return verts, adj
-
-
 def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[NestedSet]:
     """An elementary path from F to G staying inside the face of their intersection.
 
     Every step shares the intersection, has support inside supp(F, G) and
     treats each component of the central support as the supports axiom
-    requires; the output is re-checked clause by clause.
+    requires; the output is re-checked clause by clause.  The search runs
+    on D's cached 1-skeleton: from a vertex holding the intersection, a
+    step keeps it exactly when the tube it drops is not in it.
     """
     _check_maximal(F)
     _check_maximal(G)
     if F.elements == G.elements:
         return [F]
     meet = set(F.elements) & set(G.elements)
-    verts, adj = _skeleton(D)
-    index = {H.elements: i for i, H in enumerate(verts)}
-    allowed = {i for i, H in enumerate(verts) if meet <= set(H.elements)}
-    start, goal = index[F.elements], index[G.elements]
+    verts, index, nbrs, drops, _steps = _skeleton(D)
+    start, goal = index.get(F.elements), index.get(G.elements)
+    if start is None or goal is None:
+        raise DiagramError("not a maximal nested set of D")
     parent = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         if cur == goal:
             break
-        for j in adj[cur]:
-            if j in allowed and j not in parent:
+        for j, dropped in zip(nbrs[cur], drops[cur]):
+            if dropped not in meet and j not in parent:
                 parent[j] = cur
                 queue.append(j)
     if goal not in parent:
@@ -344,22 +333,31 @@ def transport_good_sequence(D: Diagram, seq, F2: NestedSet, G2: NestedSet) -> li
 
 
 def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
-    """Raise unless ``seq`` satisfies every clause required of a good sequence."""
+    """Raise unless ``seq`` satisfies every clause required of a good sequence.
+
+    A step's support is computed, with its cross-check, the first time
+    its edge is seen, and kept with D's cached 1-skeleton.
+    """
     if seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
     meet = set(F.elements) & set(G.elements)
     supp_fg = support(D, F, G)
-    zsupp_fg = central_support(D, F, G)
+    zcomps = components(D, _minus_neighbours(D, supp_fg, symmetric_difference(F, G)))
+    steps = _skeleton(D)[-1]
     for H, K in zip(seq, seq[1:]):
         if not is_elementary(H, K):
             raise DiagramError("non-elementary step")
         if not meet <= (set(H.elements) & set(K.elements)):
             raise DiagramError("step loses the intersection")
-        supp_step = support(D, H, K)
+        edge = (H.elements, K.elements) if H.elements < K.elements else (K.elements, H.elements)
+        found = steps.get(edge)
+        if found is None:
+            supp = support(D, H, K)
+            found = steps[edge] = supp, _minus_neighbours(D, supp, symmetric_difference(H, K))
+        supp_step, zsupp_step = found
         if supp_step & ~supp_fg:
             raise DiagramError("step support leaves supp(F, G)")
-        zsupp_step = central_support(D, H, K)
-        for comp in components(D, zsupp_fg):
+        for comp in zcomps:
             if not is_orthogonal(D, comp, supp_step) and comp & ~zsupp_step:
                 raise DiagramError("central support clause violated")
 

@@ -253,8 +253,15 @@ def face_factorization(D: Diagram, H: NestedSet) -> list[Diagram]:
     return out
 
 
-def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]]:
-    """The 1-skeleton: maximal nested sets, joined when they differ by one element.
+@lru_cache(maxsize=8)
+def _skeleton(D: Diagram):
+    """The 1-skeleton of D's associahedron, built once per diagram.
+
+    Returns ``(verts, index, nbrs, drops, steps)``: the maximal nested
+    sets, the position of each by its ``elements``, each vertex's
+    neighbours in ascending order, the tube each of those steps drops,
+    and a dict that callers fill with data of the edges they have checked
+    (``coherence`` keeps each step's supports there).
 
     Each (n-1)-element nested set, an edge, lies in exactly two vertices.
     """
@@ -263,9 +270,23 @@ def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]
     for i, F in enumerate(verts):
         for B in F.elements:
             if B != D.full:
-                ends.setdefault(tuple(m for m in F.elements if m != B), []).append(i)
-    edges = sorted((i, j) for i, j in ends.values())
-    return verts, edges
+                ends.setdefault(tuple(m for m in F.elements if m != B), []).extend((i, B))
+    rows = [[] for _ in verts]
+    for i, B, j, C in ends.values():
+        rows[i].append((j, B))
+        rows[j].append((i, C))
+    del ends  # its keys, one tuple per edge, are most of the build's peak memory
+    for row in rows:
+        row.sort()
+    nbrs = [tuple(j for j, _B in row) for row in rows]
+    drops = [tuple(B for _j, B in row) for row in rows]
+    return verts, {F.elements: i for i, F in enumerate(verts)}, nbrs, drops, {}
+
+
+def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]]:
+    """The 1-skeleton: maximal nested sets, joined when they differ by one element."""
+    verts, _index, nbrs, _drops, _steps = _skeleton(D)
+    return verts, [(i, j) for i, row in enumerate(nbrs) for j in row if i < j]
 
 
 class TwoFace(enum.Enum):

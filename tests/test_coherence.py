@@ -1,6 +1,11 @@
+import itertools
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
+from graphassoc import coherence
 from graphassoc.coherence import (
     AssociatorSymbol,
     LocalGenerator,
@@ -39,7 +44,13 @@ from graphassoc.nested import (
     faces,
     maximal_nested_sets,
 )
-from conftest import connected_reps, cycle_diagram, labeled_connected, path_diagram
+from conftest import (
+    complete_diagram,
+    connected_reps,
+    cycle_diagram,
+    labeled_connected,
+    path_diagram,
+)
 
 P2 = path_diagram(2, label=3)
 P3 = path_diagram(3)
@@ -289,6 +300,73 @@ def test_validator_rejects_bad_sequences():
     detour = ns(P3, [1, 2], [2])
     with pytest.raises(DiagramError):
         validate_good_sequence(P3, F, G, [F, detour, G])
+
+
+def breadth_first_oracle(D):
+    """The vertices of D and a path search over them, independent of the cached skeleton.
+
+    Neighbours come from the pairwise definition in ascending order; a
+    search may enter any vertex that holds the intersection of its ends.
+    """
+    verts = maximal_nested_sets(D)
+    sets = [set(H.elements) for H in verts]
+    adj = [[j for j, t in enumerate(sets) if len(s - t) == 1] for s in sets]
+
+    def search(start, goal):
+        meet = sets[start] & sets[goal]
+        allowed = {k for k, s in enumerate(sets) if meet <= s}
+        parent = {start: None}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            if cur == goal:
+                break
+            for j in adj[cur]:
+                if j in allowed and j not in parent:
+                    parent[j] = cur
+                    queue.append(j)
+        path, node = [], goal
+        while node is not None:
+            path.append(verts[node])
+            node = parent[node]
+        return path[::-1]
+
+    return verts, search
+
+
+def test_good_sequences_match_breadth_first_oracle():
+    rng = random.Random(2026)
+    cases = [(D, None) for n in range(1, 5) for D in connected_reps(n)]
+    cases += [(D, 150) for D in connected_reps(5)]
+    cases += [(D, 400) for D in (cycle_diagram(6), path_diagram(6), complete_diagram(5))]
+    for D, count in cases:
+        verts, search = breadth_first_oracle(D)
+        n = len(verts)
+        if count is None:
+            pairs = itertools.product(range(n), repeat=2)
+        else:
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+        for i, j in pairs:
+            assert good_elementary_sequence(D, verts[i], verts[j]) == search(i, j), (D.names, i, j)
+
+
+@pytest.mark.parametrize("elements", [(1, 2, 7), (5, 7, 7)])
+def test_sequence_end_outside_the_vertices_is_diagram_error(elements):
+    bogus = NestedSet(P3, elements)
+    F = maximal_nested_sets(P3)[0]
+    for ends in ((bogus, F), (F, bogus)):
+        with pytest.raises(DiagramError, match="not a maximal nested set"):
+            good_elementary_sequence(P3, *ends)
+
+
+def test_edge_cache_never_skips_the_support_cross_check(monkeypatch):
+    P4 = path_diagram(4)
+    F, G = ns(P4, [0, 1, 2], [0, 1], [0]), ns(P4, [1, 2, 3], [2, 3], [3])
+    assert not is_elementary(F, G)
+    coherence._skeleton.cache_clear()
+    monkeypatch.setattr(NestedSet, "unsaturated", lambda self: [])
+    with pytest.raises(InvariantError):
+        good_elementary_sequence(P4, F, G)
 
 
 # -- relation words ----------------------------------------------------------------

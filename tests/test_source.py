@@ -41,6 +41,35 @@ def test_traced_layers_and_caches_exist():
         assert hasattr(getattr(module, attr, None), "cache_info"), (mod_name, attr)
 
 
+def test_library_caches_are_bounded():
+    """Every ``lru_cache`` in the library has a literal finite ``maxsize``.
+
+    An unbounded cache keeps every diagram it has seen for the life of the
+    process.  The two allowed ones are not bounded yet: a census session
+    revisits some diagrams after visiting 16 others.
+    """
+    allowed = {"connected_subdiagrams", "_nested_families"}
+    cached, unbounded = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                func = call.func if call else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name not in ("lru_cache", "cache"):
+                    continue
+                cached.append(node.name)
+                args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args if call else []
+                finite = not args or (isinstance(args[0], ast.Constant)
+                                      and type(args[0].value) is int)
+                if name == "cache" or not finite:
+                    unbounded.append(node.name)
+    assert {"_skeleton", "cell_complex"} <= set(cached)
+    assert set(unbounded) <= allowed, sorted(set(unbounded) - allowed)
+
+
 def test_cli_import_loads_no_heavy_modules():
     """Every CLI call pays for its imports: these modules stay out of ``import graphassoc.cli``.
 
