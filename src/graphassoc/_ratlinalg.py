@@ -1,22 +1,27 @@
-"""Exact linear algebra: one sparse eliminator for ranks, factored spans.
+"""Exact linear algebra on integers: one sparse eliminator for ranks, factored spans.
 
 Ranks and Smith normal forms go through ``eliminate``: the matrix is
 given as columns of ``{row: value}`` (``columns`` converts dense rows)
 and each step pivots in the shortest remaining column, on its entry
 whose row is shortest, which keeps fill-in low on the sparse boundary
-and Dynkin matrices.  Over Q any nonzero entry may pivot, so nothing is
-left over and the pivot count is the rank.  Over Z only units may
-pivot: removing a unit pivot is a reduction of the chain complex
-(Kaczynski-Mrozek-Slusarek 1998) that leaves the Smith normal form of
-the rest unchanged, so an empty leftover block certifies that every
-invariant factor is 1.
+and Dynkin matrices.  Over Z only units may pivot: removing a unit
+pivot is a reduction of the chain complex (Kaczynski-Mrozek-Slusarek
+1998) that leaves the Smith normal form of the rest unchanged, so an
+empty leftover block certifies that every invariant factor is 1.  Over
+Q any nonzero entry may pivot, so nothing is left over and the pivot
+count is the rank.  Both run one integer loop: over Q each column is
+first scaled to a primitive integer vector, which leaves the rank
+unchanged, and a non-unit pivot updates fraction-free (Bareiss 1968),
+scaling the column by the pivot instead of dividing by it and then
+dividing out the column's content.
 
 Subspaces are factored once into a ``Span``: one echelon pass over the
-spanning vectors gives the independent subfamily, the reduced row
-echelon basis and the equations cutting the span out, so membership is
-a check of those equations and the coordinates of a member in the
-echelon basis are its entries at the pivots.  No linear system is
-solved per vector.
+spanning vectors, on integer multiples of them, gives the independent
+subfamily, the reduced row echelon basis and the equations cutting the
+span out, so membership is a check of those equations and the
+coordinates of a member in the echelon basis are its entries at the
+pivots.  No linear system is solved per vector, and the only divisions
+are by the pivots, once each, to emit the reduced rows.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 class Span:
@@ -41,31 +49,30 @@ class Span:
     __slots__ = ("independent", "rows", "pivots", "equations")
 
     def __init__(self, vectors, dim: int):
-        kept, rows, pivots = [], [], []
+        kept, rows, pivots = [], [], []  # rows: primitive integer echelon rows
         for v in vectors:
             if len(pivots) == dim:
                 break
-            v = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-            w = v
+            w = _primitive(v)
             for row, p in zip(rows, pivots):
-                f = w[p]
-                if f:
-                    w = [a - f * b if b else a for a, b in zip(w, row)]
+                if w[p]:
+                    w = _clear(w, row, p)
             lead = next((c for c, x in enumerate(w) if x), None)
             if lead is None:
                 continue
-            kept.append(v)
-            inv = 1 / w[lead]
-            new = [x * inv if x else x for x in w]
-            for i, row in enumerate(rows):
-                f = row[lead]
-                if f:
-                    rows[i] = [a - f * b if b else a for a, b in zip(row, new)]
+            kept.append(tuple(x if type(x) is Fraction else Fraction(x) for x in v))
             at = bisect(pivots, lead)
             pivots.insert(at, lead)
-            rows.insert(at, new)
+            rows.insert(at, _primitive(w))
+        for i in reversed(range(len(rows))):  # back substitution: clear above each pivot
+            row, p = rows[i], pivots[i]
+            for k in range(i):
+                if rows[k][p]:
+                    rows[k] = _clear(rows[k], row, p)
         self.independent = tuple(kept)
-        self.rows = tuple(map(tuple, rows))
+        self.rows = tuple(  # the one division: each row by its pivot
+            tuple(Fraction(x, row[p]) if x else _ZERO for x in row) for row, p in zip(rows, pivots)
+        )
         self.pivots = tuple(pivots)
         free = sorted(set(range(dim)) - set(pivots))
         self.equations = tuple(
@@ -104,16 +111,41 @@ def columns(M):
     return cols
 
 
+def _clear(w, row, p):
+    """The fraction-free combination ``(row[p]/g) * w - (w[p]/g) * row``, zero at p."""
+    g = gcd(row[p], w[p])
+    s, f = row[p] // g, w[p] // g
+    return [s * a - f * b if b else s * a for a, b in zip(w, row)]
+
+
+def _primitive(values):
+    """Ints or Fractions scaled by a positive rational to a primitive integer list.
+
+    The scale makes the entries coprime integers; a zero vector stays zero.
+    """
+    den = lcm(*(x.denominator for x in values))
+    w = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
 def eliminate(cols, unit_pivots: bool):
     """Sparse elimination of a matrix given as columns ``{row: value}``.
 
     The input columns are left untouched.  Returns the number of pivots
     taken and the block left over, as dense rows (empty when every
     column was eliminated).  With ``unit_pivots`` only entries +1 and -1
-    may pivot and the arithmetic stays integral; otherwise any nonzero
-    entry may.
+    may pivot; otherwise any nonzero entry may, on columns scaled to
+    primitive integer vectors.  A unit pivot p updates a column by
+    ``col - (x * p) * pivot_col``; any other takes the fraction-free
+    ``(p/g) * col - (x/g) * pivot_col`` with g = gcd(p, x), after which
+    the column's content is divided out.  Either way the entries stay
+    integers when the input's are.
     """
-    cols = {c: dict(col) for c, col in enumerate(cols) if col}
+    if unit_pivots:
+        cols = {c: dict(col) for c, col in enumerate(cols) if col}
+    else:
+        cols = {c: dict(zip(col, _primitive(col.values()))) for c, col in enumerate(cols) if col}
     rows = {}
     for c, col in cols.items():
         for r in col:
@@ -126,9 +158,9 @@ def eliminate(cols, unit_pivots: bool):
         pivot_col = cols.get(pc)
         if pivot_col is None or len(pivot_col) != size:
             continue  # a stale entry: the column was eliminated or changed
-        candidates = [
-            r for r, v in pivot_col.items() if not unit_pivots or v == 1 or v == -1
-        ]
+        candidates = pivot_col
+        if unit_pivots:
+            candidates = [r for r, v in pivot_col.items() if v == 1 or v == -1]
         if not candidates:
             continue  # no unit yet; the column is queued again if it changes
         pr = min(candidates, key=lambda r: (len(rows[r]), r))
@@ -136,10 +168,17 @@ def eliminate(cols, unit_pivots: bool):
         for r in pivot_col:
             rows[r].discard(pc)
         pv = pivot_col.pop(pr)
-        inv = pv if unit_pivots else 1 / Fraction(pv)
+        unit = pv == 1 or pv == -1
         for c in rows.pop(pr):
             col = cols[c]
-            f = col.pop(pr) * inv
+            x = col.pop(pr)
+            if unit:
+                f = x * pv
+            else:
+                g = gcd(pv, x)
+                s, f = pv // g, x // g
+                for r in col:
+                    col[r] *= s
             for r, v in pivot_col.items():
                 nv = col.get(r, 0) - f * v
                 if nv:
@@ -150,6 +189,11 @@ def eliminate(cols, unit_pivots: bool):
                     del col[r]
                     rows[r].discard(c)
             if col:
+                if not unit:
+                    g = gcd(*col.values())
+                    if g != 1:
+                        for r in col:
+                            col[r] //= g
                 heappush(heap, (len(col), c))
             else:
                 del cols[c]

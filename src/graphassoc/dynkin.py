@@ -129,6 +129,11 @@ class ConstantCoefficients(CoefficientSystem):
         return self._line
 
 
+def _positions(B: int, S: int) -> str:
+    """A table entry named by vertex positions, for error messages."""
+    return f"M(B, S) at vertex positions B={list(bits(B))}, S={list(bits(S))}"
+
+
 class MatrixCoefficients(CoefficientSystem):
     """Explicit subspace table; unlisted pairs default to the full space.
 
@@ -138,13 +143,17 @@ class MatrixCoefficients(CoefficientSystem):
 
     def __init__(self, ambient_dim: int, table: dict | None = None):
         n = ambient_dim
+        if n < 0:
+            raise CoefficientError(f"ambient_dim {n} is negative")
         table = {} if table is None else table
         for (B, S), vectors in table.items():
+            if S & ~B:
+                raise CoefficientError(f"{_positions(B, S)} has S outside B")
             for vec in vectors:
                 if len(vec) != n:
                     raise CoefficientError(
-                        f"basis vector of M(B, S) at vertex positions B={list(bits(B))}, "
-                        f"S={list(bits(S))} has {len(vec)} entries, not ambient_dim {n}"
+                        f"basis vector of {_positions(B, S)} has {len(vec)} entries, "
+                        f"not ambient_dim {n}"
                     )
         self.ambient_dim = n
         self._spans = {key: Span(vectors, n) for key, vectors in table.items()}
@@ -166,13 +175,36 @@ class MatrixCoefficients(CoefficientSystem):
 
     @staticmethod
     def from_json(D: Diagram, doc: dict) -> "MatrixCoefficients":
+        """The system a coefficient-file document describes; ``CoefficientError`` if malformed."""
+        if not isinstance(doc, dict):
+            raise CoefficientError("a coefficient file holds one JSON object")
+        entries = doc.get("subspaces", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("B"), list)
+            and isinstance(entry.get("S"), list) for entry in entries
+        ):
+            raise CoefficientError("subspaces is not a list of objects with lists B and S")
         table = {}
-        for entry in doc.get("subspaces", []):
+        for entry in entries:
             B = mask_of(D.index(v) for v in entry["B"])
             S = mask_of(D.index(v) for v in entry["S"])
-            basis = tuple(tuple(Fraction(x) for x in vec) for vec in entry["basis"])
-            table[(B, S)] = basis
-        return MatrixCoefficients(int(doc["ambient_dim"]), table)
+            where = f"M(B, S) at B={D.vertex_names(B)}, S={D.vertex_names(S)}"
+            basis = entry["basis"]
+            if not isinstance(basis, list) or not all(isinstance(vec, list) for vec in basis):
+                raise CoefficientError(f"basis of {where} is not a list of vectors")
+            try:
+                table[(B, S)] = tuple(tuple(Fraction(x) for x in vec) for vec in basis)
+            except ZeroDivisionError:
+                raise CoefficientError(f"basis of {where} has a zero denominator") from None
+            except (TypeError, ValueError):
+                raise CoefficientError(
+                    f"basis of {where} has an entry that is not a rational"
+                ) from None
+        try:
+            n = int(doc["ambient_dim"])
+        except (TypeError, ValueError):
+            raise CoefficientError("ambient_dim is not an integer") from None
+        return MatrixCoefficients(n, table)
 
 
 def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) -> MatrixCoefficients:
@@ -273,7 +305,7 @@ def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
     """
     cols = [{} for _ in range(src.dim)]
 
-    def add_block(ti, si, coeff):
+    def add_block(ti, si, negate=False):
         target, toff = dst.spans[ti], dst.offsets[ti]
         for j, row in enumerate(src.spans[si].rows):
             if not target.contains(row):
@@ -285,22 +317,22 @@ def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
             col = cols[src.offsets[si] + j]
             for r, p in enumerate(target.pivots):
                 if row[p]:
-                    col[toff + r] = coeff * row[p]
+                    col[toff + r] = -row[p] if negate else row[p]
 
     for ti, (B, alpha) in enumerate(dst.slots):
         if src.degree == 0:
             (a,) = alpha
-            add_block(ti, src.index[(B, ())], 1)
+            add_block(ti, src.index[(B, ())])
             for C in components(D, B & ~(1 << a)):
-                add_block(ti, src.index[(C, ())], -1)
+                add_block(ti, src.index[(C, ())], negate=True)
             continue
         for idx, a in enumerate(alpha):
-            sign = (-1) ** idx
+            odd = idx % 2 == 1  # the sign (-1) ** idx
             rest = alpha[:idx] + alpha[idx + 1:]
-            add_block(ti, src.index[(B, rest)], sign)
+            add_block(ti, src.index[(B, rest)], negate=odd)
             C = component_containing(D, 1 << a, mask_of(rest), within=B)
             if C:
-                add_block(ti, src.index[(C, rest)], -sign)
+                add_block(ti, src.index[(C, rest)], negate=not odd)
     return cols
 
 

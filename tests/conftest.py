@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -20,8 +21,11 @@ connected_reps = lru_cache(maxsize=None)(families.connected_reps)
 
 
 def rref(M):
-    """Reduced row echelon form and pivot columns (copy, input untouched): the dense oracle."""
-    A = [list(row) for row in M]
+    """Reduced row echelon form and pivot columns (copy, input untouched): the dense oracle.
+
+    Entries are taken as Fractions, so int input is reduced exactly too.
+    """
+    A = [[Fraction(x) for x in row] for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     pivots = []

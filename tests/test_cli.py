@@ -194,6 +194,42 @@ def test_coefficient_vector_of_wrong_length_is_exit_1(tmp_path, p3_file, capsys,
     assert out == "" and err == result.message + "\n"
 
 
+def _p3_entry(basis):
+    return {"B": ["1", "2", "3"], "S": ["1"], "basis": basis}
+
+
+AT_P3 = "M(B, S) at B=['1', '2', '3'], S=['1']"
+# name -> (coefficient document, the one-line message it must fail with)
+MALFORMED_COEFFS = {
+    "zero-denominator": ({"ambient_dim": 1, "subspaces": [_p3_entry([["1/0"]])]},
+                         f"basis of {AT_P3} has a zero denominator"),
+    "not-a-rational": ({"ambient_dim": 1, "subspaces": [_p3_entry([[None]])]},
+                       f"basis of {AT_P3} has an entry that is not a rational"),
+    "basis-not-a-list": ({"ambient_dim": 1, "subspaces": [_p3_entry(5)]},
+                         f"basis of {AT_P3} is not a list of vectors"),
+    # a string basis is not read as the vectors of its characters
+    "basis-a-string": ({"ambient_dim": 1, "subspaces": [_p3_entry("12")]},
+                       f"basis of {AT_P3} is not a list of vectors"),
+    "top-level-list": ([{"ambient_dim": 1}], "a coefficient file holds one JSON object"),
+    "entry-not-an-object": ({"ambient_dim": 1, "subspaces": [5]},
+                            "subspaces is not a list of objects with lists B and S"),
+    "dim-not-an-integer": ({"ambient_dim": [1], "subspaces": []}, "ambient_dim is not an integer"),
+    "negative-dim": ({"ambient_dim": -1, "subspaces": []}, "ambient_dim -1 is negative"),
+    "s-outside-b": ({"ambient_dim": 1, "subspaces": [{"B": ["1"], "S": ["2"], "basis": [["1"]]}]},
+                    "M(B, S) at vertex positions B=[0], S=[1] has S outside B"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_COEFFS))
+def test_malformed_coefficient_file_is_exit_1(tmp_path, p3_file, capsys, name):
+    doc, message = MALFORMED_COEFFS[name]
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(doc))
+    assert main(["dynkin", "--diagram", p3_file, "--coeffs", str(coeffs)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+
+
 def test_parse_nested_set_full_diagram_implied():
     D = parse_diagram(P3_TEXT)
     H = parse_nested_set(D, "1 2;1")

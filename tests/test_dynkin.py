@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -157,6 +158,37 @@ def test_random_system_cohomology_is_pinned(name, seed):
     assert dynkin_json(D, M) == {"HD": HD, "dims": dims}
 
 
+def _differentials_text(D, M):
+    """Every differential of (D, M) as text: shape, then entries row by row as n/d."""
+    mats = [dynkin_differential(D, M, p) for p in range(D.n + 1)]
+    if not all(type(x) is Fraction for m in mats for row in m for x in row):
+        return "an entry is not a Fraction"
+    return ";".join(
+        f"{len(m)}x{len(m[0]) if m else 0}:"
+        + "|".join(",".join(f"{x.numerator}/{x.denominator}" for x in row) for row in m)
+        for m in mats
+    )
+
+
+# sha256 of _differentials_text for the pinned systems above: the slot coordinates
+# (echelon rows of each span, entries read at the target pivots) are a convention
+PINNED_DIFFERENTIALS = {
+    ("P4", 2): "ecc248e82b2962dc531acb38c1b450abdb3a34b5aec1de7719b78c9552b1d8f6",
+    ("S3", 1): "00a98843686154ad037015c2352e0eedfe027d353ffefd8cfcae5316ae0642fc",
+    ("C4", 3): "0d65113f79d3c85507b2e4faac45326f6dc111c0986e40b87853adb78a83af63",
+    ("K4", 2): "7b0f5981096dfe53f9d6ba5430e5a38a49cdc1005504c026d1e1a20e345b8315",
+    ("P5", 1): "54035504009e85bfcb6aa9d9016d30cbedac1985d94d4bd34aef6a7982e59354",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_DIFFERENTIALS))
+def test_random_system_differentials_are_pinned(name, seed):
+    D = PINNED_DIAGRAMS[name]
+    M = random_coefficient_system(D, 2 + seed % 3, random.Random(100 + seed))
+    digest = hashlib.sha256(_differentials_text(D, M).encode()).hexdigest()
+    assert digest == PINNED_DIFFERENTIALS[(name, seed)]
+
+
 def test_degree_zero_cohomology_vanishes_everywhere():
     rng = random.Random(9)
     for n in range(1, 5):
@@ -212,6 +244,18 @@ def test_basis_vectors_must_have_ambient_dim_entries():
             "basis vector of M(B, S) at vertex positions B=[0, 1], S=[0] "
             f"has {len(vec)} entries, not ambient_dim 2"
         )
+
+
+def test_matrix_coefficients_reject_negative_dim_and_s_outside_b():
+    with pytest.raises(CoefficientError) as err:
+        MatrixCoefficients(-1)
+    assert str(err.value) == "ambient_dim -1 is negative"
+    e1 = (Fraction(1), Fraction(0))
+    for S, named in ((0b100, "[2]"), (0b110, "[1, 2]")):
+        with pytest.raises(CoefficientError) as err:
+            MatrixCoefficients(2, {(0b011, 0b011): (e1,), (0b011, S): (e1,)})
+        assert str(err.value) == f"M(B, S) at vertex positions B=[0, 1], S={named} has S outside B"
+    assert MatrixCoefficients(0).span(0b1, 0b1).rows == ()
 
 
 def test_matrix_coefficients_equality_ignores_derived_spans():

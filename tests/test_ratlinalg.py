@@ -92,3 +92,55 @@ def test_span_matches_rref_oracle():
             assert subspace_leq([w], family) == span.contains(w)
         shapes.add((len(family) == 0, r == dim, r < len(family)))
     assert len(shapes) >= 5  # empty, spanning and dependent families all occur
+
+
+def test_rank_matches_rref_where_entries_grow():
+    hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+    assert rank(hilbert) == rref_rank(hilbert) == 8
+    rng = random.Random(29)
+    for r in range(7):
+        # an m x r times an r x n product of integer matrices with entries up to 10^6
+        m, n = rng.randint(r, 8), rng.randint(r, 8)
+        A = [[rng.randint(-10**6, 10**6) for _ in range(r)] for _ in range(m)]
+        B = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(r)]
+        M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+        assert rref_rank(A) == rref_rank(B) == r  # so M has rank r
+        assert rank(M) == rref_rank(M) == r
+        scaled = [[Fraction(x, 7**c) for c, x in enumerate(row)] for row in M]
+        assert rank(scaled) == r
+
+
+def test_eliminate_leaves_fraction_columns_untouched():
+    cols = [
+        {0: Fraction(1, 2), 2: Fraction(-3, 4)},
+        {0: Fraction(2, 3), 1: Fraction(5)},
+        {2: Fraction(1)},
+        {1: Fraction(3, 7), 2: Fraction(9, 2)},
+    ]
+    snapshot = [[(r, type(v), v) for r, v in col.items()] for col in cols]
+    for unit_pivots in (False, True):
+        eliminate(cols, unit_pivots)
+        assert [[(r, type(v), v) for r, v in col.items()] for col in cols] == snapshot
+    assert eliminate(cols, unit_pivots=False) == (3, [])
+
+
+def test_span_rows_are_rref_fractions_with_large_denominators():
+    rng = random.Random(41)
+    for trial in range(40):
+        dim = rng.randint(1, 6)
+
+        def entry():
+            if rng.random() < 0.2:
+                return 0
+            return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+
+        family = [[entry() for _ in range(dim)] for _ in range(rng.randint(1, 6))]
+        if trial % 3 == 0:
+            family.append([sum(x) for x in zip(*family)])  # a dependent vector
+        span = Span(family, dim)
+        reduced, pivots = rref(span.independent)
+        assert len(pivots) == len(span.independent) == rref_rank(family)
+        assert list(span.pivots) == pivots
+        assert [list(row) for row in span.rows] == reduced[:len(pivots)]
+        assert all(type(x) is Fraction for row in span.rows for x in row)
+        assert all(type(x) is Fraction for v in span.independent for x in v)

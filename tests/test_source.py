@@ -41,6 +41,20 @@ def test_traced_layers_and_caches_exist():
         assert hasattr(getattr(module, attr, None), "cache_info"), (mod_name, attr)
 
 
+def test_rational_elimination_is_fraction_free(monkeypatch):
+    """The Q path of ``eliminate`` runs on integers: on int columns it never builds a Fraction."""
+    from graphassoc import _ratlinalg
+
+    def no_fractions(*args):
+        raise AssertionError("Fraction called on the Q elimination path")
+
+    monkeypatch.setattr(_ratlinalg, "Fraction", no_fractions)
+    M = [[2, 4, 6, 0], [3, 5, 7, 1], [5, 9, 13, 1], [0, 6, 0, 9]]  # row 2 = row 0 + row 1
+    cols = _ratlinalg.columns(M)
+    assert _ratlinalg.eliminate(cols, unit_pivots=False) == (3, [])
+    assert _ratlinalg.eliminate(cols, unit_pivots=True)[0] < 3  # the Z path stops at non-units
+
+
 def test_library_caches_are_bounded():
     """Every ``lru_cache`` in the library has a literal finite ``maxsize``.
 
