@@ -29,11 +29,11 @@ from .nested import (
     TwoFace,
     _skeleton,
     connected_subdiagrams,
+    faces,
     first_maximal_nested_set,
     ascending_chain,
     maximal_nested_sets,
-    split_components,
-    two_faces,
+    two_face_split,
 )
 
 
@@ -389,15 +389,17 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
     empty component, and its letter is dropped.
     """
     out = []
-    for H, kind in two_faces(D):
-        if kind is TwoFace.SQUARE:
+    for H in faces(D, 2) if D.n >= 3 else ():
+        face = two_face_split(D, H)
+        if face is None:
             continue
-        (B, alpha), = H.unsaturated()
-        split = split_components(D, B, alpha)
+        B, _alpha, split = face
         i, j, k = split  # the alpha vertices, ascending
-        if kind is TwoFace.PENTAGON:
+        empty = [z for z in split if not split[z]]
+        kind = TwoFace.PENTAGON if empty else TwoFace.HEXAGON
+        if empty:
             # relabel so the empty split is at i, the quotient middle
-            (i,) = [z for z in split if not split[z]]
+            (i,) = empty
             j, k = [z for z in split if z != i]
         letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
                    (B, j, k), (split[k], j, i)]
@@ -496,7 +498,7 @@ def twist_associator(D: Diagram, B: int, alpha_j: int, alpha_i: int) -> Relation
 # JSON export
 
 
-def _letter_json(D: Diagram, letter: Letter) -> dict:
+def _letter_json(D: Diagram, letter: Letter, names: dict) -> dict:
     sym, exp = letter
     if isinstance(sym, LocalGenerator):
         return {"letter": {"type": "S", "vertex": D.names[sym.vertex]}, "exp": exp}
@@ -504,7 +506,7 @@ def _letter_json(D: Diagram, letter: Letter) -> dict:
         return {
             "letter": {
                 "type": "Phi",
-                "B": D.vertex_names(sym.support),
+                "B": list(names[sym.support]),
                 "pair": [D.names[sym.pair[0]], D.names[sym.pair[1]]],
             },
             "exp": exp,
@@ -512,7 +514,7 @@ def _letter_json(D: Diagram, letter: Letter) -> dict:
     return {
         "letter": {
             "type": "a",
-            "B": D.vertex_names(sym.support),
+            "B": list(names[sym.support]),
             "alpha": D.names[sym.vertex],
         },
         "exp": exp,
@@ -532,19 +534,19 @@ def support_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
 
 def presentation_json(D: Diagram, include_commuting: bool = False) -> dict:
     """The symbolic presentation: generator inventory plus relation words."""
+    names = {B: D.vertex_names(B) for B in connected_subdiagrams(D)}  # holds every support
     phis = []
     twists = []
-    for B in connected_subdiagrams(D):
-        vs = list(bits(B))
-        for a in vs:
-            twists.append({"B": D.vertex_names(B), "alpha": D.names[a]})
-            for b in vs:
+    for B, B_names in names.items():
+        for a in bits(B):
+            twists.append({"B": list(B_names), "alpha": D.names[a]})
+            for b in bits(B):
                 if a < b:
-                    phis.append({"B": D.vertex_names(B), "pair": [D.names[a], D.names[b]]})
+                    phis.append({"B": list(B_names), "pair": [D.names[a], D.names[b]]})
     relations = []
     for word in pentagon_relations(D) + braid_relations(D, include_commuting):
         relations.append(
-            {"kind": word.kind, "word": [_letter_json(D, l) for l in word.letters]}
+            {"kind": word.kind, "word": [_letter_json(D, l, names) for l in word.letters]}
         )
     return {
         "generators": {"S": list(D.names), "Phi": phis, "a": twists},

@@ -272,6 +272,21 @@ def parse_diagram(text: str) -> Diagram:
         raise ParseError(str(exc)) from exc
 
 
+def flood_fill(D: Diagram, seed: int, S: int) -> int:
+    """The vertices of ``S`` reachable from ``seed`` by edges inside ``S``.
+
+    ``seed`` is kept whole, so a one-vertex seed in ``S`` gives its component.
+    """
+    comp = frontier = seed
+    while frontier:
+        grown = 0
+        for i in bits(frontier):
+            grown |= D.adj[i]
+        frontier = grown & S & ~comp
+        comp |= frontier
+    return comp
+
+
 def components(D: Diagram, S: int) -> list[int]:
     """Connected components of the induced subgraph on ``S``.
 
@@ -282,15 +297,7 @@ def components(D: Diagram, S: int) -> list[int]:
     out = []
     remaining = S
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = 0
-            for i in bits(frontier):
-                grown |= D.adj[i] & S & ~comp
-            comp |= grown
-            frontier = grown
+        comp = flood_fill(D, remaining & -remaining, S)
         out.append(comp)
         remaining &= ~comp
     return out
@@ -332,14 +339,8 @@ def component_containing(D: Diagram, removed: int, anchor: int, within: int | No
         raise DiagramError("anchor meets the removed set")
     if anchor & ~ctx:
         raise DiagramError("anchor outside the context subdiagram")
-    if anchor == 0:
-        return 0
-    for comp in components(D, ctx & ~removed):
-        if anchor & ~comp == 0:
-            return comp
-        if anchor & comp:
-            return 0
-    return 0
+    comp = flood_fill(D, anchor & -anchor, ctx & ~removed)
+    return comp if anchor & ~comp == 0 else 0
 
 
 def quotient(D: Diagram, B: int) -> tuple[Diagram, dict[int, int]]:

@@ -192,6 +192,8 @@ class MatrixCoefficients(CoefficientSystem):
             basis = entry["basis"]
             if not isinstance(basis, list) or not all(isinstance(vec, list) for vec in basis):
                 raise CoefficientError(f"basis of {where} is not a list of vectors")
+            if any(isinstance(x, bool) for vec in basis for x in vec):
+                raise CoefficientError(f"basis of {where} has an entry that is not a rational")
             try:
                 table[(B, S)] = tuple(tuple(Fraction(x) for x in vec) for vec in basis)
             except ZeroDivisionError:
@@ -200,10 +202,9 @@ class MatrixCoefficients(CoefficientSystem):
                 raise CoefficientError(
                     f"basis of {where} has an entry that is not a rational"
                 ) from None
-        try:
-            n = int(doc["ambient_dim"])
-        except (TypeError, ValueError):
-            raise CoefficientError("ambient_dim is not an integer") from None
+        n = doc.get("ambient_dim")
+        if type(n) is not int:  # a JSON integer: not a float, a bool or a string
+            raise CoefficientError("ambient_dim is not an integer")
         return MatrixCoefficients(n, table)
 
 

@@ -29,14 +29,15 @@ from itertools import accumulate, combinations
 
 from ._ratlinalg import columns, eliminate, rank  # rank: re-exported for callers of this module
 from .diagram import Diagram, DiagramError, InvariantError, Value, bits, component_containing, mask_of
-from .nested import NestedSet, element_key, faces
+from .nested import NestedSet, element_key, enumeration_key, faces
 
 
 class OrientedCell(Value):
     """A nested set with ordered orientation data.
 
-    ``orientation`` lists the unsaturated elements in enumeration order,
-    each with its alpha vertices as an ordered tuple.
+    ``orientation`` lists the unsaturated elements in enumeration order
+    (``nested.enumeration_key``), each with its alpha vertices as an
+    ordered tuple.
     """
 
     nested: NestedSet
@@ -120,7 +121,6 @@ def cell_complex(D: Diagram):
     cells = tuple(tuple(oriented(H) for H in faces(D, k)) for k in range(D.n))
     index = tuple({cell.nested.elements: i for i, cell in enumerate(row)} for row in cells)
     boundary = [tuple({} for _ in cells[0])]
-    key = lambda m: ((m & -m).bit_length(), m.bit_count())  # the enumeration order
     splits = {}  # (B, alpha, beta) -> D_beta: the same splits recur across many cells
     for k in range(1, D.n):
         cols = []
@@ -128,7 +128,7 @@ def cell_complex(D: Diagram):
             col = {}
             elements, entries = cell.nested.elements, cell.orientation
             element_keys = [element_key(m) for m in elements]
-            keys = [key(B) for B, _ in entries]
+            keys = [enumeration_key(B) for B, _ in entries]
             # prefix[j]: the sum of |alpha_e| - 1 over the first j entries
             prefix = [0, *accumulate(len(alpha) - 1 for _, alpha in entries)]
             for i, (B, alpha) in enumerate(entries):
@@ -146,7 +146,7 @@ def cell_complex(D: Diagram):
                             continue
                         exponent = prefix[i] + size - 1 + shuffle_number(beta, alpha)
                         if size >= 2:
-                            slot = bisect_left(keys, key(D_beta))
+                            slot = bisect_left(keys, enumeration_key(D_beta))
                             lo, hi = sorted((slot, i))
                             # passing (B, rest) counts |rest| - 1 = |alpha| - 1 - size
                             passed = prefix[hi] - prefix[lo] - (size if slot > i else 0)

@@ -28,6 +28,7 @@ from .diagram import (
     induced,
     is_compatible,
     is_connected,
+    mask_of,
     quotient,
 )
 
@@ -36,6 +37,11 @@ def element_key(mask: int):
     """Canonical sort key for nested set elements: size, then vertex list."""
     vs = tuple(bits(mask))
     return (len(vs), vs)
+
+
+def enumeration_key(mask: int):
+    """Sort key of the canonical enumeration of unsaturated elements: least vertex, then size."""
+    return ((mask & -mask).bit_length(), mask.bit_count())
 
 
 class NestedSet(Value):
@@ -131,20 +137,20 @@ class NestedSet(Value):
     def unsaturated(self) -> list[tuple[int, int]]:
         """The (element, alpha-set) pairs with at least two alpha vertices.
 
-        Ordered by least vertex then size, the canonical enumeration used
-        for orientations.
+        Ordered by ``enumeration_key``, the canonical enumeration used for
+        orientations.  One pass: elements come smallest first and any two
+        are nested or disjoint, so every element before B lies inside B
+        or misses it, and alpha(B) is B minus the union of those before it.
         """
         out = []
+        covered = 0
         for B in self.elements:
-            alpha = self.alpha_set(B)
-            if bin(alpha).count("1") >= 2:
+            alpha = B & ~covered
+            if alpha & (alpha - 1):
                 out.append((B, alpha))
-        out.sort(key=lambda pair: ((pair[0] & -pair[0]).bit_length(), bin(pair[0]).count("1")))
+            covered |= B
+        out.sort(key=lambda pair: enumeration_key(pair[0]))
         return out
-
-    def restrict(self, B: int) -> tuple[int, ...]:
-        """The induced nested set on an element B (elements contained in B)."""
-        return tuple(m for m in self.elements if m & ~B == 0)
 
     def vertex_lists(self) -> list[list[str]]:
         return [self.diagram.vertex_names(m) for m in self.elements]
@@ -240,16 +246,10 @@ def face_factorization(D: Diagram, H: NestedSet) -> list[Diagram]:
     diagrams; their dimensions ``|factor| - 1`` add up to ``dim(H)``.
     """
     out = []
-    for B, _alpha in H.unsaturated():
+    for B, alpha in H.unsaturated():
         sub, old_to_new = induced(D, B)
-        inner = H.inner_union(B)
-        if inner == 0:
-            out.append(sub)
-        else:
-            inner_in_sub = 0
-            for v in bits(inner):
-                inner_in_sub |= 1 << old_to_new[v]
-            out.append(quotient(sub, inner_in_sub)[0])
+        inner = mask_of(old_to_new[v] for v in bits(B & ~alpha))  # i_H(B) = B - alpha, in sub
+        out.append(quotient(sub, inner)[0] if inner else sub)
     return out
 
 
@@ -301,26 +301,35 @@ def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
     The value is 0 when ``B - z`` separates the other alpha vertices.  For
     a 3-vertex alpha set, two of them are joined in the quotient
     ``B / i_H(B)`` exactly when the split at the third is nonzero (the
-    quotient lemma of ``diagram.quotient_components``).
+    quotient lemma of ``diagram.quotient_components``).  Each value is one
+    flood fill of ``B - z`` from a vertex of the rest of alpha.
     """
     return {z: component_containing(D, 1 << z, alpha & ~(1 << z), within=B) for z in bits(alpha)}
 
 
-def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:
-    """Classify a 2-face by the shape of its unsaturated quotient.
+def two_face_split(D: Diagram, H: NestedSet):
+    """The shape of a 2-face: ``None`` for a square, else ``(B, alpha, split)``.
 
     Two unsaturated elements give a square.  Otherwise the single
-    unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, a
-    triangle (hexagon face: all three splits nonzero) or a path
-    (pentagon face).
+    unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, read off
+    ``split`` by the quotient lemma: a triangle (hexagon face) when all
+    three splits are nonzero, else a path (pentagon face).
     """
     if H.dim != 2:
         raise DiagramError("classification needs a 2-dimensional face")
     unsat = H.unsaturated()
     if len(unsat) == 2:
-        return TwoFace.SQUARE
+        return None
     (B, alpha), = unsat
-    return TwoFace.HEXAGON if all(split_components(D, B, alpha).values()) else TwoFace.PENTAGON
+    return B, alpha, split_components(D, B, alpha)
+
+
+def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:
+    """Classify a 2-face by the shape of its unsaturated quotient (see ``two_face_split``)."""
+    face = two_face_split(D, H)
+    if face is None:
+        return TwoFace.SQUARE
+    return TwoFace.HEXAGON if all(face[2].values()) else TwoFace.PENTAGON
 
 
 def two_faces(D: Diagram) -> list[tuple[NestedSet, TwoFace]]:

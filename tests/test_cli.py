@@ -214,6 +214,13 @@ MALFORMED_COEFFS = {
     "entry-not-an-object": ({"ambient_dim": 1, "subspaces": [5]},
                             "subspaces is not a list of objects with lists B and S"),
     "dim-not-an-integer": ({"ambient_dim": [1], "subspaces": []}, "ambient_dim is not an integer"),
+    # int() would read 2.7 as 2 and true as 1
+    "dim-a-float": ({"ambient_dim": 2.7, "subspaces": []}, "ambient_dim is not an integer"),
+    "dim-a-bool": ({"ambient_dim": True, "subspaces": []}, "ambient_dim is not an integer"),
+    "dim-missing": ({"subspaces": []}, "ambient_dim is not an integer"),
+    # Fraction(True) is 1
+    "entry-a-bool": ({"ambient_dim": 1, "subspaces": [_p3_entry([[True]])]},
+                     f"basis of {AT_P3} has an entry that is not a rational"),
     "negative-dim": ({"ambient_dim": -1, "subspaces": []}, "ambient_dim -1 is negative"),
     "s-outside-b": ({"ambient_dim": 1, "subspaces": [{"B": ["1"], "S": ["2"], "basis": [["1"]]}]},
                     "M(B, S) at vertex positions B=[0], S=[1] has S outside B"),

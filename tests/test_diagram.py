@@ -154,6 +154,18 @@ def test_component_containing_examples():
     assert component_containing(P3, 0, 0b001) == P3.full
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_component_containing_is_the_component_holding_anchor(n):
+    """Each vertex is in the anchor, removed, elsewhere in ``within``, or outside it."""
+    for D in labeled_connected(n):
+        for roles in itertools.product(range(4), repeat=n):
+            anchor, removed, rest = (mask_of(v for v in range(n) if roles[v] == r) for r in range(3))
+            within = anchor | removed | rest
+            holding = [c for c in components(D, anchor | rest) if anchor and anchor & ~c == 0]
+            expected = holding[0] if holding else 0
+            assert component_containing(D, removed, anchor, within=within) == expected
+
+
 def test_component_containing_rejects_overlap():
     with pytest.raises(DiagramError):
         component_containing(P3, 0b011, 0b001)

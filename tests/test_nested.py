@@ -4,7 +4,15 @@ import pickle
 
 import pytest
 
-from graphassoc.diagram import Diagram, DiagramError, bits, is_compatible, is_connected
+from graphassoc.diagram import (
+    Diagram,
+    DiagramError,
+    bits,
+    component_containing,
+    components,
+    is_compatible,
+    is_connected,
+)
 from graphassoc.nested import (
     NestedSet,
     TwoFace,
@@ -20,6 +28,7 @@ from graphassoc.nested import (
     faces,
     is_nested,
     maximal_nested_sets,
+    split_components,
 )
 from conftest import (
     complete_diagram,
@@ -200,6 +209,28 @@ def test_unsaturated_examples():
     H = ns(P5, [0, 1], [3, 4])
     assert H.unsaturated() == [(0b00011, 0b00011), (0b11000, 0b11000)]
     assert H.alpha_set(P5.full) == 0b00100
+
+
+def test_one_pass_unsaturated_matches_its_definition():
+    """``unsaturated()`` equals the alpha-set definition, order included, and
+    each split is the component of B - z holding the rest of alpha."""
+    diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
+    for D in diagrams + [cycle_diagram(6), complete_diagram(5)]:
+        for H in all_nested_sets(D):
+            pairs = [(B, H.alpha_set(B)) for B in H.elements]
+            expected = sorted(
+                ((B, alpha) for B, alpha in pairs if len(list(bits(alpha))) >= 2),
+                key=lambda pair: (min(bits(pair[0])), len(list(bits(pair[0])))),
+            )
+            assert H.unsaturated() == expected
+            for B, alpha in expected:
+                split = split_components(D, B, alpha)
+                assert list(split) == list(bits(alpha))
+                for z, comp in split.items():
+                    rest = alpha & ~(1 << z)
+                    assert comp == component_containing(D, 1 << z, rest, within=B)
+                    holding = [c for c in components(D, B & ~(1 << z)) if rest & ~c == 0]
+                    assert comp == (holding[0] if holding else 0)
 
 
 def test_face_factorization_examples():

@@ -1,5 +1,7 @@
-"""Each CLI subcommand prints exactly the payload of its library builder."""
+"""Each CLI subcommand prints exactly the payload of its library builder,
+and the coherence and 2-face payloads are pinned by digest."""
 
+import hashlib
 import json
 import random
 
@@ -8,6 +10,7 @@ import pytest
 from graphassoc import coherence, dynkin, homology, nested, polytope
 from graphassoc.cli import main
 from graphassoc.diagram import parse_diagram
+from conftest import complete_diagram, cycle_diagram, path_diagram, star_diagram
 
 SOURCES = {
     "P3": "vertices: 1 2 3\nedges: 1-2 2-3\n",
@@ -60,3 +63,29 @@ def test_cli_stdout_is_library_payload(name, tmp_path, capsys):
     assert doc["counts"] == {k: kinds.count(k) for k in ("square", "pentagon", "hexagon")}
     assert (name == "P2") == (not kinds)
 
+
+
+# sha256 of json.dumps(presentation_json(D)) and of json.dumps(two_faces_json(D))
+PAYLOAD_DIGESTS = [
+    (path_diagram(5),
+     "81048c5e5ee54b34be85dd406ff4ef7d2677b5f320c0eff6da5723ee701558b4",
+     "d2c354c1241132aee6b8a756c300c09215f7f5ebd4511fce091fc654374c68d0"),
+    (cycle_diagram(5),
+     "b69842c30f2cd89f75cb2fa5d42691f87f9cc694a788c6730eb4f386b869794f",
+     "78b2503bc14c43cd33ee75c780b2ce3772f67fc24704b09ec40ae14bdb2edb28"),
+    (complete_diagram(4),
+     "57f375a4ad8802c64db8d895a8780449655bf6a8d3143cedea519dba6d152fbd",
+     "e702598e16c79b89d08836c1c58fbbfc4667d4c026d2918e8bb7bb116149c746"),
+    (star_diagram(3),
+     "c621a93d89e76bfad00963eeaf08d2086d7e3a696cb2c8dec4e78584ab8e4876",
+     "195027e358124cbb39e277fc4659da6b7057b7b8df9e085dff35beffe27b73bb"),
+]
+
+
+def test_presentation_and_two_face_payloads_are_pinned():
+    for D, presentation, twofaces in PAYLOAD_DIGESTS:
+        found = [
+            hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+            for doc in (coherence.presentation_json(D), nested.two_faces_json(D))
+        ]
+        assert found == [presentation, twofaces], D.names
