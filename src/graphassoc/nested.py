@@ -77,13 +77,7 @@ class NestedSet(Value):
     @staticmethod
     def from_vertex_lists(D: Diagram, lists) -> "NestedSet":
         """Build from vertex-index lists; the full diagram may be omitted."""
-        masks = {D.full}
-        for vs in lists:
-            m = 0
-            for v in vs:
-                m |= 1 << v
-            masks.add(m)
-        return NestedSet.make(D, masks)
+        return NestedSet.make(D, {D.full} | {mask_of(vs) for vs in lists})
 
     def validate(self):
         D = self.diagram
@@ -186,21 +180,37 @@ def connected_subdiagrams(D: Diagram) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=32)
+def _tube_table(D: Diagram):
+    """The compatibility graph of D's proper tubes, built once per diagram.
+
+    Returns ``(tubes, pos, compatible, vertices)``: the tubes in
+    ``element_key`` order, so a later one is never a proper subset of an
+    earlier one, the position of each, the bitmask of the positions of the
+    tubes compatible with it (itself included) and its vertex indices.
+    """
+    keyed = sorted((element_key(m), m) for m in connected_subdiagrams(D) if m != D.full)
+    tubes, compatible = tuple(m for _k, m in keyed), [1 << i for i in range(len(keyed))]
+    for i, a in enumerate(tubes):
+        near = a | D.neighbors(a)
+        for j in range(i + 1, len(tubes)):
+            if a & ~tubes[j] == 0 or not near & tubes[j]:  # nested or orthogonal
+                compatible[i] |= 1 << j
+                compatible[j] |= 1 << i
+    vertices = tuple(vs for (_size, vs), _m in keyed)
+    return tubes, {m: i for i, m in enumerate(tubes)}, tuple(compatible), vertices
+
+
 @lru_cache(maxsize=None)
 def _nested_families(D: Diagram) -> tuple[NestedSet, ...]:
     """Every nested set of D, ordered by cardinality, then canonically.
 
-    Tubes are indexed in ``element_key`` order, so a clique grown in index
-    order is sorted, and a later tube is never a proper subset of an earlier one.
+    Cliques of ``_tube_table`` grown in position order are sorted.
     """
     if not is_connected(D, D.full):
         raise DiagramError("ambient diagram must be connected")
-    tubes = sorted((m for m in connected_subdiagrams(D) if m != D.full), key=element_key)
-    later = []  # bitmask of the later tubes compatible with each tube
-    for i, a in enumerate(tubes):
-        near = a | D.neighbors(a)
-        later.append(sum(1 << j for j in range(i + 1, len(tubes))
-                         if a & ~tubes[j] == 0 or not near & tubes[j]))
+    tubes, _pos, compatible, vertices = _tube_table(D)
+    later = [row >> i + 1 << i + 1 for i, row in enumerate(compatible)]  # compatible later tubes
     out = []
 
     def extend(chosen: tuple[int, ...], allowed: int):
@@ -212,7 +222,7 @@ def _nested_families(D: Diagram) -> tuple[NestedSet, ...]:
             extend(chosen + (tubes[i],), allowed & later[i])
 
     extend((), (1 << len(tubes)) - 1)
-    vertex_lists = {m: tuple(bits(m)) for m in tubes + [D.full]}
+    vertex_lists = dict(zip(tubes + (D.full,), vertices + (tuple(range(D.n)),)))
     out.sort(key=lambda H: (len(H.elements), tuple(vertex_lists[m] for m in H.elements)))
     return tuple(out)
 
@@ -395,9 +405,7 @@ def first_maximal_nested_set(D: Diagram, S: int | None = None) -> tuple[int, ...
     sub, old_to_new = induced(D, S)
     new_to_old = {new: old for old, new in old_to_new.items()}
     F = maximal_nested_sets(sub)[0]
-    lifted = []
-    for m in F.elements:
-        lifted.append(sum(1 << new_to_old[v] for v in bits(m)))
+    lifted = [mask_of(new_to_old[v] for v in bits(m)) for m in F.elements]
     return tuple(sorted(lifted, key=element_key))
 
 

@@ -9,16 +9,18 @@ tolerances anywhere.
 Whether a slice of the polytope is nonempty is decided by pairwise
 compatibility and returned with a checked certificate: a vertex on the
 slice, or a Farkas combination of the constraints that sums to ``0 > 0``.
+Vertices are computed and checked on the weights scaled to integers.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
-from .diagram import (Diagram, DiagramError, InvariantError, Value, bits, components,
-                       is_compatible, is_connected)
-from .nested import NestedSet, boundary_cycle, connected_subdiagrams, faces, maximal_nested_sets
+from .diagram import Diagram, DiagramError, InvariantError, Value, bits, components, is_connected
+from .nested import (NestedSet, _tube_table, boundary_cycle, connected_subdiagrams, faces,
+                     maximal_nested_sets)
 
 
 class RealizationError(DiagramError):
@@ -28,27 +30,31 @@ class RealizationError(DiagramError):
 class Realization(Value):
     """A diagram with a superadditive weight on its connected subdiagrams.
 
-    ``_table`` is the weights as a lookup, built once per realization.
+    ``_table`` is the weights as a lookup, and ``_scaled`` the same weights
+    times ``_scale``, their least common denominator, as integers.
     """
 
     diagram: Diagram
     weights: tuple[tuple[int, Fraction], ...]
     _fields = ("diagram", "weights")
-    __slots__ = _fields + ("_table",)
+    __slots__ = _fields + ("_table", "_scale", "_scaled")
 
     def __init__(self, diagram: Diagram, weights: tuple[tuple[int, Fraction], ...]):
         super().__init__(diagram, weights)
-        object.__setattr__(self, "_table", dict(weights))
+        table = dict(weights)
+        for m in connected_subdiagrams(diagram):
+            if m not in table:
+                raise RealizationError(f"no weight for {diagram.vertex_names(m)}")
+        scale = lcm(*(c.denominator for c in table.values()))
+        scaled = {m: c.numerator * (scale // c.denominator) for m, c in table.items()}
+        for name, value in ("_table", table), ("_scale", scale), ("_scaled", scaled):
+            object.__setattr__(self, name, value)
 
     def weight(self, mask: int) -> Fraction:
         """c(B); disconnected arguments sum over their components."""
-        table = self._table
-        if mask in table:
-            return table[mask]
-        total = Fraction(0)
-        for comp in components(self.diagram, mask):
-            total += table[comp]
-        return total
+        if mask in self._table:
+            return self._table[mask]
+        return sum((self._table[comp] for comp in components(self.diagram, mask)), Fraction(0))
 
 
 def make_realization(D: Diagram, overrides=None) -> Realization:
@@ -59,21 +65,21 @@ def make_realization(D: Diagram, overrides=None) -> Realization:
     """
     masks = connected_subdiagrams(D)
     if overrides is None:
-        table = {m: Fraction(3) ** bin(m).count("1") for m in masks}
-    else:
-        table = {m: Fraction(overrides[m]) for m in masks}
-    for m, c in table.items():
+        overrides = {m: 3 ** bin(m).count("1") for m in masks}
+    table = {m: Fraction(overrides[m]) for m in masks if m in overrides}
+    R = Realization(D, tuple(sorted(table.items())))
+    for m, c in R.weights:
         if c <= 0:
             raise RealizationError(f"weight of {D.vertex_names(m)} must be positive")
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if not is_compatible(D, a, b):
-                if table[a | b] <= table[a] + table[b]:
-                    raise RealizationError(
-                        "superadditivity fails on "
-                        f"{D.vertex_names(a)} / {D.vertex_names(b)}"
-                    )
-    return Realization(D, tuple(sorted(table.items())))
+    tubes, _pos, compatible, _vertices = _tube_table(D)  # D is compatible with every tube
+    w = R._scaled
+    failing = [(a, b) for i, a in enumerate(tubes) for j, b in enumerate(tubes)
+               if a < b and not compatible[i] >> j & 1 and w[a | b] <= w[a] + w[b]]
+    if failing:
+        a, b = min(failing)  # the first in increasing mask order
+        raise RealizationError(
+            f"superadditivity fails on {D.vertex_names(a)} / {D.vertex_names(b)}")
+    return R
 
 
 def vertex_coordinates(R: Realization, F: NestedSet) -> tuple[Fraction, ...]:
@@ -84,30 +90,32 @@ def vertex_coordinates(R: Realization, F: NestedSet) -> tuple[Fraction, ...]:
     """
     if not F.is_maximal():
         raise DiagramError("vertex coordinates need a maximal nested set")
-    D = R.diagram
-    t = [Fraction(0)] * D.n
-    for B in F.elements:  # elements sorted by size: children come first
-        alpha = F.alpha_set(B)
-        inner = F.inner_union(B)
-        t[next(bits(alpha))] = R.weight(B) - (R.weight(inner) if inner else Fraction(0))
-    return tuple(t)
+    return tuple(Fraction(t, R._scale) for t in _scaled_vertex(R, F.elements))
+
+
+def _scaled_vertex(R: Realization, elements) -> list[int]:
+    """``_scale`` times the ``vertex_coordinates`` of these elements, given smallest first."""
+    t, covered, w = [0] * R.diagram.n, 0, R._scaled
+    for B in elements:  # the elements before B that meet it lie inside it
+        alpha = B & ~covered
+        if alpha.bit_count() != 1:
+            raise InvariantError(f"{R.diagram.vertex_names(B)} has no single alpha vertex")
+        t[alpha.bit_length() - 1] = w[B] - sum(t[k] for k in bits(B & covered))
+        covered |= B
+    return t
 
 
 # ---------------------------------------------------------------------------
 # certified feasibility
 
 
-def _check_vertex_witness(R: Realization, Bs) -> None:
-    """Extend the compatible family Bs to a vertex and check it lies on the face."""
-    D = R.diagram
-    chosen = set(Bs) | {D.full}
-    for m in connected_subdiagrams(D):
-        if all(is_compatible(D, m, c) for c in chosen):
-            chosen.add(m)
-    t = vertex_coordinates(R, NestedSet.make(D, chosen))
-    for B in connected_subdiagrams(D):
-        s, c = sum(t[k] for k in bits(B)), R.weight(B)
-        if s < c or (s != c and (B == D.full or B in Bs)):
+def _check_vertex_witness(R: Realization, Bs, t: list[int]) -> None:
+    """Check that the scaled point t meets every tube constraint, with equality on D and on Bs."""
+    D, w, tight = R.diagram, R._scaled, {R.diagram.full, *Bs}
+    tubes, _pos, _compatible, vertices = _tube_table(D)
+    for B, vs in zip((D.full,) + tubes, (range(D.n),) + vertices):
+        s = sum(map(t.__getitem__, vs))
+        if s < w[B] or (s != w[B] and B in tight):
             raise InvariantError(f"vertex witness fails the constraint of {D.vertex_names(B)}")
 
 
@@ -142,25 +150,29 @@ def is_face_nonempty(R: Realization, Bs, cross_check: bool = False) -> bool:
     since the certificate is always checked.
     """
     D = R.diagram
-    Bs = list(Bs)
+    tubes, pos, compatible, _vertices = _tube_table(D)
+    Bs, allowed = list(Bs), (1 << len(tubes)) - 1
     for B in Bs:
-        if B == 0 or B == D.full or not is_connected(D, B):
+        if B not in pos:
+            D.check_subset(B)
             raise DiagramError("face hyperplanes need proper connected subdiagrams")
+        allowed &= compatible[pos[B]]
     for i, a in enumerate(Bs):
         for b in Bs[i + 1:]:
-            if not is_compatible(D, a, b):
+            if not compatible[pos[a]] >> pos[b] & 1:
                 _check_farkas(R, a, b)
                 return False
-    _check_vertex_witness(R, Bs)
+    free = allowed  # the witness: Bs and, in table order, each tube compatible with all chosen
+    while free:
+        low = free & -free
+        allowed &= compatible[low.bit_length() - 1]
+        free = allowed & -(low << 1)
+    _check_vertex_witness(R, Bs, _scaled_vertex(R, [tubes[i] for i in bits(allowed)] + [D.full]))
     return True
 
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q)
 
 
 def export_polytope(R: Realization) -> dict:
@@ -171,20 +183,12 @@ def export_polytope(R: Realization) -> dict:
     coordinate strings).
     """
     D = R.diagram
-    verts = [
-        {
-            "face": F.vertex_lists(),
-            "coords": [_fmt(c) for c in vertex_coordinates(R, F)],
-        }
-        for F in maximal_nested_sets(D)
-    ]
+    verts = [{"face": F.vertex_lists(), "coords": [str(c) for c in vertex_coordinates(R, F)]}
+             for F in maximal_nested_sets(D)]
     hrep = {
-        "equality": {"B": list(D.names), "rhs": _fmt(R.weight(D.full))},
-        "inequalities": [
-            {"B": D.vertex_names(B), "rhs": _fmt(R.weight(B))}
-            for B in connected_subdiagrams(D)
-            if B != D.full
-        ],
+        "equality": {"B": list(D.names), "rhs": str(R.weight(D.full))},
+        "inequalities": [{"B": D.vertex_names(B), "rhs": str(R.weight(B))}
+                         for B in connected_subdiagrams(D) if B != D.full],
     }
     doc = {"vertices": verts, "h_representation": hrep}
     off = off_text(R)
@@ -205,16 +209,12 @@ def off_text(R: Realization) -> str | None:
         return None
     mns = maximal_nested_sets(D)
     index = {F.elements: i for i, F in enumerate(mns)}
-    polygons = []
-    if dim == 2:
-        polygons.append([index[F.elements] for F in boundary_cycle(D, NestedSet.make(D, [D.full]))])
-    elif dim == 3:
-        for H in faces(D, 2):
-            polygons.append([index[F.elements] for F in boundary_cycle(D, H)])
+    # the 2-faces; a polygon's one 2-face is D itself
+    polygons = [[index[F.elements] for F in boundary_cycle(D, H)]
+                for H in (faces(D, 2) if dim >= 2 else ())]
     lines = ["OFF", f"{len(mns)} {len(polygons)} 0"]
     for F in mns:
-        coords = list(vertex_coordinates(R, F))[: max(D.n - 1, 1)]
-        coords += [Fraction(0)] * (3 - len(coords))
+        coords = (list(vertex_coordinates(R, F))[: max(D.n - 1, 1)] + [0, 0])[:3]
         lines.append(" ".join(str(float(c)) for c in coords))
     for poly in polygons:
         lines.append(" ".join([str(len(poly))] + [str(i) for i in poly]))

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from graphassoc import diagram, nested, polytope
 from graphassoc.diagram import Diagram, DiagramError, InvariantError, is_compatible
 from graphassoc.nested import NestedSet, connected_subdiagrams, maximal_nested_sets
 from graphassoc.polytope import (
     Realization,
     RealizationError,
+    _check_vertex_witness,
+    _scaled_vertex,
     export_polytope,
     is_face_nonempty,
     make_realization,
@@ -70,6 +74,21 @@ def test_weights_must_be_positive():
     D = Diagram.from_edges("x")
     with pytest.raises(RealizationError):
         make_realization(D, {1: Fraction(0)})
+
+
+def test_missing_weight_is_a_realization_error():
+    with pytest.raises(RealizationError, match=r"no weight for \['2'\]"):
+        make_realization(P3, {1: 3})
+    table = {m: Fraction(3) ** bin(m).count("1") for m in connected_subdiagrams(P3)}
+    del table[0b011]
+    with pytest.raises(RealizationError, match=r"no weight for \['1', '2'\]"):
+        Realization(P3, tuple(sorted(table.items())))
+
+
+def mixed_denominators(D):
+    """Superadditive weights 3^|B| + 1/d with d cycling through 2, 3 and 7."""
+    return {m: 3 ** bin(m).count("1") + Fraction(1, (2, 3, 7)[m % 3])
+            for m in connected_subdiagrams(D)}
 
 
 # -- vertex coordinates ---------------------------------------------------------
@@ -149,6 +168,39 @@ def test_feasibility_one_hyperplane_on_six_and_seven_vertices(D):
         assert not is_face_nonempty(R, [0b011, 0b110])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scaled_integer_weights_with_mixed_denominators(n):
+    """Weights with denominators 2, 3 and 7: verdicts follow compatibility, and
+    every vertex is tight exactly on its nested set, summed in Fractions."""
+    for D in connected_reps(n):
+        R = make_realization(D, mixed_denominators(D))
+        assert R._scale == (3 if n == 1 else 42)
+        proper = [m for m in connected_subdiagrams(D) if m != D.full]
+        for r in range(1, 4):
+            for Bs in itertools.combinations(proper, r):
+                compat = all(is_compatible(D, a, b) for a, b in itertools.combinations(Bs, 2))
+                assert is_face_nonempty(R, Bs) == compat
+        for F in maximal_nested_sets(D):
+            t = vertex_coordinates(R, F)
+            assert all(type(x) is Fraction for x in t)
+            for B in connected_subdiagrams(D):
+                s = tsum(t, B, D.n)
+                assert s == R.weight(B) if B in F.elements else s > R.weight(B)
+
+
+def test_feasibility_makes_no_pairwise_compatibility_calls(monkeypatch):
+    D = complete_diagram(5)
+    R = make_realization(D)
+    proper = [m for m in connected_subdiagrams(D) if m != D.full]
+    calls = []
+    for module in (diagram, nested, polytope):
+        if hasattr(module, "is_compatible"):
+            monkeypatch.setattr(module, "is_compatible", lambda *args: calls.append(args))
+    verdicts = [is_face_nonempty(R, Bs) for Bs in itertools.combinations(proper[::3], 2)]
+    assert True in verdicts and False in verdicts
+    assert calls == []
+
+
 def test_feasibility_certificate_rejects_broken_weights():
     table = {m: Fraction(3) ** bin(m).count("1") for m in connected_subdiagrams(P3)}
     table[P3.full] = Fraction(5)  # c(D) < c({1,2}) + c({2,3}) - c({2})
@@ -157,6 +209,83 @@ def test_feasibility_certificate_rejects_broken_weights():
         is_face_nonempty(R, [0b011, 0b110])
     with pytest.raises(InvariantError):
         is_face_nonempty(R, [0b001])
+
+
+def test_feasibility_certificate_rejects_broken_fractional_weights():
+    table = {m: Fraction(7, 2) ** bin(m).count("1") for m in connected_subdiagrams(P3)}
+    table[P3.full] = Fraction(5, 3)  # Farkas gap 5/3 + 7/2 - 49/4 - 49/4 < 0
+    R = Realization(P3, tuple(sorted(table.items())))
+    assert R._scale == 12
+    with pytest.raises(InvariantError, match="Farkas"):
+        is_face_nonempty(R, [0b011, 0b110])
+    with pytest.raises(InvariantError, match="vertex witness"):
+        is_face_nonempty(R, [0b001])
+
+
+@pytest.mark.parametrize("D", [path_diagram(4), cycle_diagram(4), complete_diagram(4)],
+                         ids=["P4", "C4", "K4"])
+def test_vertex_certificate_checks_every_tube(D):
+    """Raising c(X) above c(D) breaks only X's constraint at any witness on a
+    vertex next to X, which the witness cannot contain: the check must see it."""
+    default = make_realization(D)
+    for X in connected_subdiagrams(D):
+        if X == D.full:
+            continue
+        table = dict(default.weights)
+        table[X] = table[D.full] + 1
+        R = Realization(D, tuple(sorted(table.items())))
+        Y = D.neighbors(X) & -D.neighbors(X)
+        with pytest.raises(InvariantError, match="vertex witness"):
+            is_face_nonempty(R, [Y])
+
+
+def test_vertex_certificate_requires_equality_on_the_face():
+    D = path_diagram(4)
+    R = make_realization(D, mixed_denominators(D))
+    for F in maximal_nested_sets(D):
+        t = _scaled_vertex(R, F.elements)
+        _check_vertex_witness(R, [], t)
+        for B in connected_subdiagrams(D):
+            if B == D.full:
+                continue
+            if B in F.elements:
+                _check_vertex_witness(R, [B], t)
+            else:
+                with pytest.raises(InvariantError):
+                    _check_vertex_witness(R, [B], t)
+        for k in range(D.n):  # off the hyperplane of D, inside every other half-space
+            raised = list(t)
+            raised[k] += 1
+            with pytest.raises(InvariantError):
+                _check_vertex_witness(R, [], raised)
+        # one scaled unit moved off a singleton of F: on D, one unit short on {k}
+        k = next(B for B in F.elements if B & (B - 1) == 0).bit_length() - 1
+        moved = list(t)
+        moved[k] -= 1
+        moved[(k + 1) % D.n] += 1
+        with pytest.raises(InvariantError):
+            _check_vertex_witness(R, [], moved)
+
+
+def test_witness_needs_one_alpha_vertex_per_element():
+    R = make_realization(P3)
+    for elements in ([P3.full], [0b001, 0b011, 0b011, P3.full], [0b010, P3.full]):
+        with pytest.raises(InvariantError, match="alpha"):
+            _scaled_vertex(R, elements)
+
+
+def test_feasibility_error_messages_are_pinned():
+    R = make_realization(P3)
+    messages = {
+        0: "face hyperplanes need proper connected subdiagrams",
+        P3.full: "face hyperplanes need proper connected subdiagrams",
+        0b101: "face hyperplanes need proper connected subdiagrams",
+        1 << P3.n: "mask 0x8 is not a subset of the vertex set",
+    }
+    for mask, message in messages.items():
+        with pytest.raises(DiagramError) as info:
+            is_face_nonempty(R, [0b001, mask])
+        assert type(info.value) is DiagramError and str(info.value) == message
 
 
 # -- exports ------------------------------------------------------------------------
@@ -198,6 +327,36 @@ def test_off_three_dimensional_and_refused_above():
     n_verts, n_faces, _ = map(int, lines[1].split())
     assert n_verts == 14 and n_faces == 9  # 3D associahedron: 14 vertices, 9 facets
     assert off_text(make_realization(path_diagram(5))) is None
+
+
+# sha256 of json.dumps(export_polytope(R)) and of off_text(R) (None above three dimensions)
+EXPORT_DIGESTS = [
+    ("P4", path_diagram(4), None,
+     "a252b1f709912e3ca61cf84a197fce3bf9ea52cb73b8ac51d1b2317a87baede9",
+     "3b836bc9230e55f3235ff7e9158ba401ab728f7c36ca9e9756a3e7454a5d9152"),
+    ("C4", cycle_diagram(4), None,
+     "a39a8a2975cc5aff5f2a0d2c1b604aebd4fb500a54675037764fe9c1bf7ee1dd",
+     "88a5352c719d7a4598485f90491f9422741ba16045e8a9bf969538f668feb796"),
+    ("K4", complete_diagram(4), None,
+     "30a4ec6eaab64171a304d143388bb4c0624aa356f1c76ffa2fb472441b83c94e",
+     "39d40eb7e555f6d683d2cce9d7a5ca35713b0ff62def5d0ccd908ead8334603f"),
+    ("K5", complete_diagram(5), None,
+     "f1ff8946be406c7aaebede94c400490b21352289e03e6180e38a280b28310806", None),
+    ("P6", path_diagram(6), None,
+     "4a1ed0fd42a77061034f1425297b0e9eddac977862d6266d386f17952f188517", None),
+    ("P3-7/2", P3, {m: Fraction(7, 2) ** bin(m).count("1") for m in connected_subdiagrams(P3)},
+     "6432657447e3aee26069d112a98e8191aae1bbd059dc754d31fbb1cb1564da02",
+     "46c2687ae5918795cdd13ce41b899ab540cd661b072dcfe441972476f4895624"),
+]
+
+
+@pytest.mark.parametrize("name, D, overrides, export_digest, off_digest", EXPORT_DIGESTS,
+                         ids=[row[0] for row in EXPORT_DIGESTS])
+def test_export_bytes_are_pinned(name, D, overrides, export_digest, off_digest):
+    R = make_realization(D, overrides)
+    assert hashlib.sha256(json.dumps(export_polytope(R)).encode()).hexdigest() == export_digest
+    off = off_text(R)
+    assert (off and hashlib.sha256(off.encode()).hexdigest()) == off_digest
 
 
 def test_off_point_and_segment():
