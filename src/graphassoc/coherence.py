@@ -147,17 +147,26 @@ def support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     For elementary pairs this is the unique unsaturated element of the
     intersection, which is re-derived as a cross-check.
     """
+    return _support(D, F, G)[0]
+
+
+def _support(D: Diagram, F: NestedSet, G: NestedSet) -> tuple[int, list[int]]:
+    """``(supp, delta)``: the support of a pair, cross-checked, and its symmetric difference."""
     _check_maximal(F)
     _check_maximal(G)
+    delta = symmetric_difference(F, G)
     supp = 0
-    for m in symmetric_difference(F, G):
+    for m in delta:
         supp |= m
     if is_elementary(F, G):
-        meet = NestedSet.make(D, set(F.elements) & set(G.elements))
-        unsat = meet.unsaturated()
-        if len(unsat) != 1 or unsat[0][0] != supp:
-            raise InvariantError("support disagrees with the unsaturated element of the meet")
-    return supp
+        _check_meet(NestedSet.make(D, set(F.elements) & set(G.elements)), supp)
+    return supp, delta
+
+
+def _check_meet(meet: NestedSet, supp: int) -> None:
+    unsat = meet.unsaturated()
+    if len(unsat) != 1 or unsat[0][0] != supp:
+        raise InvariantError("support disagrees with the unsaturated element of the meet")
 
 
 def kappa(D: Diagram, collection) -> list[int]:
@@ -181,12 +190,7 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     support with {v} in kappa, and {v} is in kappa exactly when v is not a
     neighbour of any member C: the support minus ``D.neighbors(C)``.
     """
-    _check_maximal(F)
-    _check_maximal(G)
-    delta = symmetric_difference(F, G)
-    if not delta:
-        return 0
-    return _minus_neighbours(D, support(D, F, G), delta)
+    return _minus_neighbours(D, *_support(D, F, G))
 
 
 def _minus_neighbours(D: Diagram, supp: int, delta) -> int:
@@ -207,8 +211,7 @@ class PairSupport(Value):
 
 
 def pair_support(D: Diagram, F: NestedSet, G: NestedSet) -> PairSupport:
-    delta = symmetric_difference(F, G)
-    supp = support(D, F, G)
+    supp, delta = _support(D, F, G)
     return PairSupport((F, G), tuple(delta), supp, _minus_neighbours(D, supp, delta))
 
 
@@ -291,10 +294,8 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
         raise DiagramError("not a maximal nested set of D")
     parent = {start: None}
     queue = deque([start])
-    while queue:
+    while queue and goal not in parent:  # parent[goal] is final once discovered
         cur = queue.popleft()
-        if cur == goal:
-            break
         for j, dropped in zip(nbrs[cur], drops[cur]):
             if dropped not in meet and j not in parent:
                 parent[j] = cur
@@ -336,24 +337,32 @@ def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     """Raise unless ``seq`` satisfies every clause required of a good sequence.
 
     A step's support is computed, with its cross-check, the first time
-    its edge is seen, and kept with D's cached 1-skeleton.
+    its edge is seen, and kept with D's cached 1-skeleton.  A step
+    between two enumerated vertices skips re-validating the meet, a
+    subfamily of a nested set, but not the cross-check.
     """
     if seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
     meet = set(F.elements) & set(G.elements)
-    supp_fg = support(D, F, G)
-    zcomps = components(D, _minus_neighbours(D, supp_fg, symmetric_difference(F, G)))
-    steps = _skeleton(D)[-1]
+    supp_fg, delta = _support(D, F, G)
+    zcomps = components(D, _minus_neighbours(D, supp_fg, delta))
+    _verts, index, _nbrs, _drops, steps = _skeleton(D)
     for H, K in zip(seq, seq[1:]):
-        if not is_elementary(H, K):
+        hs, ks = set(H.elements), set(K.elements)
+        if len(hs - ks) != 1:
             raise DiagramError("non-elementary step")
-        if not meet <= (set(H.elements) & set(K.elements)):
+        if not meet <= hs & ks:
             raise DiagramError("step loses the intersection")
         edge = (H.elements, K.elements) if H.elements < K.elements else (K.elements, H.elements)
         found = steps.get(edge)
         if found is None:
-            supp = support(D, H, K)
-            found = steps[edge] = supp, _minus_neighbours(D, supp, symmetric_difference(H, K))
+            if H.elements in index and K.elements in index:
+                delta = b, c = hs ^ ks
+                supp = b | c
+                _check_meet(NestedSet(D, tuple(m for m in H.elements if m in ks)), supp)
+            else:
+                supp, delta = _support(D, H, K)
+            found = steps[edge] = supp, _minus_neighbours(D, supp, delta)
         supp_step, zsupp_step = found
         if supp_step & ~supp_fg:
             raise DiagramError("step support leaves supp(F, G)")

@@ -108,15 +108,18 @@ class Diagram(Value):
     each edge as ``((i, j), label)`` with ``i < j``.  Labels of declared
     edges are at least 3 (or ``INFINITY``); non-edges are implicitly 2.
 
-    The hash is computed once here: every cache keyed on a diagram
-    looks it up.
+    The hash, ``n`` and ``full`` are computed once here: every cache
+    keyed on a diagram looks the hash up, and the nested-set code reads
+    the other two in its inner loops.
     """
 
     names: tuple[str, ...]
     adj: tuple[int, ...]
     edge_labels: tuple[tuple[tuple[int, int], float], ...]
     _fields = ("names", "adj", "edge_labels")
-    __slots__ = _fields + ("_labels", "_hash")
+    n: int
+    full: int  # bitmask of the whole vertex set
+    __slots__ = _fields + ("_labels", "_hash", "n", "full")
 
     def __init__(self, names, adj, edge_labels=()):
         set_field = object.__setattr__
@@ -146,6 +149,8 @@ class Diagram(Value):
                 raise DiagramError(f"edge label {label} must be >= 3 or infinity")
         set_field(self, "_labels", dict(edge_labels))
         set_field(self, "_hash", hash((names, adj, edge_labels)))
+        set_field(self, "n", len(names))
+        set_field(self, "full", (1 << len(names)) - 1)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -177,15 +182,6 @@ class Diagram(Value):
             adj[j] |= 1 << i
         ordered = tuple(sorted(labels.items()))
         return Diagram(names, tuple(adj), ordered)
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full(self) -> int:
-        """Bitmask of the whole vertex set."""
-        return (1 << self.n) - 1
 
     def index(self, name: str) -> int:
         try:

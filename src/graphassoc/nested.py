@@ -274,22 +274,23 @@ def _skeleton(D: Diagram):
     (``coherence`` keeps each step's supports there).
 
     Each (n-1)-element nested set, an edge, lies in exactly two vertices.
+    It is keyed by the bitmask of its proper tubes' ``_tube_table``
+    positions: a vertex's key with the dropped tube's bit cleared.
     """
     verts = maximal_nested_sets(D)
+    bit = {B: 1 << i for B, i in _tube_table(D)[1].items()}
     ends = {}
     for i, F in enumerate(verts):
-        for B in F.elements:
-            if B != D.full:
-                ends.setdefault(tuple(m for m in F.elements if m != B), []).extend((i, B))
+        tubes = F.elements[:-1]  # D itself, the largest element, comes last
+        key = sum(map(bit.__getitem__, tubes))
+        for B in tubes:
+            ends.setdefault(key ^ bit[B], []).extend((i, B))
     rows = [[] for _ in verts]
     for i, B, j, C in ends.values():
         rows[i].append((j, B))
         rows[j].append((i, C))
-    del ends  # its keys, one tuple per edge, are most of the build's peak memory
-    for row in rows:
-        row.sort()
-    nbrs = [tuple(j for j, _B in row) for row in rows]
-    drops = [tuple(B for _j, B in row) for row in rows]
+    # each row in neighbour order, split into the neighbours and the tubes dropped (none on P1)
+    nbrs, drops = zip(*(tuple(zip(*sorted(row))) or ((), ()) for row in rows))
     return verts, {F.elements: i for i, F in enumerate(verts)}, nbrs, drops, {}
 
 

@@ -313,7 +313,20 @@ def test_diagrams_are_immutable_values():
     for clone in (pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D)):
         assert clone == D and hash(clone) == hash(D)
         assert clone.label(0, 1) == 4
+        assert (clone.n, clone.full) == (3, 0b111)
     with pytest.raises(AttributeError):
         D.names = ("x", "y", "z")
     with pytest.raises(AttributeError):
         del D.adj
+    # n and full are held in slots, not fields: they stay out of repr, hash and pickle
+    for name in ("n", "full"):
+        with pytest.raises(AttributeError):
+            setattr(D, name, 4)
+        with pytest.raises(AttributeError):
+            delattr(D, name)
+    assert (D.n, D.full) == (3, 0b111)
+    assert repr(D) == (
+        "Diagram(names=('a', 'b', 'c'), adj=(2, 5, 2), edge_labels=(((0, 1), 4), ((1, 2), inf)))"
+    )
+    assert hash(D) == hash((D.names, D.adj, D.edge_labels))
+    assert D.__reduce__() == (Diagram, (D.names, D.adj, D.edge_labels))

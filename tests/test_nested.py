@@ -17,6 +17,7 @@ from graphassoc.nested import (
     NestedSet,
     TwoFace,
     _nested_families,
+    _skeleton,
     all_nested_sets,
     classify_two_face,
     boundary_cycle,
@@ -276,6 +277,19 @@ def test_edge_graph_matches_pairwise_definition():
             if len(set(F.elements) - set(verts[j].elements)) == 1
         ]
         assert edges == expected
+
+
+def test_skeleton_rows_match_pairwise_definition():
+    """Each cached row lists the neighbours in ascending order with the tube each step drops."""
+    diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
+    for D in diagrams + [cycle_diagram(6), path_diagram(6), complete_diagram(5)]:
+        verts, index, nbrs, drops, _steps = _skeleton(D)
+        assert verts == maximal_nested_sets(D)
+        assert index == {F.elements: i for i, F in enumerate(verts)}
+        sets = [set(F.elements) for F in verts]
+        for i, s in enumerate(sets):
+            assert list(nbrs[i]) == [j for j, t in enumerate(sets) if len(s - t) == 1], D.names
+            assert [{B} for B in drops[i]] == [s - sets[j] for j in nbrs[i]]
 
 
 def test_edge_graph_connected():

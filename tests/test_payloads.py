@@ -89,3 +89,23 @@ def test_presentation_and_two_face_payloads_are_pinned():
             for doc in (coherence.presentation_json(D), nested.two_faces_json(D))
         ]
         assert found == [presentation, twofaces], D.names
+
+
+# sha256 of json.dumps of [sequence_json, support_json] over 200 pairs drawn with random.Random(0)
+PAIR_DIGESTS = [
+    (path_diagram(6), "f0c1ba5ed78708ec727046e7d8c09a78f30428677824a6265fdd7798e585a575"),
+    (cycle_diagram(6), "76c14e452c47d82390d2a0fad4dc9ba1514da98cc8c7b508c4fd26eeda062d94"),
+    (complete_diagram(5), "34a9e0cd004fe79ccc9ec81a96d5c8eeb43275d8020fe2caad522d25373acb29"),
+    (star_diagram(4), "2879e9a5639a3b7ca672ef3abd8dd22f26f79607e07c0a87de2c52845acf9a04"),
+]
+
+
+def test_pair_payloads_are_pinned():
+    for D, digest in PAIR_DIGESTS:
+        verts = nested.maximal_nested_sets(D)
+        rng = random.Random(0)
+        docs = []
+        for _ in range(200):
+            F, G = verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]
+            docs.append([coherence.sequence_json(D, F, G), coherence.support_json(D, F, G)])
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == digest, D.names
