@@ -336,10 +336,10 @@ def transport_good_sequence(D: Diagram, seq, F2: NestedSet, G2: NestedSet) -> li
 def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     """Raise unless ``seq`` satisfies every clause required of a good sequence.
 
-    A step's support is computed, with its cross-check, the first time
-    its edge is seen, and kept with D's cached 1-skeleton.  A step
-    between two enumerated vertices skips re-validating the meet, a
-    subfamily of a nested set, but not the cross-check.
+    Every step must join two enumerated vertices of D, so its meet is a
+    subfamily of a nested set and needs no re-validation.  A step's
+    support is computed, with its cross-check, the first time its edge
+    is seen, and kept with D's cached 1-skeleton.
     """
     if seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
@@ -356,12 +356,11 @@ def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
         edge = (H.elements, K.elements) if H.elements < K.elements else (K.elements, H.elements)
         found = steps.get(edge)
         if found is None:
-            if H.elements in index and K.elements in index:
-                delta = b, c = hs ^ ks
-                supp = b | c
-                _check_meet(NestedSet(D, tuple(m for m in H.elements if m in ks)), supp)
-            else:
-                supp, delta = _support(D, H, K)
+            if H.elements not in index or K.elements not in index:
+                raise DiagramError("not a maximal nested set of D")
+            delta = b, c = hs ^ ks
+            supp = b | c
+            _check_meet(NestedSet(D, tuple(m for m in H.elements if m in ks)), supp)
             found = steps[edge] = supp, _minus_neighbours(D, supp, delta)
         supp_step, zsupp_step = found
         if supp_step & ~supp_fg:

@@ -369,17 +369,15 @@ def test_edge_cache_never_skips_the_support_cross_check(monkeypatch):
         good_elementary_sequence(P4, F, G)
 
 
-def test_only_enumerated_steps_skip_validating_the_meet():
-    """A step through a family that is not a vertex of D re-validates its meet."""
-    coherence._skeleton.cache_clear()
+def test_steps_must_join_enumerated_vertices():
+    """A step through a family that is not a vertex of D is refused before its meet is read."""
     F, G = ns(P3, [0, 1], [0]), ns(P3, [1, 2], [2])
     bogus = NestedSet(P3, (0b001, 0b110, 0b111))  # {0} and {1, 2} are adjacent: not nested
-    with pytest.raises(DiagramError):
-        validate_good_sequence(P3, F, G, [F, bogus, G])
-    # every meet here passes the unsaturated cross-check; only validation sees {0, 2}
+    # every meet of [F, X, Y, G] passes the unsaturated cross-check; X and Y hold the disconnected {0, 2}
     X, Y = NestedSet(P3, (0b001, 0b101, 0b111)), NestedSet(P3, (0b100, 0b101, 0b111))
-    with pytest.raises(DiagramError, match="not connected"):
-        validate_good_sequence(P3, F, G, [F, X, Y, G])
+    for seq in ([F, bogus, G], [F, X, Y, G]):
+        with pytest.raises(DiagramError, match="not a maximal nested set of D"):
+            validate_good_sequence(P3, F, G, seq)
 
 
 # -- relation words ----------------------------------------------------------------

@@ -268,25 +268,17 @@ def test_edge_graph_examples():
 
 
 def test_edge_graph_matches_pairwise_definition():
-    for D in connected_reps(4) + (cycle_diagram(5), complete_diagram(4)):
-        verts, edges = edge_graph(D)
-        expected = [
-            (i, j)
-            for i, F in enumerate(verts)
-            for j in range(i + 1, len(verts))
-            if len(set(F.elements) - set(verts[j].elements)) == 1
-        ]
-        assert edges == expected
-
-
-def test_skeleton_rows_match_pairwise_definition():
-    """Each cached row lists the neighbours in ascending order with the tube each step drops."""
+    """Edges and cached rows follow the pairwise definition; each row ascends with its dropped tubes."""
     diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
     for D in diagrams + [cycle_diagram(6), path_diagram(6), complete_diagram(5)]:
-        verts, index, nbrs, drops, _steps = _skeleton(D)
-        assert verts == maximal_nested_sets(D)
+        verts, edges = edge_graph(D)
+        skel_verts, index, nbrs, drops, _steps = _skeleton(D)
+        assert skel_verts == verts == maximal_nested_sets(D)
         assert index == {F.elements: i for i, F in enumerate(verts)}
         sets = [set(F.elements) for F in verts]
+        n = len(sets)
+        expected = [(i, j) for i in range(n) for j in range(i + 1, n) if len(sets[i] - sets[j]) == 1]
+        assert edges == expected, D.names
         for i, s in enumerate(sets):
             assert list(nbrs[i]) == [j for j, t in enumerate(sets) if len(s - t) == 1], D.names
             assert [{B} for B in drops[i]] == [s - sets[j] for j in nbrs[i]]
