@@ -4,14 +4,18 @@
 For every connected diagram up to the requested size (one representative
 per isomorphism class), computes the integer homology of the oriented
 nested-set complex and reports cell counts, Euler characteristic and
-Betti numbers.  Every line should end in 'acyclic'; the exit status is
-1 if any line is 'UNEXPECTED', so the sweep can serve as a check.
+Betti numbers, and whether ``verify_chain_map`` proves that g embeds the
+Dynkin complex with constant coefficients in the cellular cochains
+(``chainmap=ok`` or ``chainmap=FAILED``).  Every line should end in
+'acyclic'; a failed proof makes the line 'UNEXPECTED' too, and the exit
+status is 1 if any line is 'UNEXPECTED', so the sweep can serve as a check.
 
 Usage: python scripts/acyclicity_sweep.py [max_n]
 """
 
 import sys
 
+from graphassoc.dynkin import ConstantCoefficients, verify_chain_map
 from graphassoc.families import connected_reps
 from graphassoc.homology import chain_basis, homology
 
@@ -26,16 +30,17 @@ def main():
             H = homology(D)
             betti = [b for b, _ in H]
             torsion_free = all(not t for _, t in H)
+            chainmap = bool(verify_chain_map(D, ConstantCoefficients(), 1))
             verdict = (
                 "acyclic"
-                if betti[0] == 1 and all(b == 0 for b in betti[1:]) and torsion_free
+                if betti[0] == 1 and all(b == 0 for b in betti[1:]) and torsion_free and chainmap
                 else "UNEXPECTED"
             )
             unexpected += verdict == "UNEXPECTED"
             edges = sum(bin(a).count("1") for a in D.adj) // 2
             print(
                 f"n={n} edges={edges:<2} cells={counts} euler={euler} "
-                f"betti={betti} {verdict}"
+                f"betti={betti} chainmap={'ok' if chainmap else 'FAILED'} {verdict}"
             )
     return 1 if unexpected else 0
 

@@ -224,6 +224,14 @@ MALFORMED_COEFFS = {
     "negative-dim": ({"ambient_dim": -1, "subspaces": []}, "ambient_dim -1 is negative"),
     "s-outside-b": ({"ambient_dim": 1, "subspaces": [{"B": ["1"], "S": ["2"], "basis": [["1"]]}]},
                     "M(B, S) at vertex positions B=[0], S=[1] has S outside B"),
+    "basis-missing": ({"ambient_dim": 1, "subspaces": [{"B": ["1", "2", "3"], "S": ["1"]}]},
+                      f"basis of {AT_P3} is not a list of vectors"),
+    "pair-listed-twice": ({"ambient_dim": 1, "subspaces": [
+        _p3_entry([["1"]]), {"B": ["3", "2", "1"], "S": ["1"], "basis": []}]},
+        f"{AT_P3} is listed twice"),
+    # well-formed, but M(D, {1}) = 0 breaks the inclusions into the slot (D, (2, 3))
+    "inclusion-broken": ({"ambient_dim": 1, "subspaces": [_p3_entry([])]},
+                         "subspace inclusion fails at slot B=['1', '2', '3'], alpha=['2', '3']"),
 }
 
 

@@ -286,6 +286,44 @@ def test_coefficient_json_roundtrip():
             assert subspace_leq(M2.subspace(B, S), M.subspace(B, S))
 
 
+def test_validate_fails_exactly_where_the_differential_does():
+    """Tables with one or two entries replaced: ``validate`` and the differential agree."""
+    rng = random.Random(31)
+    passed = failed = 0
+    for n in range(1, 5):
+        for D in connected_reps(n):
+            for _ in range(6):
+                table = dict(random_coefficient_system(D, 2, rng).table)
+                for key in rng.sample(sorted(table), min(len(table), rng.choice((1, 2)))):
+                    table[key] = tuple(
+                        tuple(Fraction(rng.randint(-1, 1)) for _ in range(2))
+                        for _ in range(rng.randint(0, 1))
+                    )
+                M = MatrixCoefficients(2, table)
+                messages = []
+                for check in (M.validate, lambda D: dynkin_cohomology(D, M)):
+                    try:
+                        check(D)
+                        messages.append(None)
+                    except CoefficientError as err:
+                        messages.append(str(err))
+                assert messages[0] == messages[1], (D, table)
+                passed += messages[0] is None
+                failed += messages[0] is not None
+    assert passed and failed
+
+
+def test_coefficient_json_rejects_a_missing_basis_and_a_repeated_pair():
+    entry = {"B": ["1", "2"], "S": ["1"]}
+    with pytest.raises(CoefficientError) as err:
+        MatrixCoefficients.from_json(P2, {"ambient_dim": 1, "subspaces": [entry]})
+    assert str(err.value) == "basis of M(B, S) at B=['1', '2'], S=['1'] is not a list of vectors"
+    twice = [dict(entry, basis=[["1"]]), {"B": ["2", "1"], "S": ["1"], "basis": []}]
+    with pytest.raises(CoefficientError) as err:
+        MatrixCoefficients.from_json(P2, {"ambient_dim": 1, "subspaces": twice})
+    assert str(err.value) == "M(B, S) at B=['1', '2'], S=['1'] is listed twice"
+
+
 def test_random_systems_are_monotone():
     rng = random.Random(12)
     M = random_coefficient_system(C3, 4, rng)
@@ -345,6 +383,53 @@ def test_chain_map_detects_corruption():
     report = verify_chain_map(P3, CONST, 5, dynkin_diff=corrupted)
     assert not report
     assert any("degree 1" in msg for msg in report.failures)
+
+
+def _corrupted(mats, p, r, c):
+    """A ``dynkin_diff`` returning ``mats`` with 1 added to entry (r, c) of degree p."""
+    bad = [list(row) for row in mats[p]]
+    bad[r][c] += 1
+    return lambda D, M, q: bad if q == p else mats[q]
+
+
+@pytest.mark.parametrize("name, system", [("P4", "constant"), ("C4", "constant"), ("P4", "random")])
+def test_chain_map_reports_every_single_entry_corruption_at_its_degree(name, system):
+    D = PINNED_DIAGRAMS[name]
+    M = CONST if system == "constant" else random_coefficient_system(D, 2, random.Random(4))
+    mats = [dynkin_differential(D, M, p) for p in range(D.n)]
+    assert verify_chain_map(D, M, 1)
+    for p, m in enumerate(mats):
+        for r in range(len(m)):
+            for c in range(len(m[0])):
+                report = verify_chain_map(D, M, 1, dynkin_diff=_corrupted(mats, p, r, c))
+                assert report.failures == [f"chain-map identity fails at degree {p}"], (p, r, c)
+
+
+def test_chain_map_report_ignores_trials_and_rng():
+    mats = [dynkin_differential(P3, CONST, p) for p in range(P3.n)]
+    for p in range(P3.n):
+        reports = [
+            verify_chain_map(P3, CONST, trials, rng=rng, dynkin_diff=_corrupted(mats, p, 0, 0))
+            for trials in (1, 50)
+            for rng in (None, random.Random(3))
+        ]
+        assert all(report == reports[0] for report in reports)
+        assert reports[0].failures == [f"chain-map identity fails at degree {p}"]
+    with pytest.raises(DiagramError):
+        verify_chain_map(P3, CONST, 0)
+
+
+def test_chain_map_reports_a_basis_vector_g_kills(monkeypatch):
+    """An irreducible cell of another slot: g^2 seems to kill each row of the slot."""
+    from graphassoc import dynkin, nested
+
+    def swapped(D, B, alpha):
+        return nested.irreducible_cell(D, B, 0b110 if (B, alpha) == (D.full, 0b011) else alpha)
+
+    monkeypatch.setattr(dynkin, "irreducible_cell", swapped)
+    message = "g^2 kills the basis vector at B=['1', '2', '3'], alpha=['1', '2']"
+    assert verify_chain_map(P3, CONST, 1).failures == [message]
+    assert verify_chain_map(P3, MatrixCoefficients(2), 1).failures == [message, message]
 
 
 def test_image_characterization_clauses():

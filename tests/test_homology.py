@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from graphassoc._ratlinalg import columns, eliminate
 from graphassoc.diagram import DiagramError, component_containing, mask_of
+from graphassoc.dynkin import ChainMapReport
 from graphassoc.homology import (
     OrientedCell,
     boundary,
@@ -437,6 +438,12 @@ def test_acyclicity_sweep_exit_status(monkeypatch, capsys):
     spec.loader.exec_module(sweep)
     monkeypatch.setattr(sys, "argv", ["acyclicity_sweep.py", "3"])
     assert sweep.main() == 0
+    assert capsys.readouterr().out.count("chainmap=ok acyclic\n") == 4
+    proved = sweep.verify_chain_map
+    monkeypatch.setattr(sweep, "verify_chain_map", lambda *args: ChainMapReport(False, ["x"]))
+    assert sweep.main() == 1
+    assert capsys.readouterr().out.count("chainmap=FAILED UNEXPECTED\n") == 4
+    monkeypatch.setattr(sweep, "verify_chain_map", proved)
     monkeypatch.setattr(sweep, "homology", lambda D: [(1, [2])] + [(0, [])] * (D.n - 1))
     assert sweep.main() == 1
     assert "UNEXPECTED" in capsys.readouterr().out
