@@ -467,9 +467,14 @@ def dynkin_json(D: Diagram, M: CoefficientSystem) -> dict:
 
 
 def load_coefficients(D: Diagram, path: str | None) -> CoefficientSystem:
-    """CLI helper: read a coefficient-system JSON file, defaulting to Constant."""
+    """CLI helper: parse a coefficient-system JSON file, defaulting to Constant.
+
+    The system is not ``validate``d here: ``_cohomology`` builds each differential
+    once, in the same degree order, and raises a broken inclusion's
+    ``CoefficientError`` there.
+    """
     if path is None:
         return ConstantCoefficients()
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return MatrixCoefficients.from_json(D, doc).validate(D)
+    return MatrixCoefficients.from_json(D, doc)

@@ -203,28 +203,31 @@ def _tube_table(D: Diagram):
 
 @lru_cache(maxsize=None)
 def _nested_families(D: Diagram) -> tuple[NestedSet, ...]:
-    """Every nested set of D, ordered by cardinality, then canonically.
+    """Every nested set of D, ordered by cardinality, then by its elements' vertex lists.
 
-    Cliques of ``_tube_table`` grown in position order are sorted.
+    Cliques of ``_tube_table`` grow in position order, so a face's tubes come in
+    ``element_key`` order with D last.  Each tube is ranked once by its vertex list,
+    and each face carries the integer whose base-``radix`` digits are its tubes' ranks.
+    Faces of one cardinality have as many digits: sorting each cardinality's bucket
+    on these codes compares their vertex lists lexicographically.
     """
     if not is_connected(D, D.full):
         raise DiagramError("ambient diagram must be connected")
     tubes, _pos, compatible, vertices = _tube_table(D)
     later = [row >> i + 1 << i + 1 for i, row in enumerate(compatible)]  # compatible later tubes
-    out = []
+    rank = {i: r for r, i in enumerate(sorted(range(len(tubes)), key=vertices.__getitem__))}
+    radix, full, buckets = len(tubes) + 1, (D.full,), [{} for _ in range(D.n)]
 
-    def extend(chosen: tuple[int, ...], allowed: int):
-        out.append(NestedSet(D, chosen + (D.full,)))
+    def extend(chosen: tuple[int, ...], allowed: int, code: int):
+        buckets[len(chosen)][code] = chosen + full
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             i = low.bit_length() - 1
-            extend(chosen + (tubes[i],), allowed & later[i])
+            extend(chosen + (tubes[i],), allowed & later[i], code * radix + rank[i])
 
-    extend((), (1 << len(tubes)) - 1)
-    vertex_lists = dict(zip(tubes + (D.full,), vertices + (tuple(range(D.n)),)))
-    out.sort(key=lambda H: (len(H.elements), tuple(vertex_lists[m] for m in H.elements)))
-    return tuple(out)
+    extend((), (1 << len(tubes)) - 1, 0)
+    return tuple(NestedSet(D, bucket[code]) for bucket in buckets for code in sorted(bucket))
 
 
 def all_nested_sets(D: Diagram) -> tuple[NestedSet, ...]:

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+from graphassoc import dynkin
 from graphassoc.cli import fingerprint, main, parse_nested_set, run
 from graphassoc.diagram import parse_diagram
 from graphassoc.schemas import SCHEMAS
@@ -243,6 +245,22 @@ def test_malformed_coefficient_file_is_exit_1(tmp_path, p3_file, capsys, name):
     assert main(["dynkin", "--diagram", p3_file, "--coeffs", str(coeffs)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == message + "\n"
+
+
+def test_dynkin_coeffs_builds_each_differential_once(tmp_path, p3_file, capsys, monkeypatch):
+    D = parse_diagram(P3_TEXT)
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(dynkin.random_coefficient_system(D, 2, random.Random(0)).to_json(D)))
+    built, real = [], dynkin._differential_columns
+
+    def counted(D, src, dst):
+        built.append(src.degree)
+        return real(D, src, dst)
+
+    monkeypatch.setattr(dynkin, "_differential_columns", counted)
+    assert main(["dynkin", "--diagram", p3_file, "--coeffs", str(coeffs)]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"]
+    assert built == list(range(D.n))
 
 
 def test_parse_nested_set_full_diagram_implied():

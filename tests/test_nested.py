@@ -151,6 +151,46 @@ def test_face_accessors_share_one_enumeration():
         assert keys == sorted(keys)
 
 
+def ordered_families(D):
+    """Every nested set's elements in the documented order, without the tube table.
+
+    Families of proper tubes grow in increasing mask order through
+    ``is_compatible``; each family is sorted by (size, vertex list) with D
+    added, and the families by ``(len(elements), vertex lists)``.
+    """
+    tubes = [m for m in range(1, D.full) if is_connected(D, m)]
+    found = []
+
+    def grow(family, start):
+        found.append(family + (D.full,))
+        for j in range(start, len(tubes)):
+            if all(is_compatible(D, tubes[j], m) for m in family):
+                grow(family + (tubes[j],), j + 1)
+
+    grow((), 0)
+    found = [tuple(sorted(F, key=lambda m: (m.bit_count(), tuple(bits(m))))) for F in found]
+    return sorted(found, key=lambda F: (len(F), tuple(tuple(bits(m)) for m in F)))
+
+
+ORDER_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
+    E for D in (path_diagram(6), cycle_diagram(6), complete_diagram(5), star_diagram(4))
+    for E in relabelings(D, count=2, seed=15)
+]
+
+
+@pytest.mark.parametrize("D", ORDER_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
+def test_enumeration_order_matches_oracle(D):
+    every = all_nested_sets(D)
+    assert [H.elements for H in every] == ordered_families(D)
+    start = 0
+    for size in range(1, D.n + 1):
+        block = faces(D, D.n - size)
+        assert block == every[start:start + len(block)]
+        assert all(len(H) == size for H in block)
+        start += len(block)
+    assert start == len(every)
+
+
 def test_faces_examples():
     assert [H.elements for H in faces(P3, 2)] == [(P3.full,)]
     assert len(faces(P3, 1)) == 5

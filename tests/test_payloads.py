@@ -91,6 +91,22 @@ def test_presentation_and_two_face_payloads_are_pinned():
         assert found == [presentation, twofaces], D.names
 
 
+# sha256 of json.dumps(face_poset_json(D)): every face in enumeration order
+FACE_POSET_DIGESTS = [
+    (complete_diagram(5), None, "d92edc5f0b4c9108e2e6efd3f594064a2d9f287f25589e2e6056ff414e8d7b5c"),
+    (cycle_diagram(6), None, "9b9287935ca41788871c434efa532595a4be4877ffce31909324245333b09848"),
+    (path_diagram(6), None, "ff2e0366c9b2634414bcfe343242dd28797d8a930aff6274a6a541bff684f6a4"),
+    (star_diagram(4), None, "68e3edc0161361414bdb2640529d6063bd5ee5165493fd1c524ece938c277147"),
+    (cycle_diagram(6), 2, "b97cd178551dd6ce6f9e8cf24cf72ed44dd947063124b4ea2054588e3b94598d"),
+]
+
+
+def test_face_poset_payloads_are_pinned():
+    for D, dim, digest in FACE_POSET_DIGESTS:
+        doc = nested.face_poset_json(D, dim)
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, (D.names, dim)
+
+
 # sha256 of json.dumps of [sequence_json, support_json] over 200 pairs drawn with random.Random(0)
 PAIR_DIGESTS = [
     (path_diagram(6), "f0c1ba5ed78708ec727046e7d8c09a78f30428677824a6265fdd7798e585a575"),
