@@ -30,8 +30,7 @@ from .nested import (
     _skeleton,
     connected_subdiagrams,
     faces,
-    first_maximal_nested_set,
-    ascending_chain,
+    irreducible_cell,
     maximal_nested_sets,
     two_face_split,
 )
@@ -247,24 +246,18 @@ def pair_from_triple(D: Diagram, B: int, alpha_g: int, alpha_f: int) -> tuple[Ne
     """The canonical elementary pair (G, F) with the given support triple.
 
     F keeps the component of ``B - alpha_f`` containing ``alpha_g`` and
-    symmetrically for G; both share deterministic maximal tails on the
-    components of ``B - {alpha_f, alpha_g}`` and an ascending chain from
-    B up to the full diagram.
+    symmetrically for G; both share the elements of ``irreducible_cell``
+    on B with alpha set {alpha_g, alpha_f}.
     """
     if alpha_g == alpha_f:
         raise DiagramError("the two vertices must be distinct")
     if not ((B >> alpha_g) & 1 and (B >> alpha_f) & 1):
         raise DiagramError("both vertices must lie in B")
-    if not is_connected(D, B):
-        raise DiagramError("support must be connected")
-    shared = set(ascending_chain(D, B))
-    both = (1 << alpha_g) | (1 << alpha_f)
-    for comp in components(D, B & ~both):
-        shared.update(first_maximal_nested_set(D, comp))
+    shared = irreducible_cell(D, B, (1 << alpha_g) | (1 << alpha_f)).elements
     B1 = component_containing(D, 1 << alpha_f, 1 << alpha_g, within=B)
     B2 = component_containing(D, 1 << alpha_g, 1 << alpha_f, within=B)
-    F = NestedSet.make(D, shared | {B1})
-    G = NestedSet.make(D, shared | {B2})
+    F = NestedSet.make(D, shared + (B1,))
+    G = NestedSet.make(D, shared + (B2,))
     if triple_from_pair(D, G, F) != (B, alpha_g, alpha_f):
         raise InvariantError("triple round-trip failed")
     return G, F

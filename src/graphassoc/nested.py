@@ -162,7 +162,7 @@ def is_nested(D: Diagram, masks) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def connected_subdiagrams(D: Diagram) -> tuple[int, ...]:
     """All connected subdiagram masks, in increasing bitmask order."""
     found = set()
@@ -201,7 +201,7 @@ def _tube_table(D: Diagram):
     return tubes, {m: i for i, m in enumerate(tubes)}, tuple(compatible), vertices
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _nested_families(D: Diagram) -> tuple[NestedSet, ...]:
     """Every nested set of D, ordered by cardinality, then by its elements' vertex lists.
 
@@ -397,43 +397,48 @@ def two_faces_json(D: Diagram) -> dict:
     }
 
 
-def first_maximal_nested_set(D: Diagram, S: int | None = None) -> tuple[int, ...]:
-    """Deterministic maximal nested set on the (connected) subdiagram S.
+def _greedy_chain(D: Diagram, start: int, S: int) -> list[int]:
+    """The tubes ``start < ... < S``, grown by S's least-index neighbour; S must be connected."""
+    chain = [start]
+    while start != S:
+        step = D.neighbors(start) & S
+        if not step:
+            raise DiagramError(f"{D.vertex_names(S)} is not connected")
+        start |= step & -step
+        chain.append(start)
+    return chain
 
-    Elements are returned as masks of D; the choice is the first leaf of
-    the enumeration order, i.e. the lexicographically least family.
+
+def first_maximal_nested_set(D: Diagram, S: int | None = None) -> tuple[int, ...]:
+    """The least maximal nested set on the connected subdiagram S, as masks of D.
+
+    It is the first family of ``maximal_nested_sets(induced(D, S))``: the chain
+    grown from S's least vertex v0 by its least-index neighbour in S.  A second
+    singleton {j} would sort after every tube holding v0, so the least family is
+    a chain, and the least neighbour gives the least vertex list at each size.
     """
     S = D.full if S is None else S
     if not is_connected(D, S):
         raise DiagramError("need a connected subdiagram")
-    sub, old_to_new = induced(D, S)
-    new_to_old = {new: old for old, new in old_to_new.items()}
-    F = maximal_nested_sets(sub)[0]
-    lifted = [mask_of(new_to_old[v] for v in bits(m)) for m in F.elements]
-    return tuple(sorted(lifted, key=element_key))
+    return tuple(_greedy_chain(D, S & -S, S))
 
 
 def ascending_chain(D: Diagram, B: int) -> list[int]:
-    """Connected subdiagrams ``B = C_0 < C_1 < ... < D`` growing one vertex at a time.
+    """Connected subdiagrams ``B = C_0 < C_1 < ... < D``, grown as in ``first_maximal_nested_set``.
 
     Each step adds the least-index vertex adjacent to the current set.
     """
     if not is_connected(D, B):
         raise DiagramError("chain must start from a connected subdiagram")
-    chain = [B]
-    cur = B
-    while cur != D.full:
-        v = (D.neighbors(cur) & -D.neighbors(cur)).bit_length() - 1
-        cur |= 1 << v
-        chain.append(cur)
-    return chain
+    return _greedy_chain(D, B, D.full)
 
 
 def irreducible_cell(D: Diagram, B: int, alpha: int) -> NestedSet:
     """A nested set whose unique unsaturated element is B with the given alpha set.
 
-    Built from deterministic maximal nested sets on the components of
-    ``B - alpha`` plus an ascending chain from B to D.
+    Built from ``first_maximal_nested_set`` on each component of
+    ``B - alpha`` plus ``ascending_chain`` from B to D: chains of tubes
+    throughout, so nothing is enumerated.
     """
     if alpha & ~B:
         raise DiagramError("alpha must be a subset of B")

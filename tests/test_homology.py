@@ -436,13 +436,16 @@ def test_acyclicity_sweep_exit_status(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("acyclicity_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    monkeypatch.setattr(sys, "argv", ["acyclicity_sweep.py", "3"])
+    monkeypatch.setattr(sys, "argv", ["acyclicity_sweep.py", "4"])
     assert sweep.main() == 0
-    assert capsys.readouterr().out.count("chainmap=ok acyclic\n") == 4
+    out = capsys.readouterr().out
+    assert out.count("chainmap=ok acyclic\n") == 10
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "623534775129e84d02af36097fd034a818530f95e912ae763e02564b2f23db7d")
     proved = sweep.verify_chain_map
     monkeypatch.setattr(sweep, "verify_chain_map", lambda *args: ChainMapReport(False, ["x"]))
     assert sweep.main() == 1
-    assert capsys.readouterr().out.count("chainmap=FAILED UNEXPECTED\n") == 4
+    assert capsys.readouterr().out.count("chainmap=FAILED UNEXPECTED\n") == 10
     monkeypatch.setattr(sweep, "verify_chain_map", proved)
     monkeypatch.setattr(sweep, "homology", lambda D: [(1, [2])] + [(0, [])] * (D.n - 1))
     assert sweep.main() == 1

@@ -4,29 +4,37 @@ import pickle
 
 import pytest
 
+from graphassoc.coherence import pair_from_triple
 from graphassoc.diagram import (
     Diagram,
     DiagramError,
     bits,
     component_containing,
     components,
+    induced,
     is_compatible,
     is_connected,
+    mask_of,
 )
+from graphassoc.dynkin import ConstantCoefficients, dynkin_basis, verify_chain_map
 from graphassoc.nested import (
     NestedSet,
     TwoFace,
     _nested_families,
     _skeleton,
     all_nested_sets,
+    ascending_chain,
     classify_two_face,
     boundary_cycle,
     connected_subdiagrams,
     edge_graph,
+    element_key,
     f_vector,
     face_factorization,
     face_poset_json,
     faces,
+    first_maximal_nested_set,
+    irreducible_cell,
     is_nested,
     maximal_nested_sets,
     split_components,
@@ -136,12 +144,15 @@ def test_maximal_count_cycle_brute_force():
 
 def test_face_accessors_share_one_enumeration():
     D = Diagram.from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    before = _nested_families.cache_info().currsize
+    before = _nested_families.cache_info()
     f = f_vector(D)
+    first = _nested_families.cache_info()
     by_dim = [faces(D, k) for k in range(D.n)]
     verts = maximal_nested_sets(D)
     every = all_nested_sets(D)
-    assert _nested_families.cache_info().currsize == before + 1
+    after = _nested_families.cache_info()
+    assert first.misses == before.misses + 1
+    assert after.misses == first.misses and after.hits > first.hits
     assert f == [len(fs) for fs in by_dim]
     assert all(a is b for a, b in zip(verts, by_dim[0]))
     flat = [H for fs in reversed(by_dim) for H in fs]
@@ -433,3 +444,52 @@ def test_face_poset_json_roundtrip():
     assert len(doc["faces"]) == 11
     top = doc["faces"][0]
     assert top["dim"] == 2 and top["elements"] == [["1", "2", "3"]]
+
+
+# -- canonical nested sets -----------------------------------------------------
+
+
+def enumerated_first_maximal(D, S):
+    """Oracle: the first maximal nested set enumerated on ``induced(D, S)``, lifted back to D."""
+    sub, old_to_new = induced(D, S)
+    new_to_old = {new: old for old, new in old_to_new.items()}
+    lifted = [mask_of(new_to_old[v] for v in bits(m)) for m in maximal_nested_sets(sub)[0].elements]
+    return tuple(sorted(lifted, key=element_key))
+
+
+CHAIN_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
+    E
+    for seed, D in enumerate([path_diagram(6), cycle_diagram(6), complete_diagram(5), star_diagram(4)])
+    for E in relabelings(D, count=2, seed=seed)
+]
+
+
+@pytest.mark.parametrize("D", CHAIN_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
+def test_first_maximal_nested_set_is_first_enumerated(D):
+    for S in connected_subdiagrams(D):
+        assert first_maximal_nested_set(D, S) == enumerated_first_maximal(D, S), S
+
+
+def test_canonical_sets_on_a_disconnected_context_raise_diagram_error():
+    D = Diagram.from_edges("abc", [(0, 1)])
+    with pytest.raises(DiagramError, match="not connected"):
+        ascending_chain(D, 0b1)
+    with pytest.raises(DiagramError, match="not connected"):
+        irreducible_cell(D, 0b11, 0b11)
+    with pytest.raises(DiagramError, match="not connected"):
+        pair_from_triple(D, 0b11, 0, 1)
+    with pytest.raises(DiagramError, match="connected subdiagram"):
+        first_maximal_nested_set(D, 0b101)
+
+
+def test_canonical_sets_enumerate_no_subdiagram():
+    """Irreducible cells and canonical pairs are chains: only the diagram passed in is enumerated."""
+    _nested_families.cache_clear()  # earlier tests may have enumerated P5's subdiagrams
+    assert verify_chain_map(P5, ConstantCoefficients(), 1)
+    for p in range(P5.n + 1):
+        for B, alpha in dynkin_basis(P5, p):
+            if alpha:
+                irreducible_cell(P5, B, mask_of(alpha))
+            if len(alpha) == 2:
+                pair_from_triple(P5, B, *alpha)
+    assert _nested_families.cache_info().misses <= 1

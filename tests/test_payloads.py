@@ -9,7 +9,7 @@ import pytest
 
 from graphassoc import coherence, dynkin, homology, nested, polytope
 from graphassoc.cli import main
-from graphassoc.diagram import parse_diagram
+from graphassoc.diagram import bits, mask_of, parse_diagram
 from conftest import complete_diagram, cycle_diagram, path_diagram, star_diagram
 
 SOURCES = {
@@ -125,3 +125,34 @@ def test_pair_payloads_are_pinned():
             F, G = verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]
             docs.append([coherence.sequence_json(D, F, G), coherence.support_json(D, F, G)])
         assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == digest, D.names
+
+
+# sha256 of json.dumps of [B, alpha, cell] over every dynkin_basis slot with |alpha| >= 2,
+# and of [B, alpha_g, alpha_f, G, F] over every pair_from_triple triple
+CANONICAL_DIGESTS = [
+    (path_diagram(5),
+     "ebadf832d9ce867033a222bc35a62bcfb20166ca48870541d2b957313eac28e6",
+     "09926f90071523cd7fac02db467c0f8d8c7fe63e31ead6c6bfe452df300c2a71"),
+    (cycle_diagram(5),
+     "2f545fbaf8f83b674bd6d4612978877c6925043b2e6d5a3931c4e14f36112cc9",
+     "d2f22015aef6f8ab777e52a7d43afcaab7c5867655519a824a53d94a1bb11dfe"),
+    (complete_diagram(4),
+     "a2770babfe19a8909f39b6ce28e4ad464f1e0eadc0546779e3c0f87da522953a",
+     "7148a84a8690f77f0ffa846f52f5eb0af54d5fb84e1cf0bb57afbb6967d64f79"),
+    (star_diagram(4),
+     "b19e86752f169d8bcaf1131b18d889cc84f4442eaf954ca9f7aa214d0c3e38f4",
+     "9c699548a3e6aa4dcff586e1a33259acedcab606ae08220e69fb57b61a9b8158"),
+]
+
+
+def test_irreducible_cells_and_canonical_pairs_are_pinned():
+    for D, cells, pairs in CANONICAL_DIGESTS:
+        slots = [slot for p in range(2, D.n + 1) for slot in dynkin.dynkin_basis(D, p)]
+        cell_doc = [[B, list(alpha), list(nested.irreducible_cell(D, B, mask_of(alpha)).elements)]
+                    for B, alpha in slots]
+        triples = [(B, ag, af) for B in nested.connected_subdiagrams(D)
+                   for ag in bits(B) for af in bits(B) if ag != af]
+        pair_doc = [[*triple, *(list(H.elements) for H in coherence.pair_from_triple(D, *triple))]
+                    for triple in triples]
+        found = [hashlib.sha256(json.dumps(doc).encode()).hexdigest() for doc in (cell_doc, pair_doc)]
+        assert found == [cells, pairs], D.names

@@ -59,10 +59,9 @@ def test_library_caches_are_bounded():
     """Every ``lru_cache`` in the library has a literal finite ``maxsize``.
 
     An unbounded cache keeps every diagram it has seen for the life of the
-    process.  The two allowed ones are not bounded yet: a census session
-    revisits some diagrams after visiting 16 others.
+    process.
     """
-    allowed = {"connected_subdiagrams", "_nested_families"}
+    allowed = set()
     cached, unbounded = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
