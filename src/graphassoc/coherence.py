@@ -387,25 +387,28 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
     """Pairs (2-face, coherence word) for the pentagonal and hexagonal 2-faces.
 
     Both words walk the hexagon; a pentagon's split pair (j, k) has an
-    empty component, and its letter is dropped.
+    empty component, and its letter is dropped.  A word depends only on
+    the face's (B, alpha), so it is built once and shared by those faces.
     """
-    out = []
+    out, words = [], {}
     for H in faces(D, 2) if D.n >= 3 else ():
         face = two_face_split(D, H)
         if face is None:
             continue
-        B, _alpha, split = face
-        i, j, k = split  # the alpha vertices, ascending
-        empty = [z for z in split if not split[z]]
-        kind = TwoFace.PENTAGON if empty else TwoFace.HEXAGON
-        if empty:
-            # relabel so the empty split is at i, the quotient middle
-            (i,) = empty
-            j, k = [z for z in split if z != i]
-        letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
-                   (B, j, k), (split[k], j, i)]
-        word = tuple(associator_letter(*letter) for letter in letters if letter[0])
-        out.append((H, RelationWord(f"{kind.value}{len(word)}", word)))
+        B, alpha, split = face
+        if (B, alpha) not in words:
+            i, j, k = split  # the alpha vertices, ascending
+            empty = [z for z in split if not split[z]]
+            kind = TwoFace.PENTAGON if empty else TwoFace.HEXAGON
+            if empty:
+                # relabel so the empty split is at i, the quotient middle
+                (i,) = empty
+                j, k = [z for z in split if z != i]
+            letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
+                       (B, j, k), (split[k], j, i)]
+            word = tuple(associator_letter(*letter) for letter in letters if letter[0])
+            words[B, alpha] = RelationWord(f"{kind.value}{len(word)}", word)
+        out.append((H, words[B, alpha]))
     return out
 
 

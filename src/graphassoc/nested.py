@@ -132,9 +132,16 @@ class NestedSet(Value):
         """The (element, alpha-set) pairs with at least two alpha vertices.
 
         Ordered by ``enumeration_key``, the canonical enumeration used for
-        orientations.  One pass: elements come smallest first and any two
-        are nested or disjoint, so every element before B lies inside B
-        or misses it, and alpha(B) is B minus the union of those before it.
+        orientations.
+        """
+        return sorted(self._unsaturated_pass(), key=lambda pair: enumeration_key(pair[0]))
+
+    def _unsaturated_pass(self) -> list[tuple[int, int]]:
+        """The pairs of ``unsaturated``, smallest element first.
+
+        One pass: elements come smallest first and any two are nested or
+        disjoint, so every element before B lies inside B or misses it,
+        and alpha(B) is B minus the union of those before it.
         """
         out = []
         covered = 0
@@ -143,7 +150,6 @@ class NestedSet(Value):
             if alpha & (alpha - 1):
                 out.append((B, alpha))
             covered |= B
-        out.sort(key=lambda pair: enumeration_key(pair[0]))
         return out
 
     def vertex_lists(self) -> list[list[str]]:
@@ -321,21 +327,32 @@ def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
     return {z: component_containing(D, 1 << z, alpha & ~(1 << z), within=B) for z in bits(alpha)}
 
 
+@lru_cache(maxsize=8)
+def _split_table(D: Diagram) -> dict:
+    """D's ``(B, alpha) -> split_components(D, B, alpha)``, filled once per key by ``two_face_split``."""
+    return {}
+
+
 def two_face_split(D: Diagram, H: NestedSet):
     """The shape of a 2-face: ``None`` for a square, else ``(B, alpha, split)``.
 
     Two unsaturated elements give a square.  Otherwise the single
     unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, read off
     ``split`` by the quotient lemma: a triangle (hexagon face) when all
-    three splits are nonzero, else a path (pentagon face).
+    three splits are nonzero, else a path (pentagon face).  ``split`` is
+    a fresh copy of D's ``_split_table`` entry.
     """
     if H.dim != 2:
         raise DiagramError("classification needs a 2-dimensional face")
-    unsat = H.unsaturated()
+    unsat = H._unsaturated_pass()
     if len(unsat) == 2:
         return None
-    (B, alpha), = unsat
-    return B, alpha, split_components(D, B, alpha)
+    (key,) = unsat
+    table = _split_table(D)
+    split = table.get(key)
+    if split is None:
+        split = table[key] = split_components(D, *key)
+    return (*key, dict(split))
 
 
 def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:
@@ -436,15 +453,16 @@ def ascending_chain(D: Diagram, B: int) -> list[int]:
 def irreducible_cell(D: Diagram, B: int, alpha: int) -> NestedSet:
     """A nested set whose unique unsaturated element is B with the given alpha set.
 
-    Built from ``first_maximal_nested_set`` on each component of
-    ``B - alpha`` plus ``ascending_chain`` from B to D: chains of tubes
-    throughout, so nothing is enumerated.
+    Built from the chain of ``first_maximal_nested_set`` on each component
+    of ``B - alpha`` plus ``ascending_chain`` from B to D: chains of tubes
+    throughout, so nothing is enumerated.  The components are connected,
+    so their chains are grown without a second connectivity check.
     """
     if alpha & ~B:
         raise DiagramError("alpha must be a subset of B")
     masks = set(ascending_chain(D, B))
     for comp in components(D, B & ~alpha):
-        masks.update(first_maximal_nested_set(D, comp))
+        masks.update(_greedy_chain(D, comp & -comp, comp))
     H = NestedSet.make(D, masks)
     if H.alpha_set(B) != alpha:
         raise DiagramError("construction failed to realize the alpha set")

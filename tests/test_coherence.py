@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from graphassoc import coherence
+from graphassoc import coherence, nested
 from graphassoc.coherence import (
     AssociatorSymbol,
     LocalGenerator,
@@ -453,6 +453,27 @@ def test_relation_census_matches_two_face_census():
         assert sum(1 for w in words if w.kind == "hexagon6") == sum(
             1 for k in kinds if k is TwoFace.HEXAGON
         )
+
+
+def test_two_face_consumers_split_each_b_alpha_once(monkeypatch):
+    """``two_faces`` then ``relations_by_face`` on C6 compute one split per
+    distinct (B, alpha), and faces sharing a (B, alpha) get equal words."""
+    D = cycle_diagram(6)
+    calls = []
+    split_components = nested.split_components
+
+    def counting(*args):
+        calls.append(args[1:])
+        return split_components(*args)
+
+    monkeypatch.setattr(nested, "split_components", counting)
+    nested._split_table.cache_clear()
+    nested.two_faces(D)
+    by_key = {}
+    for H, word in relations_by_face(D):
+        (key,) = H.unsaturated()
+        assert by_key.setdefault(key, word) == word
+    assert sorted(calls) == sorted(by_key)
 
 
 def test_orientation_inverse_consistency():

@@ -22,6 +22,7 @@ from graphassoc.nested import (
     TwoFace,
     _nested_families,
     _skeleton,
+    _split_table,
     all_nested_sets,
     ascending_chain,
     classify_two_face,
@@ -38,6 +39,7 @@ from graphassoc.nested import (
     is_nested,
     maximal_nested_sets,
     split_components,
+    two_face_split,
 )
 from conftest import (
     complete_diagram,
@@ -366,6 +368,30 @@ def test_classification_matches_boundary_length():
         for H in faces(D, 2):
             kind = classify_two_face(D, H)
             assert len(boundary_cycle(D, H)) == expected[kind]
+
+
+SPLIT_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
+    E for D in (cycle_diagram(6), complete_diagram(5), star_diagram(4))
+    for E in relabelings(D, count=1, seed=17)
+]
+
+
+@pytest.mark.parametrize("D", SPLIT_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
+def test_two_face_split_table_matches_recomputation(D):
+    """Cold and warm reads of the (B, alpha) split table equal a table-free
+    recomputation, and mutating a returned split changes no later answer."""
+    _split_table.cache_clear()
+    keys = set()
+    for H in faces(D, 2) if D.n >= 3 else ():
+        unsat = H.unsaturated()
+        expected = None if len(unsat) == 2 else (*unsat[0], split_components(D, *unsat[0]))
+        for _ in range(2):
+            found = two_face_split(D, H)
+            assert found == expected
+            if found is not None:
+                found[2].clear()
+                keys.add(unsat[0])
+    assert set(_split_table(D)) == keys
 
 
 def test_paths_have_no_hexagons_star_does():

@@ -10,7 +10,7 @@ import pytest
 from graphassoc import coherence, dynkin, homology, nested, polytope
 from graphassoc.cli import main
 from graphassoc.diagram import bits, mask_of, parse_diagram
-from conftest import complete_diagram, cycle_diagram, path_diagram, star_diagram
+from conftest import complete_diagram, cycle_diagram, path_diagram, relabelings, star_diagram
 
 SOURCES = {
     "P3": "vertices: 1 2 3\nedges: 1-2 2-3\n",
@@ -79,6 +79,19 @@ PAYLOAD_DIGESTS = [
     (star_diagram(3),
      "c621a93d89e76bfad00963eeaf08d2086d7e3a696cb2c8dec4e78584ab8e4876",
      "195027e358124cbb39e277fc4659da6b7057b7b8df9e085dff35beffe27b73bb"),
+    # relabeled larger diagrams, where many 2-faces share one (B, alpha)
+    (relabelings(cycle_diagram(6), count=1, seed=17)[0],
+     "34d415c1f2692bc2d11c1fd8635acd30c91c77b9d4c7ee226fa34ddf8f342bdb",
+     "8c61ad1ff5bb2a33c943f47c529354c3239189edaeb4935902dc5eb4bfebd321"),
+    (relabelings(path_diagram(6), count=1, seed=17)[0],
+     "9b3d3cb76c830e5f8e39513fe3454d2cc0894e2d5b3283399cab6cff9c71da58",
+     "017af815ec9b7f6968aa392f17b541c302196c92f0f4f2184b2e2200d4b78d22"),
+    (relabelings(complete_diagram(5), count=1, seed=17)[0],
+     "3a5646fddc4049d84acae7ebb663801b483cfbfc351dcbf2249a9c3268ab083d",
+     "92c5bead25c621facdcf754b40919a9ba244976c7e7364f6a63e096802c8f167"),
+    (relabelings(star_diagram(4), count=1, seed=17)[0],
+     "a4544b4faa4e53e0966ddd8556a523ff6b3701d35eea64ee565d9cc785a508aa",
+     "776e46799d8bd869ebf5b9d03df224b4793d72dc0860d56fea0088ad6eee8d19"),
 ]
 
 
