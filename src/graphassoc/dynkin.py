@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ._ratlinalg import Span, _solve_cached, columns, eliminate
+from ._ratlinalg import Span, _solve_cached, eliminate
 from .diagram import (
     Diagram,
     DiagramError,
@@ -344,10 +344,9 @@ def dynkin_cohomology(D: Diagram, M: CoefficientSystem) -> list[int]:
 # embedding into cellular cochains
 
 
-def cellular_embedding_g(D: Diagram, M: CoefficientSystem | CochainSpace, k: int, vec):
+def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
     """Image of a degree-k Dynkin cochain among cellular cochains.
 
-    ``M`` is the coefficient system or its degree-k ``CochainSpace``.
     Degree 0 lands in the augmentation slot (a single ambient vector);
     degree k >= 1 yields one ambient vector per cell of dimension k-1
     (aligned with the canonical cell basis), supported on irreducible
@@ -355,9 +354,7 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem | CochainSpace, k: int
     """
     if not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
-    space = M if isinstance(M, CochainSpace) else cochain_space(D, M, k)
-    if space.degree != k:
-        raise DiagramError(f"cochain space of degree {space.degree} given for degree {k}")
+    space = cochain_space(D, M, k)
     if k == 0:
         return space.ambient(vec, space.slot_index(D.full, ()))
     return [_g_on_cell(space, vec, cell) for cell in cell_complex(D)[0][k - 1]]
@@ -399,7 +396,7 @@ def verify_chain_map(
     M: CoefficientSystem,
     trials: int,
     rng: random.Random | None = None,
-    dynkin_diff=dynkin_differential,
+    dynkin_diff=_differential_columns,
 ) -> ChainMapReport:
     """Prove d_cell . g = g . d_D and the injectivity of g^k for k >= 2, on the slot bases.
 
@@ -408,12 +405,14 @@ def verify_chain_map(
     compared exactly on every echelon row of every slot.  For k >= 2 a cell
     reads at most one slot, so g^k is injective once each slot's irreducible
     cell reads it: a slot's echelon rows are independent.  ``trials`` must
-    be at least 1; it and ``rng`` are accepted and unused.
+    be at least 1; it and ``rng`` are accepted and unused.  Each degree's
+    differential is ``dynkin_diff(D, src, dst)``, as columns on the cochain
+    spaces built here.
     """
     if trials < 1:
         raise DiagramError("need at least one trial")
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
-    diffs = [columns(dynkin_diff(D, M, p)) for p in range(D.n)]
+    diffs = [dynkin_diff(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
     cells, index, boundary = cell_complex(D)
     feeds = [[[0] if slot == (D.full, ()) else [] for slot in spaces[0].slots]]
     for k in range(1, D.n + 1):

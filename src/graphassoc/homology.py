@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, combinations
+from math import gcd, lcm
 
 from ._ratlinalg import columns, eliminate, rank  # rank: re-exported for callers of this module
 from .diagram import Diagram, DiagramError, InvariantError, Value, bits, component_containing, mask_of
@@ -233,73 +234,40 @@ def boundary_matrix_json(D: Diagram, k: int) -> dict:
 def smith_normal_form(M) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Sparse elimination on +-1 pivots yields a factor 1 per pivot; the
-    dense reduction below runs only on the block it leaves over.  That
-    block is empty on the boundary matrices of every connected diagram
-    with at most five vertices and of C6, C7, K6 and the 5-leg star.
+    Sparse elimination on +-1 pivots yields a factor 1 per pivot.  On the
+    block it leaves over, the least nonzero entry p moves to the corner
+    and its column and row are reduced by floor division.  A nonzero
+    remainder, smaller than |p|, is the next pivot; otherwise |p| is a
+    factor and its row and column are dropped.  diag(a, b) and
+    diag(gcd(a, b), lcm(a, b)) have the same Smith form, so a last pass
+    over the pairs of factors orders them by divisibility.  The block is
+    empty on the boundary matrices of every connected diagram with at
+    most five vertices and of C6, C7, K6 and the 5-leg star.
     """
     pivots, A = eliminate(columns(M), unit_pivots=True)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    factors = [1] * pivots
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for r in range(top, rows):
-            for c in range(top, cols):
-                v = abs(A[r][c])
-                if v and (best is None or v < best):
-                    best, pivot = v, (r, c)
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        A[top], A[r0] = A[r0], A[top]
+    factors = []
+    while any(map(any, A)):
+        _, r0, c0 = min((abs(v), r, c) for r, row in enumerate(A) for c, v in enumerate(row) if v)
+        A[0], A[r0] = A[r0], A[0]
         for row in A:
-            row[top], row[c0] = row[c0], row[top]
-        while True:
-            # clear the pivot column
-            reduced = False
-            for r in range(top + 1, rows):
-                if A[r][top]:
-                    q = A[r][top] // A[top][top]
-                    for c in range(top, cols):
-                        A[r][c] -= q * A[top][c]
-                    if A[r][top]:
-                        A[top], A[r] = A[r], A[top]
-                        reduced = True
-            if reduced:
-                continue
-            for c in range(top + 1, cols):
-                if A[top][c]:
-                    q = A[top][c] // A[top][top]
-                    for r in range(top, rows):
-                        A[r][c] -= q * A[r][top]
-                    if A[top][c]:
-                        for row in A:
-                            row[top], row[c] = row[c], row[top]
-                        reduced = True
-            if not reduced:
-                break
-        # enforce divisibility towards the remaining block
-        d = abs(A[top][top])
-        stray = None
-        for r in range(top + 1, rows):
-            for c in range(top + 1, cols):
-                if A[r][c] % d:
-                    stray = r
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            for c in range(top, cols):
-                A[top][c] += A[stray][c]
-            continue
-        factors.append(d)
-        top += 1
-        if top >= rows or top >= cols:
-            break
-    return factors
+            row[0], row[c0] = row[c0], row[0]
+        top = A[0]
+        p = top[0]
+        for row in A[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, top)]
+        for c in range(1, len(top)):
+            q = top[c] // p
+            for row in A:
+                row[c] -= q * row[0]
+        if not any(top[1:]) and not any(row[0] for row in A[1:]):
+            factors.append(abs(p))
+            A = [row[1:] for row in A[1:]]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = gcd(a, b), lcm(a, b)
+    return [1] * pivots + factors
 
 
 def homology(D: Diagram) -> list[tuple[int, list[int]]]:

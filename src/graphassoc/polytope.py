@@ -30,14 +30,14 @@ class RealizationError(DiagramError):
 class Realization(Value):
     """A diagram with a superadditive weight on its connected subdiagrams.
 
-    ``_table`` is the weights as a lookup, and ``_scaled`` the same weights
-    times ``_scale``, their least common denominator, as integers.
+    ``_scaled`` holds the weights times ``_scale``, their least common
+    denominator, as integers.
     """
 
     diagram: Diagram
     weights: tuple[tuple[int, Fraction], ...]
     _fields = ("diagram", "weights")
-    __slots__ = _fields + ("_table", "_scale", "_scaled")
+    __slots__ = _fields + ("_scale", "_scaled")
 
     def __init__(self, diagram: Diagram, weights: tuple[tuple[int, Fraction], ...]):
         super().__init__(diagram, weights)
@@ -47,14 +47,14 @@ class Realization(Value):
                 raise RealizationError(f"no weight for {diagram.vertex_names(m)}")
         scale = lcm(*(c.denominator for c in table.values()))
         scaled = {m: c.numerator * (scale // c.denominator) for m, c in table.items()}
-        for name, value in ("_table", table), ("_scale", scale), ("_scaled", scaled):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scaled", scaled)
 
     def weight(self, mask: int) -> Fraction:
-        """c(B); disconnected arguments sum over their components."""
-        if mask in self._table:
-            return self._table[mask]
-        return sum((self._table[comp] for comp in components(self.diagram, mask)), Fraction(0))
+        """c(B) for a subdiagram B with a weight; ``RealizationError`` for any other mask."""
+        if mask not in self._scaled:
+            raise RealizationError(f"no weight for {self.diagram.vertex_names(mask)}")
+        return Fraction(self._scaled[mask], self._scale)
 
 
 def make_realization(D: Diagram, overrides=None) -> Realization:
@@ -132,7 +132,8 @@ def _check_farkas(R: Realization, B1: int, B2: int) -> None:
     form = [sum(m >> k & 1 for m in plus) - (B1 >> k & 1) - (B2 >> k & 1) for k in range(D.n)]
     if any(form) or not all(is_connected(D, m) for m in plus):
         raise InvariantError("the Farkas combination is not a zero form over tube rows")
-    gap = sum(R.weight(m) for m in plus) - R.weight(B1) - R.weight(B2)
+    w = R._scaled
+    gap = sum(w[m] for m in plus) - w[B1] - w[B2]
     if gap <= 0:
         raise InvariantError(
             f"no positive Farkas gap on {D.vertex_names(B1)} / {D.vertex_names(B2)}"

@@ -11,6 +11,7 @@ from graphassoc.dynkin import (
     CoefficientError,
     ConstantCoefficients,
     MatrixCoefficients,
+    _differential_columns,
     cellular_embedding_g,
     cochain_space,
     dynkin_basis,
@@ -373,43 +374,51 @@ def test_chain_map_random_coefficients():
 
 
 def test_chain_map_detects_corruption():
-    def corrupted(D, M, p):
-        m = dynkin_differential(D, M, p)
-        if p == 1 and m:
-            m = [list(row) for row in m]
-            m[0][0] += 1
-        return m
+    def corrupted(D, src, dst):
+        cols = _differential_columns(D, src, dst)
+        if src.degree == 1:
+            cols[0][0] = cols[0].get(0, 0) + 1
+        return cols
 
     report = verify_chain_map(P3, CONST, 5, dynkin_diff=corrupted)
     assert not report
     assert any("degree 1" in msg for msg in report.failures)
 
 
-def _corrupted(mats, p, r, c):
-    """A ``dynkin_diff`` returning ``mats`` with 1 added to entry (r, c) of degree p."""
-    bad = [list(row) for row in mats[p]]
-    bad[r][c] += 1
-    return lambda D, M, q: bad if q == p else mats[q]
+def _differentials(D, M):
+    """The cochain spaces of D and M, and each degree's differential as columns."""
+    spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
+    return spaces, [_differential_columns(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
+
+
+def _corrupted(diffs, p, r, c):
+    """A ``dynkin_diff`` returning ``diffs`` with 1 added to column entry (r, c) of degree p.
+
+    The entry may be absent, that is zero, before the corruption.
+    """
+    bad = [dict(col) for col in diffs[p]]
+    bad[c][r] = bad[c].get(r, 0) + 1
+    return lambda D, src, dst: bad if src.degree == p else diffs[src.degree]
 
 
 @pytest.mark.parametrize("name, system", [("P4", "constant"), ("C4", "constant"), ("P4", "random")])
 def test_chain_map_reports_every_single_entry_corruption_at_its_degree(name, system):
     D = PINNED_DIAGRAMS[name]
     M = CONST if system == "constant" else random_coefficient_system(D, 2, random.Random(4))
-    mats = [dynkin_differential(D, M, p) for p in range(D.n)]
+    spaces, diffs = _differentials(D, M)
     assert verify_chain_map(D, M, 1)
-    for p, m in enumerate(mats):
-        for r in range(len(m)):
-            for c in range(len(m[0])):
-                report = verify_chain_map(D, M, 1, dynkin_diff=_corrupted(mats, p, r, c))
+    for p, cols in enumerate(diffs):
+        for r in range(spaces[p + 1].dim):
+            for c in range(len(cols)):
+                report = verify_chain_map(D, M, 1, dynkin_diff=_corrupted(diffs, p, r, c))
                 assert report.failures == [f"chain-map identity fails at degree {p}"], (p, r, c)
 
 
 def test_chain_map_report_ignores_trials_and_rng():
-    mats = [dynkin_differential(P3, CONST, p) for p in range(P3.n)]
+    diffs = _differentials(P3, CONST)[1]
     for p in range(P3.n):
         reports = [
-            verify_chain_map(P3, CONST, trials, rng=rng, dynkin_diff=_corrupted(mats, p, 0, 0))
+            verify_chain_map(P3, CONST, trials, rng=rng, dynkin_diff=_corrupted(diffs, p, 0, 0))
             for trials in (1, 50)
             for rng in (None, random.Random(3))
         ]

@@ -351,6 +351,13 @@ def test_snf_examples():
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[2, 0], [0, 4]]) == [2, 4]
     assert smith_normal_form([[1, -1]]) == [1]
+    # no unit entries: the remainder loop, then the gcd/lcm pass
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
+    assert smith_normal_form([[2, 3]]) == [1]
+    assert smith_normal_form([[4, 6], [6, 4]]) == [2, 10]
+    assert smith_normal_form([[6, 10], [10, 15]]) == [1, 10]
+    assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == [1, 1, 30]
 
 
 def minor_gcd(M, k):

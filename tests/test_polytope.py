@@ -83,6 +83,9 @@ def test_missing_weight_is_a_realization_error():
     del table[0b011]
     with pytest.raises(RealizationError, match=r"no weight for \['1', '2'\]"):
         Realization(P3, tuple(sorted(table.items())))
+    R = make_realization(P3)  # a disconnected mask has no weight of its own
+    with pytest.raises(RealizationError, match=r"no weight for \['1', '3'\]"):
+        R.weight(0b101)
 
 
 def mixed_denominators(D):
