@@ -46,9 +46,6 @@ class LocalGenerator(Value):
     vertex: int
     __slots__ = _fields = ("vertex",)
 
-    def __init__(self, vertex: int):
-        object.__setattr__(self, "vertex", vertex)
-
 
 class AssociatorSymbol(Value):
     """The formal associator of a connected subdiagram and an ordered vertex pair.
@@ -72,10 +69,6 @@ class TwistSymbol(Value):
     support: int
     vertex: int
     __slots__ = _fields = ("support", "vertex")
-
-    def __init__(self, support: int, vertex: int):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "vertex", vertex)
 
 
 Letter = tuple[object, int]
@@ -442,20 +435,12 @@ def braid_relations(D: Diagram, include_commuting: bool = False) -> list[Relatio
                         RelationWord("braid", ((si, 1), (sj, 1), (si, -1), (sj, -1)))
                     )
                 continue
-            B = (1 << i) | (1 << j)
-            phi = associator_letter(B, i, j)
-            phi_inv = (phi[0], -phi[1])
-            conj_si = [phi, (LocalGenerator(i), 1), phi_inv]
-            conj_si_inv = [phi, (LocalGenerator(i), -1), phi_inv]
-            sj = [(LocalGenerator(j), 1)]
-            sj_inv = [(LocalGenerator(j), -1)]
-            lhs = []
-            for t in range(int(m)):
-                lhs.extend(conj_si if t % 2 == 0 else sj)
-            rhs_inv = []
-            for t in reversed(range(int(m))):
-                rhs_inv.extend(conj_si_inv if t % 2 == 1 else sj_inv)
-            out.append(RelationWord("braid", tuple(lhs + rhs_inv)))
+            phi = associator_letter((1 << i) | (1 << j), i, j)
+            conj_si = (phi, (LocalGenerator(i), 1), (phi[0], -phi[1]))
+            sj = ((LocalGenerator(j), 1),)
+            lhs = sum(((conj_si, sj)[t % 2] for t in range(int(m))), ())
+            rhs = sum(((sj, conj_si)[t % 2] for t in range(int(m))), ())
+            out.append(RelationWord("braid", lhs + invert_word(RelationWord("braid", rhs)).letters))
     return out
 
 
@@ -536,7 +521,7 @@ def support_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
     return {"supp": D.vertex_names(data.supp), "zsupp": D.vertex_names(data.zsupp)}
 
 
-def presentation_json(D: Diagram, include_commuting: bool = False) -> dict:
+def presentation_json(D: Diagram) -> dict:
     """The symbolic presentation: generator inventory plus relation words."""
     names = {B: D.vertex_names(B) for B in connected_subdiagrams(D)}  # holds every support
     phis = []
@@ -548,7 +533,7 @@ def presentation_json(D: Diagram, include_commuting: bool = False) -> dict:
                 if a < b:
                     phis.append({"B": list(B_names), "pair": [D.names[a], D.names[b]]})
     relations = []
-    for word in pentagon_relations(D) + braid_relations(D, include_commuting):
+    for word in pentagon_relations(D) + braid_relations(D):
         relations.append(
             {"kind": word.kind, "word": [_letter_json(D, l, names) for l in word.letters]}
         )

@@ -170,8 +170,6 @@ class Diagram(Value):
         for edge in edges:
             i, j = edge[0], edge[1]
             label = edge[2] if len(edge) > 2 else INFINITY
-            if i == j:
-                raise DiagramError(f"loop at vertex {names[i]}")
             if not (0 <= i < n and 0 <= j < n):
                 raise DiagramError("edge endpoint out of range")
             key = (min(i, j), max(i, j))

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import gcd, lcm
 
 from ._ratlinalg import columns, eliminate, rank  # rank: re-exported for callers of this module
-from .diagram import Diagram, DiagramError, InvariantError, Value, bits, component_containing, mask_of
-from .nested import NestedSet, element_key, enumeration_key, faces
+from .diagram import Diagram, DiagramError, InvariantError, Value, bits
+from .nested import NestedSet, _tube_table, enumeration_key, faces
 
 
 class OrientedCell(Value):
@@ -113,50 +113,50 @@ def cell_complex(D: Diagram):
     ``index[k]`` maps a cell's elements to its position, and
     ``boundary[k]`` one column ``{row: +-1}`` per k-cell (empty for k = 0).
 
-    A face splits the alpha set of entry i into beta (the alpha set of
-    the new element ``D_beta``) and rest.  ``(B, rest)`` keeps B's place
-    in the enumeration and beta and rest stay ascending, so only
-    ``(D_beta, beta)``, listed before ``(B, rest)``, moves: passing
-    entries e adds ``(|beta|-1) * sum(|alpha_e|-1)`` to the sign exponent.
+    A face of a cell is the cell plus one tube T compatible with all its
+    tubes (``nested._tube_table``).  T splits the alpha set of the entry
+    (B, alpha) with T inside B and meeting alpha into beta = T & alpha
+    and rest.  ``(B, rest)`` keeps B's place in the enumeration and beta
+    and rest stay ascending, so only ``(T, beta)``, listed before
+    ``(B, rest)``, moves: passing entries e adds
+    ``(|beta|-1) * sum(|alpha_e|-1)`` to the sign exponent.
     """
     cells = tuple(tuple(oriented(H) for H in faces(D, k)) for k in range(D.n))
     index = tuple({cell.nested.elements: i for i, cell in enumerate(row)} for row in cells)
+    tubes, pos, compatible, _vertices = _tube_table(D)
+    # each cell's position keyed by the bitmask of its tubes' positions (D itself, last, has none)
+    by_mask = [{sum(1 << pos[m] for m in cell.nested.elements[:-1]): i for i, cell in enumerate(row)}
+               for row in cells]
     boundary = [tuple({} for _ in cells[0])]
-    splits = {}  # (B, alpha, beta) -> D_beta: the same splits recur across many cells
     for k in range(1, D.n):
         cols = []
-        for cell in cells[k]:
-            col = {}
-            elements, entries = cell.nested.elements, cell.orientation
-            element_keys = [element_key(m) for m in elements]
+        for have, c in by_mask[k].items():
+            entries = cells[k][c].orientation
             keys = [enumeration_key(B) for B, _ in entries]
             # prefix[j]: the sum of |alpha_e| - 1 over the first j entries
             prefix = [0, *accumulate(len(alpha) - 1 for _, alpha in entries)]
-            for i, (B, alpha) in enumerate(entries):
-                alpha_mask = mask_of(alpha)
-                for size in range(1, len(alpha)):
-                    for beta in combinations(alpha, size):
-                        beta_mask = mask_of(beta)
-                        split = (B, alpha_mask, beta_mask)
-                        D_beta = splits.get(split)
-                        if D_beta is None:
-                            D_beta = splits[split] = component_containing(
-                                D, alpha_mask & ~beta_mask, beta_mask, within=B
-                            )
-                        if D_beta == 0:
-                            continue
-                        exponent = prefix[i] + size - 1 + shuffle_number(beta, alpha)
-                        if size >= 2:
-                            slot = bisect_left(keys, enumeration_key(D_beta))
-                            lo, hi = sorted((slot, i))
-                            # passing (B, rest) counts |rest| - 1 = |alpha| - 1 - size
-                            passed = prefix[hi] - prefix[lo] - (size if slot > i else 0)
-                            exponent += (size - 1) * passed
-                        at = bisect_left(element_keys, element_key(D_beta))
-                        row = index[k - 1].get(elements[:at] + (D_beta,) + elements[at:])
-                        if row is None or row in col:
-                            raise InvariantError("boundary face is not a new nested set")
-                        col[row] = (-1) ** exponent
+            free = (1 << len(tubes)) - 1
+            for t in bits(have):
+                free &= compatible[t]
+            col = {}
+            for t in bits(free & ~have):
+                T = tubes[t]
+                for i, (B, alpha) in enumerate(entries):  # the one entry with T in B meeting alpha
+                    beta = tuple(v for v in alpha if T >> v & 1)
+                    if beta and T & ~B == 0:
+                        break
+                size = len(beta)
+                exponent = prefix[i] + size - 1 + shuffle_number(beta, alpha)
+                if size >= 2:
+                    slot = bisect_left(keys, enumeration_key(T))
+                    lo, hi = sorted((slot, i))
+                    # passing (B, rest) counts |rest| - 1 = |alpha| - 1 - size
+                    passed = prefix[hi] - prefix[lo] - (size if slot > i else 0)
+                    exponent += (size - 1) * passed
+                row = by_mask[k - 1].get(have | 1 << t)
+                if row is None:
+                    raise InvariantError("boundary face is not a new nested set")
+                col[row] = (-1) ** exponent
             cols.append(col)
         boundary.append(tuple(cols))
     return cells, index, tuple(boundary)
@@ -244,7 +244,12 @@ def smith_normal_form(M) -> list[int]:
     empty on the boundary matrices of every connected diagram with at
     most five vertices and of C6, C7, K6 and the 5-leg star.
     """
-    pivots, A = eliminate(columns(M), unit_pivots=True)
+    return _smith(columns(M))
+
+
+def _smith(cols) -> list[int]:
+    """``smith_normal_form`` of the matrix with columns ``{row: value}``."""
+    pivots, A = eliminate(cols, unit_pivots=True)
     factors = []
     while any(map(any, A)):
         _, r0, c0 = min((abs(v), r, c) for r, row in enumerate(A) for c, v in enumerate(row) if v)
@@ -277,11 +282,7 @@ def homology(D: Diagram) -> list[tuple[int, list[int]]]:
     so the expected answer is Z in degree 0 and nothing above.
     """
     cells, _, boundary = cell_complex(D)
-    snfs = {}
-    for k in range(1, D.n):
-        # unit pivots on the sparse columns, then the Smith form of the block left over
-        pivots, leftover = eliminate(boundary[k], unit_pivots=True)
-        snfs[k] = [1] * pivots + smith_normal_form(leftover)
+    snfs = {k: _smith(boundary[k]) for k in range(1, D.n)}
     out = []
     for k, row in enumerate(cells):
         betti = len(row) - len(snfs.get(k, [])) - len(snfs.get(k + 1, []))

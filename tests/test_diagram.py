@@ -91,6 +91,15 @@ def test_capacity_error():
         Diagram.from_edges([str(i) for i in range(65)])
 
 
+def test_from_edges_loop_errors():
+    """An in-range loop is reported by ``Diagram`` itself; an out-of-range one as out of range."""
+    with pytest.raises(DiagramError, match="^loop at vertex a$"):
+        Diagram.from_edges(["a", "b"], [(0, 0)])
+    for loop in [(5, 5), (-1, -1)]:
+        with pytest.raises(DiagramError, match="^edge endpoint out of range$"):
+            Diagram.from_edges(["a", "b"], [loop])
+
+
 # -- components / orthogonality / compatibility ----------------------------
 
 

@@ -432,6 +432,33 @@ def test_unit_pivots_leave_no_block_on_boundary_matrices():
                 assert leftover == [] and pivots == len(rref(M)[1])
 
 
+def test_cell_complex_reads_faces_off_the_tube_table(monkeypatch):
+    """With the faces and the tube table built, the boundary build makes no flood fill."""
+    from graphassoc import diagram, homology as homology_module
+    from graphassoc.nested import _tube_table
+
+    C6 = cycle_diagram(6)
+    _tube_table(C6)
+    faces(C6, 0)
+    calls = []
+    fill = diagram.flood_fill
+    monkeypatch.setattr(diagram, "flood_fill", lambda *args: calls.append(args) or fill(*args))
+    homology_module.cell_complex.cache_clear()
+    homology_module.cell_complex(C6)
+    assert calls == []
+
+
+def test_homology_eliminates_each_boundary_once(monkeypatch):
+    from graphassoc import homology as homology_module
+
+    C6 = cycle_diagram(6)
+    calls = []
+    monkeypatch.setattr(homology_module, "eliminate",
+                        lambda cols, **kw: calls.append(len(cols)) or eliminate(cols, **kw))
+    assert homology(C6)[0] == (1, [])
+    assert calls == [len(chain_basis(C6, k)) for k in range(1, 6)]
+
+
 def test_six_cycle_acyclic():
     H = homology(cycle_diagram(6))
     assert H[0] == (1, [])

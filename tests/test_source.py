@@ -105,3 +105,27 @@ def test_cli_import_loads_no_heavy_modules():
     loaded = set(json.loads(proc.stdout))
     assert "graphassoc.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "hashlib", "ast"} == set()
+
+
+def test_top_level_imports_are_used():
+    """Every name a module imports at top level is used in that module.
+
+    ``__init__.py`` re-exports the package API, and ``homology`` re-exports
+    ``rank`` for its callers.
+    """
+    exempt = {("homology.py", "rank")}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert set(unused) <= exempt, sorted(set(unused) - exempt)
