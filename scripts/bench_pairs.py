@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarized into a BENCH_*.json.
+
+Pair i runs ``python3 perfbench/run.py --workload W --seed S+i
+--seconds SECONDS --trace 0`` in both checkouts, with SECONDS the
+``run_seconds`` of the change's BENCHMARK.json, the parent first when i
+is even and the change first when i is odd; each run's last stdout line
+is the benchmark's JSON report.  The output file gets, under
+``workloads[W]``, every pair's end-to-end metrics with the ``correct``
+flags of its parent and change runs, and per metric each side's median
+and quartiles, the change of the median in percent of the parent's and
+the pairs the change won (``summarize``).  Other keys of an existing
+output file are kept, so one file can hold several workloads.
+
+Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
+       --pairs N --seed S [--out BENCH_x.json]
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def summarize(pairs, higher_better=()):
+    """Per metric of the pairs' runs: median [Q1, Q3] of each side, change in %, wins.
+
+    Quartiles are ``statistics.quantiles(method='inclusive')``.  The change
+    wins a pair when its value is better than the parent's, lower unless
+    the metric is in ``higher_better``; ties count for neither side.
+    """
+    out = {}
+    for name in pairs[0]["parent"]:
+        values = {side: [pair[side][name] for pair in pairs] for side in ("parent", "change")}
+        stats = {}
+        for side, xs in values.items():
+            q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+            stats[side] = {"median": statistics.median(xs), "q1": q1, "q3": q3}
+        sign = -1 if name in higher_better else 1
+        base = stats["parent"]["median"]
+        out[name] = {
+            **stats,
+            "change_pct": 100 * (stats["change"]["median"] - base) / base if base else 0.0,
+            "wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One untraced benchmark run in ``checkout``: its ``correct`` flag and metric values."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: the benchmark exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    report = json.loads(lines[-1])
+    return report["correct"], {name: m["value"] for name, m in report["metrics"].items()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", default="BENCH_pairs.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    higher = {m["name"] for m in benchmark["end_to_end"] if m["better"] == "higher"}
+    seconds = benchmark["run_seconds"]
+
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair, correct = {"seed": seed, "first": order[0]}, {}
+        for side in order:
+            correct[side], pair[side] = run_once(getattr(args, side), args.workload, seed, seconds)
+            print(f"# pair {i} seed {seed} {side}: correct={correct[side]}", file=sys.stderr)
+        pair["correct"] = [correct["parent"], correct["change"]]
+        pairs.append(pair)
+
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["command"] = f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0"
+    doc["method"] = ("alternating parent/change pairs per workload, the same seed within a "
+                     "pair, even pairs run the parent first; correct lists the parent's flag, "
+                     "then the change's; medians [Q1, Q3] over the runs of each side; "
+                     "quartiles by statistics.quantiles(method='inclusive')")
+    summary = summarize(pairs, higher)
+    doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "metrics": summary}
+    doc.setdefault("seeds", {})[args.workload] = f"{args.seed}-{args.seed + args.pairs - 1}"
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -132,15 +132,15 @@ def _primitive(values):
 def eliminate(cols, unit_pivots: bool):
     """Sparse elimination of a matrix given as columns ``{row: value}``.
 
-    The input columns are left untouched.  Returns the number of pivots
-    taken and the block left over, as dense rows (empty when every
-    column was eliminated).  With ``unit_pivots`` only entries +1 and -1
-    may pivot; otherwise any nonzero entry may, on columns scaled to
-    primitive integer vectors.  A unit pivot p updates a column by
-    ``col - (x * p) * pivot_col``; any other takes the fraction-free
-    ``(p/g) * col - (x/g) * pivot_col`` with g = gcd(p, x), after which
-    the column's content is divided out.  Either way the entries stay
-    integers when the input's are.
+    The input columns are left untouched.  Returns the pivoted columns'
+    positions, in pivot order, and the block left over, as dense rows
+    (empty when every column was eliminated).  With ``unit_pivots`` only
+    entries +1 and -1 may pivot; otherwise any nonzero entry may, on
+    columns scaled to primitive integer vectors.  A unit pivot p updates
+    a column by ``col - (x * p) * pivot_col``; any other takes the
+    fraction-free ``(p/g) * col - (x/g) * pivot_col`` with g = gcd(p, x),
+    after which the column's content is divided out.  Either way the
+    entries stay integers when the input's are.
     """
     if unit_pivots:
         cols = {c: dict(col) for c, col in enumerate(cols) if col}
@@ -152,7 +152,7 @@ def eliminate(cols, unit_pivots: bool):
             rows.setdefault(r, set()).add(c)
     heap = [(len(col), c) for c, col in cols.items()]
     heapify(heap)
-    pivots = 0
+    pivoted = []
     while heap:
         size, pc = heappop(heap)
         pivot_col = cols.get(pc)
@@ -197,15 +197,15 @@ def eliminate(cols, unit_pivots: bool):
                 heappush(heap, (len(col), c))
             else:
                 del cols[c]
-        pivots += 1
+        pivoted.append(pc)
     left_rows = sorted({r for col in cols.values() for r in col})
     leftover = [[col.get(r, 0) for col in cols.values()] for r in left_rows]
-    return pivots, leftover
+    return pivoted, leftover
 
 
 def rank(M) -> int:
     """Rank over Q of a dense row-list matrix of ints or Fractions."""
-    return eliminate(columns(M), unit_pivots=False)[0]
+    return len(eliminate(columns(M), unit_pivots=False)[0])
 
 
 def product_is_zero(A, B) -> bool:

@@ -33,7 +33,7 @@ from .diagram import (
     components,
     mask_of,
 )
-from .homology import cell_complex
+from .homology import cell_complex, cell_index
 from .nested import connected_subdiagrams, irreducible_cell
 
 
@@ -323,7 +323,7 @@ def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
 
 def _rat_rank(cols) -> int:
     """Rank of a Dynkin differential given as columns: a name of its own, so traces can time it."""
-    return eliminate(cols, unit_pivots=False)[0]
+    return len(eliminate(cols, unit_pivots=False)[0])
 
 
 def _cohomology(D: Diagram, M: CoefficientSystem):
@@ -413,7 +413,7 @@ def verify_chain_map(
         raise DiagramError("need at least one trial")
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
     diffs = [dynkin_diff(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
-    cells, index, boundary = cell_complex(D)
+    cells, _, boundary = cell_complex(D)
     feeds = [[[0] if slot == (D.full, ()) else [] for slot in spaces[0].slots]]
     for k in range(1, D.n + 1):
         feeds.append([[] for _ in spaces[k].slots])
@@ -452,7 +452,7 @@ def verify_chain_map(
     failures = [f"chain-map identity fails at degree {k}" for k in range(D.n) if not commutes(k)]
     for k, space in enumerate(spaces[2:], 2):
         for s, (B, alpha) in enumerate(space.slots):
-            if index[k - 1][irreducible_cell(D, B, mask_of(alpha)).elements] not in feeds[k][s]:
+            if cell_index(D, irreducible_cell(D, B, mask_of(alpha))) not in feeds[k][s]:
                 failures += [
                     f"g^{k} kills the basis vector at B={D.vertex_names(B)}, "
                     f"alpha={[D.names[v] for v in alpha]}"

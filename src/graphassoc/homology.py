@@ -9,11 +9,14 @@ representative with a sign.  The boundary operator drops one cell
 dimension by splitting an alpha set; the complex computes the homology
 of the associahedron (contractible, so acyclic).
 
-Each diagram's complex is built once by ``cell_complex`` and cached:
-the canonical cells of each dimension, a cell -> index map and every
-boundary as sparse signed columns, with each sign computed by
-arithmetic on the canonical data.  ``boundary_cell``, ``chain_basis``
-and ``homology`` read it; ``boundary_matrix`` is a dense view of it.
+Each diagram's complex is built once by ``cell_complex`` and cached: the
+canonical cells of each dimension, one map from a cell's tube bitmask to
+its place, and every boundary as sparse signed columns, each sign read
+off popcounts of alpha bitmasks.  ``boundary_cell``, ``chain_basis`` and
+``homology`` read it; ``boundary_matrix`` is a dense view of it.
+``homology`` drops from d_{k+1} the rows of the k-cells paired by unit
+pivots of d_k, a reduction (Kaczynski-Mrozek-Slusarek 1998) that keeps
+the invariant factors (``chain_homology``).
 
 Sign convention: under the volume-form identification with the faces of
 the convex realization, this boundary is the negative of the geometric
@@ -65,9 +68,10 @@ class OrientedCell(Value):
                 raise DiagramError("alpha order must be a permutation of the alpha set")
 
 
-def oriented(H: NestedSet) -> OrientedCell:
+def oriented(H: NestedSet, unsaturated=None) -> OrientedCell:
     """The canonical orientation: canonical enumeration, ascending alpha orders."""
-    return OrientedCell(H, tuple((B, tuple(bits(a))) for B, a in H.unsaturated()))
+    entries = H.unsaturated() if unsaturated is None else unsaturated
+    return OrientedCell(H, tuple((B, tuple(bits(a))) for B, a in entries))
 
 
 def canonicalize(cell: OrientedCell) -> tuple[OrientedCell, int]:
@@ -87,79 +91,80 @@ def canonicalize(cell: OrientedCell) -> tuple[OrientedCell, int]:
     return canon, (-1) ** (swaps + inversions)
 
 
-def shuffle_number(beta, alpha) -> int:
-    """Transpositions needed to move ``beta`` to the front of ``alpha``.
-
-    ``beta`` must be a subsequence of ``alpha`` in the same order; with
-    1-based positions j_1 < ... < j_p the count is ``sum(j_t - t)``.
-    """
-    positions = []
-    cursor = 0
-    for x in beta:
-        while cursor < len(alpha) and alpha[cursor] != x:
-            cursor += 1
-        if cursor == len(alpha):
-            raise DiagramError("beta is not an ordered subset of alpha")
-        positions.append(cursor + 1)
-        cursor += 1
-    return sum(j - t for t, j in enumerate(positions, start=1))
+def shuffle(beta: int, alpha: int) -> int:
+    """Transpositions moving beta (in alpha) to alpha's front: per v in beta, alpha - beta below v."""
+    rest, count = alpha & ~beta, 0
+    while beta:
+        v = beta & -beta
+        count += (rest & (v - 1)).bit_count()
+        beta ^= v
+    return count
 
 
 @lru_cache(maxsize=8)
 def cell_complex(D: Diagram):
-    """The oriented cell complex of D as ``(cells, index, boundary)``, by dimension k.
+    """The oriented cell complex of D as ``(cells, position, boundary)``.
 
     ``cells[k]`` holds the canonical oriented cells over ``faces(D, k)``,
-    ``index[k]`` maps a cell's elements to its position, and
+    ``position`` maps the bitmask of a cell's tubes' ``nested._tube_table``
+    positions to its place in its dimension (``cell_index``), and
     ``boundary[k]`` one column ``{row: +-1}`` per k-cell (empty for k = 0).
 
     A face of a cell is the cell plus one tube T compatible with all its
-    tubes (``nested._tube_table``).  T splits the alpha set of the entry
-    (B, alpha) with T inside B and meeting alpha into beta = T & alpha
-    and rest.  ``(B, rest)`` keeps B's place in the enumeration and beta
-    and rest stay ascending, so only ``(T, beta)``, listed before
-    ``(B, rest)``, moves: passing entries e adds
+    tubes.  T splits the alpha set of the entry (B, alpha) with T inside
+    B and meeting alpha into beta = T & alpha and rest (``shuffle``
+    counts the transpositions).  ``(B, rest)`` keeps B's place in the
+    enumeration and beta and rest stay ascending, so only ``(T, beta)``,
+    listed before ``(B, rest)``, moves: passing entries e adds
     ``(|beta|-1) * sum(|alpha_e|-1)`` to the sign exponent.
     """
-    cells = tuple(tuple(oriented(H) for H in faces(D, k)) for k in range(D.n))
-    index = tuple({cell.nested.elements: i for i, cell in enumerate(row)} for row in cells)
     tubes, pos, compatible, _vertices = _tube_table(D)
-    # each cell's position keyed by the bitmask of its tubes' positions (D itself, last, has none)
-    by_mask = [{sum(1 << pos[m] for m in cell.nested.elements[:-1]): i for i, cell in enumerate(row)}
-               for row in cells]
-    boundary = [tuple({} for _ in cells[0])]
-    for k in range(1, D.n):
-        cols = []
-        for have, c in by_mask[k].items():
-            entries = cells[k][c].orientation
-            keys = [enumeration_key(B) for B, _ in entries]
+    full, cells, position, boundary = (1 << len(tubes)) - 1, [], {}, []
+    for k in range(D.n):  # every (k-1)-cell has its position before a k-cell's faces are read
+        row, cols = [], []
+        for c, H in enumerate(faces(D, k)):
+            entries = H.unsaturated()
+            row.append(oriented(H, entries))
+            have, free = 0, full
+            for m in H.elements[:-1]:
+                have, free = have | 1 << pos[m], free & compatible[pos[m]]
+            position[have] = c
             # prefix[j]: the sum of |alpha_e| - 1 over the first j entries
-            prefix = [0, *accumulate(len(alpha) - 1 for _, alpha in entries)]
-            free = (1 << len(tubes)) - 1
-            for t in bits(have):
-                free &= compatible[t]
-            col = {}
-            for t in bits(free & ~have):
-                T = tubes[t]
+            prefix = [0, *accumulate(alpha.bit_count() - 1 for _, alpha in entries)]
+            col, new = {}, free & ~have  # a vertex (k = 0) has no new tube
+            while new:
+                low = new & -new
+                new ^= low
+                T = tubes[low.bit_length() - 1]
                 for i, (B, alpha) in enumerate(entries):  # the one entry with T in B meeting alpha
-                    beta = tuple(v for v in alpha if T >> v & 1)
+                    beta = T & alpha
                     if beta and T & ~B == 0:
                         break
-                size = len(beta)
-                exponent = prefix[i] + size - 1 + shuffle_number(beta, alpha)
+                size = beta.bit_count()
+                exponent = prefix[i] + size - 1 + shuffle(beta, alpha)
                 if size >= 2:
-                    slot = bisect_left(keys, enumeration_key(T))
+                    slot = bisect_left(entries, enumeration_key(T), key=lambda e: enumeration_key(e[0]))
                     lo, hi = sorted((slot, i))
                     # passing (B, rest) counts |rest| - 1 = |alpha| - 1 - size
                     passed = prefix[hi] - prefix[lo] - (size if slot > i else 0)
                     exponent += (size - 1) * passed
-                row = by_mask[k - 1].get(have | 1 << t)
-                if row is None:
+                face = position.get(have | low)
+                if face is None:
                     raise InvariantError("boundary face is not a new nested set")
-                col[row] = (-1) ** exponent
+                col[face] = -1 if exponent & 1 else 1
             cols.append(col)
+        cells.append(tuple(row))
         boundary.append(tuple(cols))
-    return cells, index, tuple(boundary)
+    return tuple(cells), position, tuple(boundary)
+
+
+def cell_index(D: Diagram, H: NestedSet) -> int | None:
+    """H's place in ``chain_basis(D, H.dim)``, or None when H is not a face of D."""
+    pos = _tube_table(D)[1]
+    proper = H.elements[:-1]
+    if H.elements[-1:] == (D.full,) and all(m in pos for m in proper):
+        return cell_complex(D)[1].get(sum(1 << pos[m] for m in proper))
+    return None
 
 
 def boundary_cell(D: Diagram, cell: OrientedCell) -> dict[OrientedCell, int]:
@@ -169,12 +174,11 @@ def boundary_cell(D: Diagram, cell: OrientedCell) -> dict[OrientedCell, int]:
     ``cell`` to canonical form.
     """
     cell, sign = canonicalize(cell)
-    cells, index, boundary = cell_complex(D)
-    k = cell.dim
-    c = index[k].get(cell.nested.elements) if 0 <= k < D.n else None
+    c = cell_index(D, cell.nested)
     if c is None:
         raise DiagramError("cell is not a face of the diagram")
-    return {cells[k - 1][r]: sign * v for r, v in boundary[k][c].items()}
+    cells, _, boundary = cell_complex(D)
+    return {cells[cell.dim - 1][r]: sign * v for r, v in boundary[cell.dim][c].items()}
 
 
 def boundary(D: Diagram, chain: dict[OrientedCell, int]) -> dict[OrientedCell, int]:
@@ -236,23 +240,24 @@ def smith_normal_form(M) -> list[int]:
 
     Sparse elimination on +-1 pivots yields a factor 1 per pivot.  On the
     block it leaves over, the least nonzero entry p moves to the corner
-    and its column and row are reduced by floor division.  A nonzero
-    remainder, smaller than |p|, is the next pivot; otherwise |p| is a
+    and its column and row are reduced by floor division.  The least
+    nonzero remainder there, smaller than |p|, is the next pivot, so the
+    whole block is searched only after a factor: with none left, |p| is a
     factor and its row and column are dropped.  diag(a, b) and
     diag(gcd(a, b), lcm(a, b)) have the same Smith form, so a last pass
     over the pairs of factors orders them by divisibility.  The block is
     empty on the boundary matrices of every connected diagram with at
     most five vertices and of C6, C7, K6 and the 5-leg star.
     """
-    return _smith(columns(M))
+    return _smith(columns(M))[0]
 
 
-def _smith(cols) -> list[int]:
-    """``smith_normal_form`` of the matrix with columns ``{row: value}``."""
-    pivots, A = eliminate(cols, unit_pivots=True)
-    factors = []
-    while any(map(any, A)):
-        _, r0, c0 = min((abs(v), r, c) for r, row in enumerate(A) for c, v in enumerate(row) if v)
+def _smith(cols) -> tuple[list[int], list[int]]:
+    """``smith_normal_form`` on columns ``{row: value}``, and the columns its unit pivots took."""
+    pivoted, A = eliminate(cols, unit_pivots=True)
+    factors, near = [], []
+    while pool := near or [(abs(v), r, c) for r, row in enumerate(A) for c, v in enumerate(row) if v]:
+        _, r0, c0 = min(pool)
         A[0], A[r0] = A[r0], A[0]
         for row in A:
             row[0], row[c0] = row[c0], row[0]
@@ -265,29 +270,49 @@ def _smith(cols) -> list[int]:
             q = top[c] // p
             for row in A:
                 row[c] -= q * row[0]
-        if not any(top[1:]) and not any(row[0] for row in A[1:]):
+        near = [(abs(v), 0, c) for c, v in enumerate(top) if c and v]
+        near += [(abs(row[0]), r, 0) for r, row in enumerate(A) if r and row[0]]
+        if not near:
             factors.append(abs(p))
             A = [row[1:] for row in A[1:]]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
             factors[i], factors[j] = gcd(a, b), lcm(a, b)
-    return [1] * pivots + factors
+    return [1] * len(pivoted) + factors, pivoted
+
+
+def chain_homology(sizes, boundary) -> list[tuple[int, list[int]]]:
+    """Integer homology of a chain complex, one (betti, torsion) per degree.
+
+    ``sizes[k]`` counts the k-cells; ``boundary[k]``, k >= 1, holds d_k as
+    one column ``{row: value}`` per k-cell.  A unit pivot of d_k pairs a
+    k-cell with a (k-1)-cell; removing the pair keeps the homology and
+    projects d_{k+1} off that k-cell (Kaczynski, Mrozek and Slusarek,
+    "Homology computation by reduction of chain complexes", 1998), so
+    d_{k+1} is eliminated without its row.  It keeps its invariant
+    factors: the projection is injective on ker d_k, which holds
+    im d_{k+1} (the pivoted columns are independent), so the rank stays,
+    and the torsion of the cokernel is that of H_k, which is kept.
+    """
+    snfs, paired = [[]], set()
+    for cols in boundary[1:]:
+        factors, pivoted = _smith([{r: v for r, v in col.items() if r not in paired} for col in cols])
+        snfs.append(factors)
+        paired = set(pivoted)
+    return [(size - len(below) - len(above), [d for d in above if d > 1])
+            for size, below, above in zip(sizes, snfs, [*snfs[1:], []])]
 
 
 def homology(D: Diagram) -> list[tuple[int, list[int]]]:
     """Integer homology of the nested-set complex, one (betti, torsion) per degree.
 
-    The complex is the cellular chain complex of a contractible polytope,
-    so the expected answer is Z in degree 0 and nothing above.
+    ``chain_homology`` of ``cell_complex(D)``, the cellular chain complex
+    of a contractible polytope, reduced by its unit pivots
+    (Kaczynski-Mrozek-Slusarek 1998): Z in degree 0, nothing above.
     """
     cells, _, boundary = cell_complex(D)
-    snfs = {k: _smith(boundary[k]) for k in range(1, D.n)}
-    out = []
-    for k, row in enumerate(cells):
-        betti = len(row) - len(snfs.get(k, [])) - len(snfs.get(k + 1, []))
-        out.append((betti, [d for d in snfs.get(k + 1, []) if d > 1]))
-    return out
+    return chain_homology([len(row) for row in cells], boundary)
 
 
 def homology_json(D: Diagram) -> dict:

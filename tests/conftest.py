@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from graphassoc import families
-from graphassoc.diagram import Diagram
+from graphassoc.diagram import Diagram, DiagramError
 
 settings.register_profile("fast", max_examples=50, deadline=None)
 settings.load_profile("fast")
@@ -46,6 +46,24 @@ def rref(M):
         if r == rows:
             break
     return A, pivots
+
+
+def shuffle_number(beta, alpha) -> int:
+    """Transpositions needed to move ``beta`` to the front of ``alpha``: the walking oracle.
+
+    ``beta`` must be a subsequence of ``alpha`` in the same order; with
+    1-based positions j_1 < ... < j_p the count is ``sum(j_t - t)``.
+    """
+    positions = []
+    cursor = 0
+    for x in beta:
+        while cursor < len(alpha) and alpha[cursor] != x:
+            cursor += 1
+        if cursor == len(alpha):
+            raise DiagramError("beta is not an ordered subset of alpha")
+        positions.append(cursor + 1)
+        cursor += 1
+    return sum(j - t for t, j in enumerate(positions, start=1))
 
 
 def relabelings(D, count=2, seed=0):

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -13,21 +14,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphassoc._ratlinalg import columns, eliminate
-from graphassoc.diagram import DiagramError, component_containing, mask_of
+from graphassoc.diagram import DiagramError, bits, component_containing, mask_of
 from graphassoc.dynkin import ChainMapReport
 from graphassoc.homology import (
     OrientedCell,
+    _smith,
     boundary,
     boundary_cell,
     boundary_matrix,
     boundary_matrix_json,
     canonicalize,
+    cell_complex,
+    cell_index,
     chain_basis,
+    chain_homology,
     homology,
     homology_json,
     oriented,
     rank,
-    shuffle_number,
+    shuffle,
     smith_normal_form,
 )
 from graphassoc.nested import NestedSet, faces
@@ -38,6 +43,7 @@ from conftest import (
     labeled_connected,
     path_diagram,
     rref,
+    shuffle_number,
     star_diagram,
 )
 
@@ -215,7 +221,32 @@ def test_shuffle_matches_bubble_oracle(data):
     assert shuffle_number(beta, alpha) == bubble_count(beta, alpha)
 
 
+def test_popcount_shuffle_matches_walking_oracle():
+    for alpha in range(1 << 7):
+        beta = alpha
+        while True:  # every subset of alpha, down to the empty one
+            assert shuffle(beta, alpha) == shuffle_number(tuple(bits(beta)), tuple(bits(alpha)))
+            if not beta:
+                break
+            beta = (beta - 1) & alpha
+
+
 # -- boundary ----------------------------------------------------------------------
+
+
+def test_cell_complex_cells_are_the_canonical_orientations():
+    for D in [*(D for n in range(1, 6) for D in connected_reps(n)), cycle_diagram(6)]:
+        cells = cell_complex(D)[0]
+        for k in range(D.n):
+            assert cells[k] == tuple(oriented(H) for H in faces(D, k))
+            assert [cell_index(D, cell.nested) for cell in cells[k]] == list(range(len(cells[k])))
+
+
+def test_cell_of_another_diagram_is_not_a_face():
+    H = ns(C3, [0, 2])  # {1, 3} is a tube of the 3-cycle, not of the 3-path
+    assert cell_index(C3, H) is not None and cell_index(P3, H) is None
+    with pytest.raises(DiagramError, match="not a face"):
+        boundary_cell(P3, oriented(H))
 
 
 def test_boundary_of_p2_top_cell():
@@ -409,8 +440,8 @@ def test_snf_on_leftover_blocks_matches_determinant_divisors():
     # dense reduction has a block to work on
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
     assert smith_normal_form([[1, 0], [0, 2]]) == [1, 2]
-    assert eliminate(columns([[2, 4], [6, 8]]), unit_pivots=True) == (0, [[2, 4], [6, 8]])
-    assert eliminate(columns([[1, 0], [0, 2]]), unit_pivots=True) == (1, [[2]])
+    assert eliminate(columns([[2, 4], [6, 8]]), unit_pivots=True) == ([], [[2, 4], [6, 8]])
+    assert eliminate(columns([[1, 0], [0, 2]]), unit_pivots=True) == ([0], [[2]])
     rng = random.Random(11)
     for entries in ([0, 2, -2, 3, -3], [0, 0, 1, -1, 2, -2, 3, -3]):
         for _ in range(40):
@@ -428,8 +459,8 @@ def test_unit_pivots_leave_no_block_on_boundary_matrices():
         for D in connected_reps(n):
             for k in range(1, D.n):
                 M = boundary_matrix(D, k)
-                pivots, leftover = eliminate(columns(M), unit_pivots=True)
-                assert leftover == [] and pivots == len(rref(M)[1])
+                pivoted, leftover = eliminate(columns(M), unit_pivots=True)
+                assert leftover == [] and len(pivoted) == len(rref(M)[1])
 
 
 def test_cell_complex_reads_faces_off_the_tube_table(monkeypatch):
@@ -457,6 +488,83 @@ def test_homology_eliminates_each_boundary_once(monkeypatch):
                         lambda cols, **kw: calls.append(len(cols)) or eliminate(cols, **kw))
     assert homology(C6)[0] == (1, [])
     assert calls == [len(chain_basis(C6, k)) for k in range(1, 6)]
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """Records (entries, invariant factors) of each boundary ``chain_homology`` eliminates."""
+    from graphassoc import homology as homology_module
+
+    seen = []
+
+    def recording(cols):
+        factors, pivoted = _smith(cols)
+        seen.append((sum(map(len, cols)), factors))
+        return factors, pivoted
+
+    monkeypatch.setattr(homology_module, "_smith", recording)
+    return seen
+
+
+def test_reduction_keeps_every_boundarys_invariant_factors(eliminated):
+    diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
+    for D in diagrams + [cycle_diagram(6), complete_diagram(5)]:
+        cells, _, boundaries = cell_complex(D)
+        eliminated.clear()
+        chain_homology([len(row) for row in cells], boundaries)
+        assert [factors for _, factors in eliminated] == [_smith(cols)[0] for cols in boundaries[1:]]
+        # from d_2 on, the rows of the cells paired below are gone
+        assert all(n < sum(map(len, cols)) for (n, _), cols in zip(eliminated[1:], boundaries[2:]))
+
+
+def simplicial_chain_complex(triangles):
+    """Cell counts and boundary columns of the 2-dimensional simplicial complex on ``triangles``."""
+    triangles = sorted(tuple(sorted(t)) for t in triangles)
+    edges = sorted({e for t in triangles for e in combinations(t, 2)})
+    vertices = sorted({v for t in triangles for v in t})
+    vi = {v: i for i, v in enumerate(vertices)}
+    ei = {e: i for i, e in enumerate(edges)}
+    d1 = [{vi[b]: 1, vi[a]: -1} for a, b in edges]
+    d2 = [{ei[b, c]: 1, ei[a, c]: -1, ei[a, b]: 1} for a, b, c in triangles]
+    return [len(vertices), len(edges), len(triangles)], [[{}] * len(vertices), d1, d2]
+
+
+def grid_surface(twist):
+    """The 3 x 3 grid triangulation of the torus, or of the Klein bottle with ``twist``.
+
+    Grid point (i, j) is vertex (i mod 3, j mod 3); with ``twist`` the top
+    row is glued to the bottom one reflected.
+    """
+    def vertex(i, j):
+        if twist and j == 3:
+            i = -i
+        return i % 3 * 3 + j % 3
+
+    out = []
+    for i in range(3):
+        for j in range(3):
+            out.append((vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1)))
+            out.append((vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1)))
+    return out
+
+
+# the six-vertex projective plane: the hemi-icosahedron
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+       (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+
+
+@pytest.mark.parametrize("triangles, expected", [
+    (RP2, [(1, []), (0, [2]), (0, [])]),
+    (grid_surface(twist=False), [(1, []), (2, []), (1, [])]),
+    (grid_surface(twist=True), [(1, []), (1, [2]), (0, [])]),
+], ids=["projective-plane", "torus", "klein-bottle"])
+def test_reduction_on_surfaces_with_known_homology(triangles, expected, eliminated):
+    sizes, boundaries = simplicial_chain_complex(triangles)
+    # a closed surface: distinct triangles, each edge on two of them
+    assert len(set(map(frozenset, triangles))) == len(triangles)
+    assert set(Counter(r for col in boundaries[2] for r in col).values()) == {2}
+    assert chain_homology(sizes, boundaries) == expected
+    assert [factors for _, factors in eliminated] == [_smith(cols)[0] for cols in boundaries[1:]]
 
 
 def test_six_cycle_acyclic():
