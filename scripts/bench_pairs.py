@@ -10,7 +10,9 @@ is the benchmark's JSON report.  The output file gets, under
 flags of its parent and change runs, and per metric each side's median
 and quartiles, the change of the median in percent of the parent's and
 the pairs the change won (``summarize``).  Other keys of an existing
-output file are kept, so one file can hold several workloads.
+output file are kept, so one file can hold several workloads.  When a
+run reports ``correct: false`` the file is still written, and the script
+exits 1 naming each such run's pair and side.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
        --pairs N --seed S [--out BENCH_x.json]
@@ -103,6 +105,11 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    wrong = [f"pair {i} (seed {pair['seed']}) {side}" for i, pair in enumerate(pairs)
+             for side, ok in zip(("parent", "change"), pair["correct"]) if not ok]
+    if wrong:
+        print(f"runs that reported correct: false: {', '.join(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,19 +9,19 @@ pivot is a reduction of the chain complex (Kaczynski-Mrozek-Slusarek
 1998) that leaves the Smith normal form of the rest unchanged, so an
 empty leftover block certifies that every invariant factor is 1.  Over
 Q any nonzero entry may pivot, so nothing is left over and the pivot
-count is the rank.  Both run one integer loop: over Q each column is
-first scaled to a primitive integer vector, which leaves the rank
-unchanged, and a non-unit pivot updates fraction-free (Bareiss 1968),
-scaling the column by the pivot instead of dividing by it and then
-dividing out the column's content.
+count is the rank.  Both run one integer loop: over Q a ``Fraction``
+column is first scaled to a primitive integer vector, which leaves the
+rank unchanged, and a non-unit pivot updates fraction-free (Bareiss
+1968), scaling the column by the pivot instead of dividing by it and
+then dividing out the column's content.
 
 Subspaces are factored once into a ``Span``: one echelon pass over the
 spanning vectors, on integer multiples of them, gives the independent
-subfamily, the reduced row echelon basis and the equations cutting the
-span out, so membership is a check of those equations and the
-coordinates of a member in the echelon basis are its entries at the
-pivots.  No linear system is solved per vector, and the only divisions
-are by the pivots, once each, to emit the reduced rows.
+subfamily, primitive integer echelon rows and integer equations
+cutting the span out, so membership is a check of those equations and
+the coordinates of a member in the reduced echelon basis are its
+entries at the pivots.  No linear system is solved per vector, and the
+reduced rows, the only divisions, are built when first read.
 """
 
 from __future__ import annotations
@@ -40,19 +40,22 @@ class Span:
 
     ``independent`` is the maximal independent subfamily in input order
     (a vector is kept iff it is not in the span of those before it);
-    ``rows`` is the reduced row echelon basis, one row per pivot of the
-    ascending ``pivots``; ``equations`` holds, for each coordinate c off
-    the pivots, the terms ``(p, x)`` with ``w[c] == sum(w[p] * x)`` for
-    every w in the span.  The pass stops once the rank reaches ``dim``.
+    ``ints`` holds primitive integer echelon rows, one per pivot of the
+    ascending ``pivots``, and ``rows`` the reduced row echelon basis they
+    give; ``equations`` holds, for each coordinate c off the pivots,
+    integers ``(c, L, terms)`` with ``L * w[c] == sum(w[p] * x)`` over
+    the terms ``(p, x)``, for every w in the span.  The pass stops once
+    the rank reaches ``dim``; a vector of another length is a ValueError.
     """
 
-    __slots__ = ("independent", "rows", "pivots", "equations")
+    __slots__ = ("independent", "ints", "pivots", "equations", "_rows")
 
     def __init__(self, vectors, dim: int):
         kept, rows, pivots = [], [], []  # rows: primitive integer echelon rows
         for v in vectors:
+            _check_length(v, dim)
             if len(pivots) == dim:
-                break
+                continue
             w = _primitive(v)
             for row, p in zip(rows, pivots):
                 if w[p]:
@@ -63,26 +66,38 @@ class Span:
             kept.append(tuple(x if type(x) is Fraction else Fraction(x) for x in v))
             at = bisect(pivots, lead)
             pivots.insert(at, lead)
-            rows.insert(at, _primitive(w))
+            rows.insert(at, w)
         for i in reversed(range(len(rows))):  # back substitution: clear above each pivot
             row, p = rows[i], pivots[i]
             for k in range(i):
                 if rows[k][p]:
                     rows[k] = _clear(rows[k], row, p)
         self.independent = tuple(kept)
-        self.rows = tuple(  # the one division: each row by its pivot
-            tuple(Fraction(x, row[p]) if x else _ZERO for x in row) for row, p in zip(rows, pivots)
-        )
+        self.ints = tuple(map(tuple, rows))
         self.pivots = tuple(pivots)
-        free = sorted(set(range(dim)) - set(pivots))
+        L = lcm(*(row[p] for row, p in zip(rows, pivots)))
         self.equations = tuple(
-            (c, tuple((p, row[c]) for p, row in zip(pivots, self.rows) if row[c]))
-            for c in free
-        )
+            (c, L, tuple((p, row[c] * L // row[p]) for p, row in zip(pivots, rows) if row[c]))
+            for c in sorted(set(range(dim)) - set(pivots)))
+
+    @property
+    def rows(self):
+        """The reduced row echelon basis, built from ``ints`` on first read (the one division)."""
+        if not hasattr(self, "_rows"):
+            self._rows = tuple(tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
+                               for row, p in zip(self.ints, self.pivots))
+        return self._rows
 
     def contains(self, w) -> bool:
         """True iff w (a vector in Q^dim) lies in the span."""
-        return all(w[c] == sum(w[p] * x for p, x in terms) for c, terms in self.equations)
+        _check_length(w, len(self.pivots) + len(self.equations))
+        return all(L * w[c] == sum(w[p] * x for p, x in terms) for c, L, terms in self.equations)
+
+
+def _check_length(v, dim: int):
+    """A ``ValueError`` unless the vector v has ``dim`` entries."""
+    if len(v) != dim:
+        raise ValueError(f"a vector of length {len(v)} in a span of dim {dim}")
 
 
 @lru_cache(maxsize=256)
@@ -112,10 +127,12 @@ def columns(M):
 
 
 def _clear(w, row, p):
-    """The fraction-free combination ``(row[p]/g) * w - (w[p]/g) * row``, zero at p."""
+    """The primitive part of ``(row[p]/g) * w - (w[p]/g) * row``, zero at p: fraction-free."""
     g = gcd(row[p], w[p])
     s, f = row[p] // g, w[p] // g
-    return [s * a - f * b if b else s * a for a, b in zip(w, row)]
+    w = [s * a - f * b if b else s * a for a, b in zip(w, row)]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
 
 
 def _primitive(values):
@@ -135,17 +152,15 @@ def eliminate(cols, unit_pivots: bool):
     The input columns are left untouched.  Returns the pivoted columns'
     positions, in pivot order, and the block left over, as dense rows
     (empty when every column was eliminated).  With ``unit_pivots`` only
-    entries +1 and -1 may pivot; otherwise any nonzero entry may, on
-    columns scaled to primitive integer vectors.  A unit pivot p updates
-    a column by ``col - (x * p) * pivot_col``; any other takes the
+    entries +1 and -1 may pivot; otherwise any nonzero entry may, once a
+    ``Fraction`` column is scaled to a primitive integer vector.  A unit
+    pivot p updates by ``col - (x * p) * pivot_col``; any other takes the
     fraction-free ``(p/g) * col - (x/g) * pivot_col`` with g = gcd(p, x),
     after which the column's content is divided out.  Either way the
     entries stay integers when the input's are.
     """
-    if unit_pivots:
-        cols = {c: dict(col) for c, col in enumerate(cols) if col}
-    else:
-        cols = {c: dict(zip(col, _primitive(col.values()))) for c, col in enumerate(cols) if col}
+    cols = {c: dict(col) if unit_pivots or all(type(v) is int for v in col.values())
+            else dict(zip(col, _primitive(col.values()))) for c, col in enumerate(cols) if col}
     rows = {}
     for c, col in cols.items():
         for r in col:

@@ -13,7 +13,8 @@ Each subspace is factored once into a ``Span`` (``span``), and a slot's
 cochain coordinates are taken in the reduced echelon rows of its span.
 A source row's coordinates in a target slot are then its entries at the
 target's pivots, so the differential is built as sparse columns with
-one membership check per row and no linear solve.
+one membership check per row and no linear solve.  The rows mapped are
+the integer ``Span.ints``, so the rank step builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def cochain_space(D: Diagram, M: CoefficientSystem, p: int) -> CochainSpace:
     total = 0
     for span in spans:
         offsets.append(total)
-        total += len(span.rows)
+        total += len(span.pivots)
     index = {slot: i for i, slot in enumerate(slots)}
     return CochainSpace(p, M.ambient_dim, slots, spans, tuple(offsets), total, index)
 
@@ -266,15 +267,16 @@ def cochain_space(D: Diagram, M: CoefficientSystem, p: int) -> CochainSpace:
 def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
     """Columns ``{row: value}`` of the differential from ``src`` to the next degree ``dst``.
 
-    Each block maps a source slot's echelon rows into a target slot: a
-    row must lie in the target span (else ``CoefficientError``), and its
-    coordinates there are its entries at the target's pivots.
+    Each block maps a source slot's integer echelon rows (``Span.ints``)
+    into a target slot: a row must lie in the target span (else
+    ``CoefficientError``), and its coordinates there are its entries at
+    the target's pivots, so column j is scaled by its row's pivot entry.
     """
     cols = [{} for _ in range(src.dim)]
 
     def add_block(ti, si, negate=False):
         target, toff = dst.spans[ti], dst.offsets[ti]
-        for j, row in enumerate(src.spans[si].rows):
+        for j, row in enumerate(src.spans[si].ints):
             if not target.contains(row):
                 B, alpha = dst.slots[ti]
                 raise CoefficientError(
@@ -306,18 +308,19 @@ def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
 def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
     """Dense matrix of the degree-p differential in slot-local coordinates.
 
-    Rows run over degree p+1, columns over degree p; the top differential
-    (p = |D|) is the empty matrix.
+    Rows run over degree p+1, columns over degree p, entries ``Fraction``s;
+    the top differential (p = |D|) is the empty matrix.
     """
     if not 0 <= p <= D.n:
         raise DiagramError(f"degree {p} out of range 0..{D.n}")
     if p == D.n:
         return []
     src, dst = cochain_space(D, M, p), cochain_space(D, M, p + 1)
+    leads = [row[q] for span in src.spans for row, q in zip(span.ints, span.pivots)]
     rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
     for c, col in enumerate(_differential_columns(D, src, dst)):
         for r, v in col.items():
-            rows[r][c] = v
+            rows[r][c] = Fraction(v, leads[c])
     return rows
 
 
@@ -407,7 +410,7 @@ def verify_chain_map(
     cell reads it: a slot's echelon rows are independent.  ``trials`` must
     be at least 1; it and ``rng`` are accepted and unused.  Each degree's
     differential is ``dynkin_diff(D, src, dst)``, as columns on the cochain
-    spaces built here.
+    spaces built here; the left side reads the rows they map (``Span.ints``).
     """
     if trials < 1:
         raise DiagramError("need at least one trial")
@@ -436,7 +439,7 @@ def verify_chain_map(
             for c in feeds[k][s]:
                 for e, sign in cofaces[c].items():
                     coboundary[e] = coboundary.get(e, 0) + sign
-            for j, row in enumerate(span.rows):
+            for j, row in enumerate(span.ints):
                 # the left side minus the right side, by (k-cell, ambient coordinate)
                 gap = {(e, a): v * x for e, v in coboundary.items() for a, x in enumerate(row) if x}
                 for i, v in diffs[k][src.offsets[s] + j].items():
@@ -456,7 +459,7 @@ def verify_chain_map(
                 failures += [
                     f"g^{k} kills the basis vector at B={D.vertex_names(B)}, "
                     f"alpha={[D.names[v] for v in alpha]}"
-                ] * len(space.spans[s].rows)
+                ] * len(space.spans[s].pivots)
     return ChainMapReport(not failures, failures)
 
 

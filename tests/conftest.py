@@ -48,6 +48,31 @@ def rref(M):
     return A, pivots
 
 
+def bareiss_rank(M) -> int:
+    """Rank of a dense integer row-list matrix by fraction-free elimination (Bareiss 1968).
+
+    The fast oracle for integer matrices, sharing no code with the library's
+    eliminator: the input is copied, each step scales the rows below the
+    pivot by the pivot and divides them exactly by the previous pivot, so
+    every entry stays an integer (a minor of the input).
+    """
+    A = [list(row) for row in M]
+    rank, previous = 0, 1
+    for c in range(len(A[0]) if A else 0):
+        pivot = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        top = A[rank]
+        p = top[c]
+        for i in range(rank + 1, len(A)):
+            x = A[i][c]
+            A[i] = [(p * a - x * b) // previous for a, b in zip(A[i], top)]
+        previous = p
+        rank += 1
+    return rank
+
+
 def shuffle_number(beta, alpha) -> int:
     """Transpositions needed to move ``beta`` to the front of ``alpha``: the walking oracle.
 

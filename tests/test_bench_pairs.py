@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 path = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -36,3 +37,29 @@ def test_summarize_one_pair_and_zero_base():
     out = bench_pairs.summarize([pair(7, {"cli.faces_s": 0.0}, {"cli.faces_s": 0.5})])
     assert out["cli.faces_s"]["parent"] == {"median": 0.0, "q1": 0.0, "q3": 0.0}
     assert out["cli.faces_s"]["change_pct"] == 0.0 and out["cli.faces_s"]["wins"] == 0
+
+
+def test_an_incorrect_run_still_writes_the_file_then_fails(tmp_path, monkeypatch, capsys):
+    """A run with ``correct: false`` is summarized and written, then named on stderr."""
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}],
+    }))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        side = "change" if checkout.endswith("change") else "parent"
+        return not (seed == 11 and side == "change"), {"wall_s": 1.0 + len(calls)}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "complex",
+            "--pairs", "3", "--seed", "10", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert len(calls) == 6
+    doc = json.loads(out.read_text())
+    pairs = doc["workloads"]["complex"]["pairs"]
+    assert [pair["correct"] for pair in pairs] == [[True, True], [True, False], [True, True]]
+    assert doc["workloads"]["complex"]["metrics"]["wall_s"]["pairs"] == 3
+    assert "pair 1 (seed 11) change" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphassoc._ratlinalg import rank, subspace_leq
+from graphassoc._ratlinalg import Span, rank, subspace_leq
 from graphassoc.diagram import DiagramError
 from graphassoc.dynkin import (
     CoefficientError,
@@ -23,7 +23,14 @@ from graphassoc.dynkin import (
 )
 from graphassoc.homology import chain_basis
 from graphassoc.nested import NestedSet
-from conftest import complete_diagram, connected_reps, cycle_diagram, path_diagram, star_diagram
+from conftest import (
+    complete_diagram,
+    connected_reps,
+    cycle_diagram,
+    path_diagram,
+    rref,
+    star_diagram,
+)
 
 P1 = path_diagram(1)
 P2 = path_diagram(2)
@@ -188,6 +195,31 @@ def test_random_system_differentials_are_pinned(name, seed):
     M = random_coefficient_system(D, 2 + seed % 3, random.Random(100 + seed))
     digest = hashlib.sha256(_differentials_text(D, M).encode()).hexdigest()
     assert digest == PINNED_DIFFERENTIALS[(name, seed)]
+
+
+def test_cohomology_is_dims_minus_rref_ranks_of_dense_differentials():
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for n in range(1, 5):
+            for D in connected_reps(n):
+                M = random_coefficient_system(D, 3, rng)
+                dims = [cochain_space(D, M, p).dim for p in range(D.n + 1)]
+                ranks = [len(rref(dynkin_differential(D, M, p))[1]) for p in range(D.n)] + [0]
+                expected = [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(D.n + 1)]
+                assert dynkin_cohomology(D, M) == expected, (seed, D.names)
+
+
+def test_dynkin_json_never_reads_the_fraction_rows(monkeypatch):
+    def unread(span):
+        raise AssertionError("Span.rows read on the cohomology path")
+
+    monkeypatch.setattr(Span, "rows", property(unread))
+    P4 = path_diagram(4)
+    M = random_coefficient_system(P4, 3, random.Random(5))
+    assert dynkin_json(P4, M)["dims"] == [cochain_space(P4, M, p).dim for p in range(5)]
+    assert dynkin_json(cycle_diagram(5), CONST)["HD"][0] == 0
+    with pytest.raises(AssertionError):
+        cochain_space(P4, M, 1).spans[0].rows
 
 
 def test_degree_zero_cohomology_vanishes_everywhere():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from graphassoc._ratlinalg import Span, columns, eliminate, independent_columns, rank, subspace_leq
-from conftest import rref
+from conftest import bareiss_rank, rref
 
 
 def rref_rank(M):
@@ -92,6 +95,56 @@ def test_span_matches_rref_oracle():
             assert subspace_leq([w], family) == span.contains(w)
         shapes.add((len(family) == 0, r == dim, r < len(family)))
     assert len(shapes) >= 5  # empty, spanning and dependent families all occur
+
+
+def test_span_ints_are_primitive_integer_multiples_of_rows():
+    rng = random.Random(23)
+    for trial in range(300):
+        dim, family = _random_family(rng, trial)
+        span = Span(family, dim)
+        assert len(span.ints) == len(span.rows) == len(span.pivots)
+        for ints, row, p in zip(span.ints, span.rows, span.pivots):
+            assert type(ints) is tuple and all(type(x) is int for x in ints)
+            assert gcd(*ints) == 1 and ints[p] != 0
+            assert list(ints) == [ints[p] * x for x in row]  # rows[i][p] is 1
+        for c, L, terms in span.equations:
+            assert all(type(x) is int for x in (c, L, *(x for term in terms for x in term)))
+
+
+def test_span_contains_matches_rref_at_dim_zero_and_full_rank():
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(400):
+        dim, family = _random_family(rng, trial)
+        span = Span(family, dim)
+        r = rref_rank(family)
+        for _ in range(4):
+            w = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.5 else 0
+                 for _ in range(dim)]
+            assert span.contains(w) == (rref_rank(family + [w]) == r)
+        assert span.contains([0] * dim)
+        seen.add("dim 0" if dim == 0 else "full rank" if r == dim else "proper")
+    assert seen == {"dim 0", "full rank", "proper"}
+
+
+def test_span_rejects_vectors_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 2 in a span of dim 1"):
+        Span(((1,),), 1).contains((1, 5))
+    with pytest.raises(ValueError, match="length 1 in a span of dim 2"):
+        Span([[1, 2], [1]], 2)
+    with pytest.raises(ValueError, match="length 1 in a span of dim 2"):
+        subspace_leq([[1, 0]], [[1]])
+
+
+def test_bareiss_rank_oracle_matches_rref():
+    rng = random.Random(37)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        entries = (0, 0, 1, -1)
+        M = [[rng.choice(entries + (rng.randint(-9, 9),)) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and rng.random() < 0.3:
+            M[-1] = [a - 3 * b for a, b in zip(M[0], M[1])]  # a dependent row
+        assert bareiss_rank(M) == rref_rank(M)
 
 
 def test_rank_matches_rref_where_entries_grow():
