@@ -12,7 +12,9 @@ and quartiles, the change of the median in percent of the parent's and
 the pairs the change won (``summarize``).  Other keys of an existing
 output file are kept, so one file can hold several workloads.  When a
 run reports ``correct: false`` the file is still written, and the script
-exits 1 naming each such run's pair and side.
+exits 1 naming each such run's pair and side.  When a run exits nonzero
+or prints nothing, the pairs completed before it are written, and the
+script exits 1 naming that run's pair, seed, side and exit code.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
        --pairs N --seed S [--out BENCH_x.json]
@@ -51,6 +53,13 @@ def summarize(pairs, higher_better=()):
     return out
 
 
+class RunError(Exception):
+    """A benchmark run that exited nonzero or printed no report."""
+
+    def __init__(self, returncode, stderr):
+        super().__init__(f"exit code {returncode}\n{stderr[-2000:]}")
+
+
 def run_once(checkout, workload, seed, seconds):
     """One untraced benchmark run in ``checkout``: its ``correct`` flag and metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -58,7 +67,7 @@ def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: the benchmark exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        raise RunError(proc.returncode, proc.stderr)
     report = json.loads(lines[-1])
     return report["correct"], {name: m["value"] for name, m in report["metrics"].items()}
 
@@ -79,17 +88,34 @@ def main(argv=None):
     higher = {m["name"] for m in benchmark["end_to_end"] if m["better"] == "higher"}
     seconds = benchmark["run_seconds"]
 
-    pairs = []
+    pairs, failed = [], None
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair, correct = {"seed": seed, "first": order[0]}, {}
-        for side in order:
-            correct[side], pair[side] = run_once(getattr(args, side), args.workload, seed, seconds)
-            print(f"# pair {i} seed {seed} {side}: correct={correct[side]}", file=sys.stderr)
+        try:
+            for side in order:
+                checkout = getattr(args, side)
+                correct[side], pair[side] = run_once(checkout, args.workload, seed, seconds)
+                print(f"# pair {i} seed {seed} {side}: correct={correct[side]}", file=sys.stderr)
+        except RunError as exc:
+            failed = f"pair {i} (seed {seed}) {side} failed, {exc}"
+            break
         pair["correct"] = [correct["parent"], correct["change"]]
         pairs.append(pair)
+    if pairs:
+        write_pairs(args, pairs, seconds, higher)
+    wrong = [f"pair {i} (seed {pair['seed']}) {side}" for i, pair in enumerate(pairs)
+             for side, ok in zip(("parent", "change"), pair["correct"]) if not ok]
+    if wrong:
+        print(f"runs that reported correct: false: {', '.join(wrong)}", file=sys.stderr)
+    if failed:
+        print(f"{len(pairs)} pairs written; {failed}", file=sys.stderr)
+    return 1 if wrong or failed else 0
 
+
+def write_pairs(args, pairs, seconds, higher):
+    """Summarize ``pairs`` under ``workloads[W]`` of ``args.out``, keeping its other keys."""
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -101,16 +127,10 @@ def main(argv=None):
                      "quartiles by statistics.quantiles(method='inclusive')")
     summary = summarize(pairs, higher)
     doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "metrics": summary}
-    doc.setdefault("seeds", {})[args.workload] = f"{args.seed}-{args.seed + args.pairs - 1}"
+    doc.setdefault("seeds", {})[args.workload] = f"{args.seed}-{args.seed + len(pairs) - 1}"
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    wrong = [f"pair {i} (seed {pair['seed']}) {side}" for i, pair in enumerate(pairs)
-             for side, ok in zip(("parent", "change"), pair["correct"]) if not ok]
-    if wrong:
-        print(f"runs that reported correct: false: {', '.join(wrong)}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .diagram import (
 from .nested import (
     NestedSet,
     TwoFace,
+    _non_square_key,
     _skeleton,
     connected_subdiagrams,
     faces,
@@ -381,15 +382,15 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
 
     Both words walk the hexagon; a pentagon's split pair (j, k) has an
     empty component, and its letter is dropped.  A word depends only on
-    the face's (B, alpha), so it is built once and shared by those faces.
+    the face's (B, alpha), so it is split and built once and shared by those faces.
     """
     out, words = [], {}
     for H in faces(D, 2) if D.n >= 3 else ():
-        face = two_face_split(D, H)
-        if face is None:
+        key = _non_square_key(H)
+        if key is None:
             continue
-        B, alpha, split = face
-        if (B, alpha) not in words:
+        if key not in words:
+            B, alpha, split = two_face_split(D, H)
             i, j, k = split  # the alpha vertices, ascending
             empty = [z for z in split if not split[z]]
             kind = TwoFace.PENTAGON if empty else TwoFace.HEXAGON
@@ -400,8 +401,8 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
             letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
                        (B, j, k), (split[k], j, i)]
             word = tuple(associator_letter(*letter) for letter in letters if letter[0])
-            words[B, alpha] = RelationWord(f"{kind.value}{len(word)}", word)
-        out.append((H, words[B, alpha]))
+            words[key] = RelationWord(f"{kind.value}{len(word)}", word)
+        out.append((H, words[key]))
     return out
 
 
@@ -522,7 +523,12 @@ def support_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
 
 
 def presentation_json(D: Diagram) -> dict:
-    """The symbolic presentation: generator inventory plus relation words."""
+    """The symbolic presentation: generator inventory plus relation words.
+
+    Each distinct word is encoded once, and relations repeating it (the
+    2-faces of one (B, alpha)) list that same object, so the payload is
+    a read-only document: copy it before changing any part.
+    """
     names = {B: D.vertex_names(B) for B in connected_subdiagrams(D)}  # holds every support
     phis = []
     twists = []
@@ -532,11 +538,12 @@ def presentation_json(D: Diagram) -> dict:
             for b in bits(B):
                 if a < b:
                     phis.append({"B": list(B_names), "pair": [D.names[a], D.names[b]]})
-    relations = []
+    relations, encoded = [], {}  # keyed by word identity: hashing a word rehashes its letters
     for word in pentagon_relations(D) + braid_relations(D):
-        relations.append(
-            {"kind": word.kind, "word": [_letter_json(D, l, names) for l in word.letters]}
-        )
+        if id(word) not in encoded:
+            encoded[id(word)] = {"kind": word.kind,
+                                 "word": [_letter_json(D, l, names) for l in word.letters]}
+        relations.append(encoded[id(word)])
     return {
         "generators": {"S": list(D.names), "Phi": phis, "a": twists},
         "relations": relations,

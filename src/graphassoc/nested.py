@@ -333,10 +333,16 @@ def _split_table(D: Diagram) -> dict:
     return {}
 
 
+def _non_square_key(H: NestedSet):
+    """A 2-face's unsaturated ``(B, alpha)``; ``None`` if two unsaturated elements make a square."""
+    unsat = H._unsaturated_pass()
+    return None if len(unsat) == 2 else unsat[0]
+
+
 def two_face_split(D: Diagram, H: NestedSet):
     """The shape of a 2-face: ``None`` for a square, else ``(B, alpha, split)``.
 
-    Two unsaturated elements give a square.  Otherwise the single
+    A square is read off ``_non_square_key``.  Otherwise the single
     unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, read off
     ``split`` by the quotient lemma: a triangle (hexagon face) when all
     three splits are nonzero, else a path (pentagon face).  ``split`` is
@@ -344,10 +350,9 @@ def two_face_split(D: Diagram, H: NestedSet):
     """
     if H.dim != 2:
         raise DiagramError("classification needs a 2-dimensional face")
-    unsat = H._unsaturated_pass()
-    if len(unsat) == 2:
+    key = _non_square_key(H)
+    if key is None:
         return None
-    (key,) = unsat
     table = _split_table(D)
     split = table.get(key)
     if split is None:

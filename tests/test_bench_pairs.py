@@ -63,3 +63,31 @@ def test_an_incorrect_run_still_writes_the_file_then_fails(tmp_path, monkeypatch
     assert [pair["correct"] for pair in pairs] == [[True, True], [True, False], [True, True]]
     assert doc["workloads"]["complex"]["metrics"]["wall_s"]["pairs"] == 3
     assert "pair 1 (seed 11) change" in capsys.readouterr().err
+
+
+def test_a_failed_run_writes_the_pairs_so_far_then_fails(tmp_path, monkeypatch, capsys):
+    """A run exiting nonzero stops the loop; the pairs before it are written and it is named."""
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}],
+    }))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        if seed == 21 and checkout.endswith("parent"):
+            raise bench_pairs.RunError(3, "Traceback: boom")
+        return True, {"wall_s": 1.0 + len(calls)}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "census",
+            "--pairs", "4", "--seed", "20", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert len(calls) == 4  # pair 1 runs the change first, then its parent run fails
+    doc = json.loads(out.read_text())
+    assert [pair["seed"] for pair in doc["workloads"]["census"]["pairs"]] == [20]
+    assert doc["workloads"]["census"]["metrics"]["wall_s"]["pairs"] == 1
+    assert doc["seeds"]["census"] == "20-20"
+    err = capsys.readouterr().err
+    assert "pair 1 (seed 21) parent failed, exit code 3" in err and "boom" in err

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import deque
 
@@ -34,7 +35,7 @@ from graphassoc.coherence import (
     twist_associator,
     validate_good_sequence,
 )
-from graphassoc.diagram import DiagramError, InvariantError, bits, is_orthogonal
+from graphassoc.diagram import Diagram, DiagramError, InvariantError, bits, is_orthogonal
 from graphassoc.nested import (
     NestedSet,
     TwoFace,
@@ -50,6 +51,8 @@ from conftest import (
     cycle_diagram,
     labeled_connected,
     path_diagram,
+    relabelings,
+    star_diagram,
 )
 
 P2 = path_diagram(2, label=3)
@@ -596,3 +599,56 @@ def test_presentation_json_shape():
         for letter in rel["word"]:
             assert letter["exp"] in (-1, 1)
             assert letter["letter"]["type"] in {"S", "Phi", "a"}
+
+
+PRESENTATION_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
+    E for D in (cycle_diagram(6), path_diagram(6), complete_diagram(5), star_diagram(4))
+    for E in relabelings(D, count=1, seed=17)
+] + [path_diagram(4, label=3), cycle_diagram(4, label=4), path_diagram(3, label=6),
+     Diagram.from_edges(["1", "2", "3", "4"], [(0, 1, 3), (1, 2), (1, 3, 5)])]
+
+
+@pytest.mark.parametrize("D", PRESENTATION_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
+def test_presentation_json_matches_a_fresh_encoding_and_shares_repeats(D):
+    """The payload serializes like one fresh ``_letter_json`` list per relation,
+    and the relations of the 2-faces of one (B, alpha) are one object."""
+    doc = presentation_json(D)
+    names = {B: D.vertex_names(B) for B in connected_subdiagrams(D)}
+    fresh = [
+        {"kind": word.kind, "word": [coherence._letter_json(D, l, names) for l in word.letters]}
+        for word in pentagon_relations(D) + braid_relations(D)
+    ]
+    assert json.dumps(doc) == json.dumps(dict(doc, relations=fresh))
+    keys = [H.unsaturated()[0] for H, _word in relations_by_face(D)]
+    by_key = {}
+    for key, rel in zip(keys, doc["relations"]):
+        assert by_key.setdefault(key, rel) is rel
+    braids = doc["relations"][len(keys):]
+    distinct = {id(rel) for rel in doc["relations"]}
+    assert len(distinct) == len(by_key) + len(braids)
+
+
+def test_presentation_json_splits_and_encodes_each_distinct_word_once(monkeypatch):
+    """On a relabeled C6 with a cold split table: one ``split_components`` per
+    distinct (B, alpha), one ``_letter_json`` per letter of each distinct word."""
+    (D,) = relabelings(cycle_diagram(6), count=1, seed=17)
+    splits, letters = [], []
+    split_components, letter_json = nested.split_components, coherence._letter_json
+
+    def counting_split(*args):
+        splits.append(args[1:])
+        return split_components(*args)
+
+    def counting_letter(*args):
+        letters.append(args[1])
+        return letter_json(*args)
+
+    monkeypatch.setattr(nested, "split_components", counting_split)
+    monkeypatch.setattr(coherence, "_letter_json", counting_letter)
+    nested._split_table.cache_clear()
+    doc = presentation_json(D)
+    keys = {H.unsaturated()[0] for H in faces(D, 2) if len(H.unsaturated()) == 1}
+    assert sorted(splits) == sorted(keys)
+    words = {H.unsaturated()[0]: word for H, word in relations_by_face(D)}
+    assert len(words) == len(keys) < len(doc["relations"])
+    assert len(letters) == sum(len(word.letters) for word in words.values())
