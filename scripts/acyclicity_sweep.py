@@ -17,7 +17,8 @@ import sys
 
 from graphassoc.dynkin import ConstantCoefficients, verify_chain_map
 from graphassoc.families import connected_reps
-from graphassoc.homology import chain_basis, homology
+from graphassoc.homology import homology
+from graphassoc.nested import f_vector
 
 
 def main():
@@ -25,7 +26,7 @@ def main():
     unexpected = 0
     for n in range(1, max_n + 1):
         for D in connected_reps(n):
-            counts = [len(chain_basis(D, k)) for k in range(D.n)]
+            counts = f_vector(D)
             euler = sum((-1) ** k * c for k, c in enumerate(counts))
             H = homology(D)
             betti = [b for b, _ in H]

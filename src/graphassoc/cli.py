@@ -94,14 +94,12 @@ def _dispatch(args, D: Diagram) -> dict:
     if args.command == "twofaces":
         return nested.two_faces_json(D)
     if args.command == "polytope":
-        R = polytope.make_realization(D)
-        doc = polytope.export_polytope(R)
+        doc = polytope.export_polytope(polytope.make_realization(D))
         if args.off is not None:
-            text = polytope.off_text(R)
-            if text is None:
+            if "off" not in doc:
                 raise DiagramError("OFF export needs affine dimension at most 3")
             with open(args.off, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(doc["off"])
         return doc
     if args.command == "homology":
         return homology.homology_json(D)

@@ -196,6 +196,8 @@ class Diagram(Value):
 
     def label(self, i: int, j: int) -> float:
         """The multiplicity m_ij; 2 exactly when i and j are non-adjacent."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise DiagramError(f"vertex index out of range 0..{self.n - 1}")
         if i == j:
             raise DiagramError("no label on a vertex pair (i, i)")
         if not self.adj[i] & (1 << j):

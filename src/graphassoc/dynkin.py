@@ -35,7 +35,7 @@ from .diagram import (
     mask_of,
 )
 from .homology import cell_complex, cell_index
-from .nested import connected_subdiagrams, irreducible_cell
+from .nested import connected_subdiagrams, faces, irreducible_cell
 
 
 class CoefficientError(DiagramError):
@@ -352,33 +352,34 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
 
     Degree 0 lands in the augmentation slot (a single ambient vector);
     degree k >= 1 yields one ambient vector per cell of dimension k-1
-    (aligned with the canonical cell basis), supported on irreducible
-    cells for k >= 2.
+    (aligned with ``faces(D, k - 1)``), supported on irreducible cells for
+    k >= 2.
     """
     if not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
     space = cochain_space(D, M, k)
     if k == 0:
         return space.ambient(vec, space.slot_index(D.full, ()))
-    return [_g_on_cell(space, vec, cell) for cell in cell_complex(D)[0][k - 1]]
+    return [_g_on_cell(space, vec, H) for H in faces(D, k - 1)]
 
 
-def _g_slots(space: CochainSpace, cell) -> list[int]:
-    """The slots g^k adds up on one (k-1)-cell, for k = ``space.degree`` >= 1.
+def _g_slots(space: CochainSpace, H) -> list[int]:
+    """The slots g^k adds up on one (k-1)-cell H, for k = ``space.degree`` >= 1.
 
     For k = 1 one slot per element: the element with its one-vertex alpha
-    set.  For k >= 2 the cell's single unsaturated entry, or none.
+    set, read off the alpha bitmask's length.  For k >= 2 H's single
+    unsaturated element with its alpha set, or none.
     """
     if space.degree == 1:
-        H = cell.nested
-        return [space.index[(B, (next(bits(H.alpha_set(B))),))] for B in H.elements]
-    return [space.index[cell.orientation[0]]] if len(cell.orientation) == 1 else []
+        return [space.index[(B, (H.alpha_set(B).bit_length() - 1,))] for B in H.elements]
+    unsat = H._unsaturated_pass()
+    return [space.index[(B, tuple(bits(alpha)))] for B, alpha in unsat] if len(unsat) == 1 else []
 
 
-def _g_on_cell(space: CochainSpace, vec, cell):
-    """The value of g^k(vec) on one (k-1)-cell, for k = ``space.degree`` >= 1."""
+def _g_on_cell(space: CochainSpace, vec, H):
+    """The value of g^k(vec) on one (k-1)-cell H, for k = ``space.degree`` >= 1."""
     total = [Fraction(0)] * space.ambient_dim
-    for s in _g_slots(space, cell):
+    for s in _g_slots(space, H):
         total = [x + y for x, y in zip(total, space.ambient(vec, s))]
     return tuple(total)
 
@@ -416,18 +417,18 @@ def verify_chain_map(
         raise DiagramError("need at least one trial")
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
     diffs = [dynkin_diff(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
-    cells, _, boundary = cell_complex(D)
+    boundary = cell_complex(D)[1]
     feeds = [[[0] if slot == (D.full, ()) else [] for slot in spaces[0].slots]]
     for k in range(1, D.n + 1):
         feeds.append([[] for _ in spaces[k].slots])
-        for c, cell in enumerate(cells[k - 1]):
-            for s in _g_slots(spaces[k], cell):
+        for c, H in enumerate(faces(D, k - 1)):
+            for s in _g_slots(spaces[k], H):
                 feeds[k][s].append(c)
 
     def commutes(k):
         src, dst = spaces[k], spaces[k + 1]
         # cofaces[c]: {k-cell: sign}; the augmentation's cofaces are the vertices
-        cofaces = [{} for _ in cells[k - 1]] if k else [dict.fromkeys(range(len(cells[0])), 1)]
+        cofaces = [{} for _ in boundary[k - 1]] if k else [dict.fromkeys(range(len(boundary[0])), 1)]
         for e, col in enumerate(boundary[k]):
             for c, sign in col.items():
                 cofaces[c][e] = sign

@@ -9,12 +9,12 @@ representative with a sign.  The boundary operator drops one cell
 dimension by splitting an alpha set; the complex computes the homology
 of the associahedron (contractible, so acyclic).
 
-Each diagram's complex is built once by ``cell_complex`` and cached: the
-canonical cells of each dimension, one map from a cell's tube bitmask to
-its place, and every boundary as sparse signed columns, each sign read
-off popcounts of alpha bitmasks.  ``boundary_cell``, ``chain_basis`` and
-``homology`` read it; ``boundary_matrix`` is a dense view of it.
-``homology`` drops from d_{k+1} the rows of the k-cells paired by unit
+The k-cells are ``faces(D, k)``.  Each diagram's complex is built once
+by ``cell_complex`` and cached as one map from a cell's tube bitmask to
+its place and every boundary as sparse signed columns, each sign read
+off popcounts of alpha bitmasks; it keeps no oriented cells.
+``chain_basis`` and ``boundary_cell`` orient faces on demand, and
+``boundary_matrix`` is a dense view of the columns.  ``homology`` drops from d_{k+1} the rows of the k-cells paired by unit
 pivots of d_k, a reduction (Kaczynski-Mrozek-Slusarek 1998) that keeps
 the invariant factors (``chain_homology``).
 
@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
-from ._ratlinalg import columns, eliminate, rank  # rank: re-exported for callers of this module
+from ._ratlinalg import columns, eliminate
 from .diagram import Diagram, DiagramError, InvariantError, Value, bits
 from .nested import NestedSet, _tube_table, enumeration_key, faces
 
@@ -47,10 +47,6 @@ class OrientedCell(Value):
     nested: NestedSet
     orientation: tuple[tuple[int, tuple[int, ...]], ...]
     __slots__ = _fields = ("nested", "orientation")
-
-    def __init__(self, nested: NestedSet, orientation: tuple[tuple[int, tuple[int, ...]], ...]):
-        object.__setattr__(self, "nested", nested)
-        object.__setattr__(self, "orientation", orientation)
 
     @property
     def dim(self) -> int:
@@ -68,10 +64,9 @@ class OrientedCell(Value):
                 raise DiagramError("alpha order must be a permutation of the alpha set")
 
 
-def oriented(H: NestedSet, unsaturated=None) -> OrientedCell:
+def oriented(H: NestedSet) -> OrientedCell:
     """The canonical orientation: canonical enumeration, ascending alpha orders."""
-    entries = H.unsaturated() if unsaturated is None else unsaturated
-    return OrientedCell(H, tuple((B, tuple(bits(a))) for B, a in entries))
+    return OrientedCell(H, tuple((B, tuple(bits(a))) for B, a in H.unsaturated()))
 
 
 def canonicalize(cell: OrientedCell) -> tuple[OrientedCell, int]:
@@ -103,12 +98,13 @@ def shuffle(beta: int, alpha: int) -> int:
 
 @lru_cache(maxsize=8)
 def cell_complex(D: Diagram):
-    """The oriented cell complex of D as ``(cells, position, boundary)``.
+    """The oriented cell complex of D as ``(position, boundary)``.
 
-    ``cells[k]`` holds the canonical oriented cells over ``faces(D, k)``,
-    ``position`` maps the bitmask of a cell's tubes' ``nested._tube_table``
-    positions to its place in its dimension (``cell_index``), and
-    ``boundary[k]`` one column ``{row: +-1}`` per k-cell (empty for k = 0).
+    The k-cells are ``faces(D, k)``, each in its canonical orientation
+    (``oriented``).  ``position`` maps the bitmask of a cell's tubes'
+    ``nested._tube_table`` positions to its place in its dimension
+    (``cell_index``), and ``boundary[k]`` holds one column ``{row: +-1}``
+    per k-cell (empty for k = 0).
 
     A face of a cell is the cell plus one tube T compatible with all its
     tubes.  T splits the alpha set of the entry (B, alpha) with T inside
@@ -119,12 +115,11 @@ def cell_complex(D: Diagram):
     ``(|beta|-1) * sum(|alpha_e|-1)`` to the sign exponent.
     """
     tubes, pos, compatible, _vertices = _tube_table(D)
-    full, cells, position, boundary = (1 << len(tubes)) - 1, [], {}, []
+    full, position, boundary = (1 << len(tubes)) - 1, {}, []
     for k in range(D.n):  # every (k-1)-cell has its position before a k-cell's faces are read
-        row, cols = [], []
+        cols = []
         for c, H in enumerate(faces(D, k)):
             entries = H.unsaturated()
-            row.append(oriented(H, entries))
             have, free = 0, full
             for m in H.elements[:-1]:
                 have, free = have | 1 << pos[m], free & compatible[pos[m]]
@@ -153,9 +148,8 @@ def cell_complex(D: Diagram):
                     raise InvariantError("boundary face is not a new nested set")
                 col[face] = -1 if exponent & 1 else 1
             cols.append(col)
-        cells.append(tuple(row))
         boundary.append(tuple(cols))
-    return tuple(cells), position, tuple(boundary)
+    return position, tuple(boundary)
 
 
 def cell_index(D: Diagram, H: NestedSet) -> int | None:
@@ -163,7 +157,7 @@ def cell_index(D: Diagram, H: NestedSet) -> int | None:
     pos = _tube_table(D)[1]
     proper = H.elements[:-1]
     if H.elements[-1:] == (D.full,) and all(m in pos for m in proper):
-        return cell_complex(D)[1].get(sum(1 << pos[m] for m in proper))
+        return cell_complex(D)[0].get(sum(1 << pos[m] for m in proper))
     return None
 
 
@@ -171,14 +165,15 @@ def boundary_cell(D: Diagram, cell: OrientedCell) -> dict[OrientedCell, int]:
     """Signed boundary of one oriented cell, over canonical representatives.
 
     The cell's column of ``cell_complex(D)``, times the sign that brings
-    ``cell`` to canonical form.
+    ``cell`` to canonical form, over the oriented faces it names.
     """
     cell, sign = canonicalize(cell)
     c = cell_index(D, cell.nested)
     if c is None:
         raise DiagramError("cell is not a face of the diagram")
-    cells, _, boundary = cell_complex(D)
-    return {cells[cell.dim - 1][r]: sign * v for r, v in boundary[cell.dim][c].items()}
+    col = cell_complex(D)[1][cell.dim][c]
+    rows = faces(D, cell.dim - 1) if col else ()  # a vertex's column is empty
+    return {oriented(rows[r]): sign * v for r, v in col.items()}
 
 
 def boundary(D: Diagram, chain: dict[OrientedCell, int]) -> dict[OrientedCell, int]:
@@ -199,9 +194,7 @@ def boundary(D: Diagram, chain: dict[OrientedCell, int]) -> dict[OrientedCell, i
 
 def chain_basis(D: Diagram, k: int) -> list[OrientedCell]:
     """Canonical oriented cells of dimension k, in ``faces(D, k)`` order."""
-    if not 0 <= k <= D.n - 1:
-        raise DiagramError(f"dimension {k} out of range")
-    return list(cell_complex(D)[0][k])
+    return [oriented(H) for H in faces(D, k)]
 
 
 def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
@@ -212,8 +205,8 @@ def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
     """
     if not 0 <= k <= D.n - 1:
         raise DiagramError(f"dimension {k} out of range")
-    cells, _, boundary = cell_complex(D)
-    M = [[0] * len(cells[k]) for _ in cells[k - 1]] if k else []
+    boundary = cell_complex(D)[1]
+    M = [[0] * len(boundary[k]) for _ in boundary[k - 1]] if k else []
     for c, col in enumerate(boundary[k]):
         for r, v in col.items():
             M[r][c] = v
@@ -223,10 +216,10 @@ def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
 def boundary_matrix_json(D: Diagram, k: int) -> dict:
     if not 0 <= k <= D.n - 1:
         raise DiagramError(f"dimension {k} out of range")
-    cells, _, boundary = cell_complex(D)
+    boundary = cell_complex(D)[1]
     return {
-        "rows": len(cells[k - 1]) if k > 0 else 0,
-        "cols": len(cells[k]),
+        "rows": len(boundary[k - 1]) if k > 0 else 0,
+        "cols": len(boundary[k]),
         "entries": sorted([r, c, v] for c, col in enumerate(boundary[k]) for r, v in col.items()),
     }
 
@@ -311,8 +304,8 @@ def homology(D: Diagram) -> list[tuple[int, list[int]]]:
     of a contractible polytope, reduced by its unit pivots
     (Kaczynski-Mrozek-Slusarek 1998): Z in degree 0, nothing above.
     """
-    cells, _, boundary = cell_complex(D)
-    return chain_homology([len(row) for row in cells], boundary)
+    boundary = cell_complex(D)[1]
+    return chain_homology([len(cols) for cols in boundary], boundary)
 
 
 def homology_json(D: Diagram) -> dict:

@@ -137,6 +137,21 @@ def test_off_refused_in_high_dimension(tmp_path):
     big.write_text("vertices: 1 2 3 4 5\nedges: 1-2 2-3 3-4 4-5\n")
     result = run(["polytope", "--diagram", str(big), "--off", str(tmp_path / "x.off")])
     assert result.status == 1
+    assert "OFF export needs affine dimension at most 3" in result.message
+
+
+def test_off_file_is_built_once(p3_file, tmp_path, monkeypatch):
+    """``--off`` writes the OFF text the payload already carries, built by one ``off_text`` call."""
+    from graphassoc import polytope
+
+    calls = []
+    build = polytope.off_text
+    monkeypatch.setattr(polytope, "off_text", lambda R: calls.append(R) or build(R))
+    off = tmp_path / "out.off"
+    doc = payload(["polytope", "--diagram", p3_file, "--off", str(off)])
+    assert len(calls) == 1
+    expected = build(polytope.make_realization(parse_diagram(P3_TEXT)))
+    assert off.read_bytes() == doc["off"].encode("utf-8") == expected.encode("utf-8")
 
 
 def test_non_maximal_pair_is_validation_error(p3_file):

@@ -287,9 +287,9 @@ def test_lift_preserves_containment_and_orthogonality(n):
                 for m in range(1, D.full + 1)
                 if m & B == 0 and _quotient_connected(D, B, m)
             ]
-            for A1 in conn_q:
-                for A2 in conn_q:
-                    L1, L2 = lift(D, B, A1), lift(D, B, A2)
+            lifts = {A: lift(D, B, A) for A in conn_q}
+            for A1, L1 in lifts.items():
+                for A2, L2 in lifts.items():
                     if A1 & ~A2 == 0:
                         assert L1 & ~L2 == 0
                     if _quotient_orthogonal(D, B, A1, A2):
@@ -303,6 +303,9 @@ def test_label_rules():
     assert D.label(0, 2) == 2
     with pytest.raises(DiagramError):
         D.label(1, 1)
+    for i, j in [(0, 3), (-1, 1), (3, 0), (0, -1)]:  # no index wraps round or reads past the end
+        with pytest.raises(DiagramError, match=r"^vertex index out of range 0\.\.2$"):
+            D.label(i, j)
 
 
 def test_vertex_name_roundtrip():

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from graphassoc._ratlinalg import columns, eliminate
+from graphassoc._ratlinalg import columns, eliminate, rank
 from graphassoc.diagram import DiagramError, bits, component_containing, mask_of
-from graphassoc.dynkin import ChainMapReport
+from graphassoc.dynkin import ChainMapReport, ConstantCoefficients, verify_chain_map
 from graphassoc.homology import (
     OrientedCell,
     _smith,
@@ -31,7 +31,6 @@ from graphassoc.homology import (
     homology,
     homology_json,
     oriented,
-    rank,
     shuffle,
     smith_normal_form,
 )
@@ -236,10 +235,27 @@ def test_popcount_shuffle_matches_walking_oracle():
 
 def test_cell_complex_cells_are_the_canonical_orientations():
     for D in [*(D for n in range(1, 6) for D in connected_reps(n)), cycle_diagram(6)]:
-        cells = cell_complex(D)[0]
+        boundary = cell_complex(D)[1]
         for k in range(D.n):
-            assert cells[k] == tuple(oriented(H) for H in faces(D, k))
-            assert [cell_index(D, cell.nested) for cell in cells[k]] == list(range(len(cells[k])))
+            cells = chain_basis(D, k)
+            assert cells == [oriented(H) for H in faces(D, k)]
+            assert len(cells) == len(boundary[k])
+            assert [cell_index(D, cell.nested) for cell in cells] == list(range(len(cells)))
+
+
+def test_cell_complex_and_chain_map_build_no_oriented_cell(monkeypatch):
+    """The cached complex keeps columns and positions only; the chain-map check reads faces."""
+    from graphassoc import homology as homology_module
+
+    def no_cells(*args):
+        raise AssertionError("OrientedCell built")
+
+    monkeypatch.setattr(homology_module, "OrientedCell", no_cells)
+    cell_complex.cache_clear()
+    C6 = cycle_diagram(6)
+    assert len(cell_complex(C6)[1]) == C6.n
+    assert homology_json(C6) == {"H": [{"betti": 1}] + [{"betti": 0}] * 5}
+    assert verify_chain_map(path_diagram(4), ConstantCoefficients(), 1)
 
 
 def test_cell_of_another_diagram_is_not_a_face():
@@ -509,9 +525,9 @@ def eliminated(monkeypatch):
 def test_reduction_keeps_every_boundarys_invariant_factors(eliminated):
     diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
     for D in diagrams + [cycle_diagram(6), complete_diagram(5)]:
-        cells, _, boundaries = cell_complex(D)
+        boundaries = cell_complex(D)[1]
         eliminated.clear()
-        chain_homology([len(row) for row in cells], boundaries)
+        chain_homology([len(cols) for cols in boundaries], boundaries)
         assert [factors for _, factors in eliminated] == [_smith(cols)[0] for cols in boundaries[1:]]
         # from d_2 on, the rows of the cells paired below are gone
         assert all(n < sum(map(len, cols)) for (n, _), cols in zip(eliminated[1:], boundaries[2:]))

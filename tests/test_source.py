@@ -107,13 +107,27 @@ def test_cli_import_loads_no_heavy_modules():
     assert loaded & {"dataclasses", "inspect", "hashlib", "ast"} == set()
 
 
+def test_library_imports_only_the_standard_library():
+    """The package has ``dependencies = []``: every import is relative or names a stdlib module."""
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
 def test_top_level_imports_are_used():
     """Every name a module imports at top level is used in that module.
 
-    ``__init__.py`` re-exports the package API, and ``homology`` re-exports
-    ``rank`` for its callers.
+    ``__init__.py`` re-exports the package API.
     """
-    exempt = {("homology.py", "rank")}
     unused = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -128,4 +142,4 @@ def test_top_level_imports_are_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in sorted(imported - used)]
-    assert set(unused) <= exempt, sorted(set(unused) - exempt)
+    assert unused == []
