@@ -14,7 +14,9 @@ cochain coordinates are taken in the reduced echelon rows of its span.
 A source row's coordinates in a target slot are then its entries at the
 target's pivots, so the differential is built as sparse columns with
 one membership check per row and no linear solve.  The rows mapped are
-the integer ``Span.ints``, so the rank step builds no ``Fraction``.
+the integer ``Span.ints``, so neither the rank step nor the chain-map
+check (both sides times the lcm of the target pivot entries) builds a
+``Fraction``.  A random system factors each distinct seed family once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import lcm
 
 from ._ratlinalg import Span, _solve_cached, eliminate
 from .diagram import (
@@ -32,6 +35,7 @@ from .diagram import (
     bits,
     component_containing,
     components,
+    is_connected,
     mask_of,
 )
 from .homology import cell_complex, cell_index
@@ -130,10 +134,20 @@ class MatrixCoefficients(CoefficientSystem):
                         f"basis vector of {_positions(B, S)} has {len(vec)} entries, "
                         f"not ambient_dim {n}"
                     )
-        self.ambient_dim = n
-        self._spans = {key: Span(vectors, n) for key, vectors in table.items()}
-        self.table = {key: span.independent for key, span in self._spans.items()}
+        bases = {id(vectors): vectors for vectors in table.values()}  # each basis object once
+        spans = {i: Span(vectors, n) for i, vectors in bases.items()}
+        self._adopt(n, {key: spans[id(vectors)] for key, vectors in table.items()})
+
+    @classmethod
+    def _factored(cls, n: int, spans: dict) -> "MatrixCoefficients":
+        """The system of already factored entries ``{(B, S): span}``, unchecked."""
+        return cls.__new__(cls)._adopt(n, spans)
+
+    def _adopt(self, n: int, spans: dict) -> "MatrixCoefficients":
+        self.ambient_dim, self._spans = n, spans
+        self.table = {key: span.independent for key, span in spans.items()}
         self._full = Span([[int(i == j) for j in range(n)] for i in range(n)], n)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -164,6 +178,8 @@ class MatrixCoefficients(CoefficientSystem):
             B = mask_of(D.index(v) for v in entry["B"])
             S = mask_of(D.index(v) for v in entry["S"])
             where = f"M(B, S) at B={D.vertex_names(B)}, S={D.vertex_names(S)}"
+            if not is_connected(D, B):  # no slot reads M(B, S) for such a B
+                raise CoefficientError(f"{where} has a B that is not connected")
             if (B, S) in table:
                 raise CoefficientError(f"{where} is listed twice")
             basis = entry.get("basis")
@@ -175,7 +191,7 @@ class MatrixCoefficients(CoefficientSystem):
                 table[(B, S)] = tuple(tuple(Fraction(x) for x in vec) for vec in basis)
             except ZeroDivisionError:
                 raise CoefficientError(f"basis of {where} has a zero denominator") from None
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
                 raise CoefficientError(
                     f"basis of {where} has an entry that is not a rational"
                 ) from None
@@ -192,18 +208,32 @@ def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) 
     closes them up: M(B, S) is spanned by all generators with B0 inside B
     and T containing S meet B0, which forces every inclusion the
     differential relies on.
+
+    Each entry keeps the seeds outside the span of those kept before, up to
+    full rank; each distinct kept family is factored once, into a shared Span.
     """
-    seeds = {}
+    n, seeds = ambient_dim, {}
     for B0, T in _pairs(D):
         if rng.random() < 0.4:
-            seeds[(B0, T)] = tuple(Fraction(rng.randint(-2, 2)) for _ in range(ambient_dim))
+            seeds[(B0, T)] = tuple(rng.randint(-2, 2) for _ in range(n))
     seeds = sorted(seeds.items())
-    # MatrixCoefficients reduces each entry to independent columns
-    table = {
-        (B, S): [vec for (B0, T), vec in seeds if B0 & ~B == 0 and (S & B0) & ~T == 0]
-        for B, S in _pairs(D)
-    }
-    return MatrixCoefficients(ambient_dim, table)
+    spans = {(): Span((), n)}  # a family of kept seed vectors -> its span
+    joins = {}  # (mask of the kept seeds, seed index) -> whether the seed lies outside their span
+    table = {}
+    for B, S in _pairs(D):
+        kept, family, span = 0, (), spans[()]
+        for i in [i for i, ((B0, T), _) in enumerate(seeds) if B0 & ~B == 0 and S & B0 & ~T == 0]:
+            if len(span.pivots) == n:
+                break
+            if (kept, i) not in joins:
+                joins[kept, i] = not span.contains(seeds[i][1])
+            if joins[kept, i]:
+                kept, family = kept | 1 << i, family + (seeds[i][1],)
+                if family not in spans:
+                    spans[family] = Span(family, n)
+                span = spans[family]
+        table[(B, S)] = span
+    return MatrixCoefficients._factored(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +244,7 @@ def dynkin_basis(D: Diagram, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """Slot labels of degree p: (connected B, ascending alpha of size p)."""
     if not 0 <= p <= D.n:
         raise DiagramError(f"degree {p} out of range 0..{D.n}")
-    out = []
-    for B in connected_subdiagrams(D):
-        for alpha in combinations(list(bits(B)), p):
-            out.append((B, alpha))
-    return out
+    return [(B, alpha) for B in connected_subdiagrams(D) for alpha in combinations(list(bits(B)), p)]
 
 
 class CochainSpace(Value):
@@ -241,27 +267,17 @@ class CochainSpace(Value):
 
     def ambient(self, vec, slot_i: int):
         """Ambient vector of one slot component of a local-coordinates cochain."""
-        basis = self.spans[slot_i].rows
-        off = self.offsets[slot_i]
-        out = [Fraction(0)] * self.ambient_dim
-        for j, bvec in enumerate(basis):
-            coeff = vec[off + j]
-            if coeff:
-                for t in range(self.ambient_dim):
-                    out[t] += coeff * bvec[t]
-        return tuple(out)
+        rows, off = self.spans[slot_i].rows, self.offsets[slot_i]
+        terms = [(vec[off + j], row) for j, row in enumerate(rows) if vec[off + j]]
+        return tuple(sum((c * row[t] for c, row in terms), Fraction(0)) for t in range(self.ambient_dim))
 
 
 def cochain_space(D: Diagram, M: CoefficientSystem, p: int) -> CochainSpace:
     slots = tuple(dynkin_basis(D, p))
     spans = tuple(M.span(B, B & ~mask_of(alpha)) for B, alpha in slots)
-    offsets = []
-    total = 0
-    for span in spans:
-        offsets.append(total)
-        total += len(span.pivots)
+    offsets = tuple(accumulate((len(span.pivots) for span in spans), initial=0))
     index = {slot: i for i, slot in enumerate(slots)}
-    return CochainSpace(p, M.ambient_dim, slots, spans, tuple(offsets), total, index)
+    return CochainSpace(p, M.ambient_dim, slots, spans, offsets[:-1], offsets[-1], index)
 
 
 def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
@@ -432,14 +448,16 @@ def verify_chain_map(
         for e, col in enumerate(boundary[k]):
             for c, sign in col.items():
                 cofaces[c][e] = sign
-        # each row of dst: the cells g reads its slot on, and the row's nonzero entries
-        images = [(feeds[k + 1][t], [(a, x) for a, x in enumerate(row) if x])
-                  for t, span in enumerate(dst.spans) for row in span.rows]
+        # each row of dst: the cells g reads its slot on, and the nonzero entries of L times
+        # its reduced row, L the lcm of dst's pivot entries; the left side is scaled by L too
+        L = lcm(*(row[p] for span in dst.spans for row, p in zip(span.ints, span.pivots)))
+        images = [(feeds[k + 1][t], [(a, x * (L // row[p])) for a, x in enumerate(row) if x])
+                  for t, span in enumerate(dst.spans) for row, p in zip(span.ints, span.pivots)]
         for s, span in enumerate(src.spans):
             coboundary = {}
             for c in feeds[k][s]:
                 for e, sign in cofaces[c].items():
-                    coboundary[e] = coboundary.get(e, 0) + sign
+                    coboundary[e] = coboundary.get(e, 0) + L * sign
             for j, row in enumerate(span.ints):
                 # the left side minus the right side, by (k-cell, ambient coordinate)
                 gap = {(e, a): v * x for e, v in coboundary.items() for a, x in enumerate(row) if x}

@@ -238,6 +238,14 @@ MALFORMED_COEFFS = {
     # Fraction(True) is 1
     "entry-a-bool": ({"ambient_dim": 1, "subspaces": [_p3_entry([[True]])]},
                      f"basis of {AT_P3} has an entry that is not a rational"),
+    # written as Infinity; Fraction(inf) raises OverflowError
+    "entry-infinite": ({"ambient_dim": 1, "subspaces": [_p3_entry([[float("inf")]])]},
+                       f"basis of {AT_P3} has an entry that is not a rational"),
+    # no slot reads M(B, S) when B is not connected, so the entry would be dropped unread
+    "b-not-connected": ({"ambient_dim": 1, "subspaces": [{"B": ["1", "3"], "S": [], "basis": []}]},
+                        "M(B, S) at B=['1', '3'], S=[] has a B that is not connected"),
+    "b-empty": ({"ambient_dim": 1, "subspaces": [{"B": [], "S": [], "basis": [["1"]]}]},
+                "M(B, S) at B=[], S=[] has a B that is not connected"),
     "negative-dim": ({"ambient_dim": -1, "subspaces": []}, "ambient_dim -1 is negative"),
     "s-outside-b": ({"ambient_dim": 1, "subspaces": [{"B": ["1"], "S": ["2"], "basis": [["1"]]}]},
                     "M(B, S) at vertex positions B=[0], S=[1] has S outside B"),

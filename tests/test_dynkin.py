@@ -12,6 +12,7 @@ from graphassoc.dynkin import (
     ConstantCoefficients,
     MatrixCoefficients,
     _differential_columns,
+    _pairs,
     cellular_embedding_g,
     cochain_space,
     dynkin_basis,
@@ -357,6 +358,63 @@ def test_coefficient_json_rejects_a_missing_basis_and_a_repeated_pair():
     assert str(err.value) == "M(B, S) at B=['1', '2'], S=['1'] is listed twice"
 
 
+def test_coefficient_json_rejects_infinite_entries():
+    """Each spelling json reads as an infinite float; the CLI table has the Infinity case."""
+    for text in ("Infinity", "-Infinity", "1e400"):
+        doc = json.loads('{"ambient_dim": 1, "subspaces": [{"B": ["1"], "S": [], "basis": [[%s]]}]}'
+                         % text)
+        with pytest.raises(CoefficientError) as err:
+            MatrixCoefficients.from_json(P2, doc)
+        assert str(err.value) == "basis of M(B, S) at B=['1'], S=[] has an entry that is not a rational"
+
+
+def _entrywise_system(D, ambient_dim, rng):
+    """The random system factored entry by entry: each entry's admissible seeds, in one Span."""
+    seeds = {}
+    for B0, T in _pairs(D):
+        if rng.random() < 0.4:
+            seeds[(B0, T)] = tuple(Fraction(rng.randint(-2, 2)) for _ in range(ambient_dim))
+    seeds = sorted(seeds.items())
+    table = {
+        (B, S): [vec for (B0, T), vec in seeds if B0 & ~B == 0 and (S & B0) & ~T == 0]
+        for B, S in _pairs(D)
+    }
+    return MatrixCoefficients(ambient_dim, table)
+
+
+def test_random_system_matches_entrywise_factoring():
+    """The seed walk gives each entry's factoring, shares one Span per family, keeps the stream."""
+    entries = families = 0
+    for n in range(1, 6):
+        for D in connected_reps(n):
+            for ambient_dim in range(5):
+                for seed in (0, 1, 2)[:6 - n]:
+                    rng, oracle_rng = random.Random(seed), random.Random(seed)
+                    M = random_coefficient_system(D, ambient_dim, rng)
+                    oracle = _entrywise_system(D, ambient_dim, oracle_rng)
+                    assert rng.random() == oracle_rng.random()
+                    assert M.table == oracle.table
+                    shared = {}
+                    for key, family in M.table.items():
+                        span, other = M.span(*key), oracle.span(*key)
+                        assert (span.ints, span.pivots, span.equations) == (
+                            other.ints, other.pivots, other.equations), (D.names, key)
+                        assert shared.setdefault(family, span) is span
+                    entries, families = entries + len(M.table), families + len(shared)
+    assert families < entries / 2
+
+
+def test_matrix_coefficients_factor_each_basis_object_once():
+    P4 = path_diagram(4)
+    M = random_coefficient_system(P4, 3, random.Random(5))
+    copied = MatrixCoefficients(3, dict(M.table))
+    assert copied == M
+    spans = {id(copied.span(*key)) for key in M.table}
+    assert len(spans) == len({id(family) for family in M.table.values()}) < len(M.table)
+    for key, family in M.table.items():
+        assert copied.span(*key).independent == family
+
+
 def test_random_systems_are_monotone():
     rng = random.Random(12)
     M = random_coefficient_system(C3, 4, rng)
@@ -405,6 +463,14 @@ def test_chain_map_random_coefficients():
             assert verify_chain_map(D, M, 5, rng=rng)
 
 
+def test_chain_map_check_reads_only_the_integer_rows():
+    for D in (P3, C3, path_diagram(4)):
+        M = random_coefficient_system(D, 3, random.Random(7))
+        assert verify_chain_map(D, M, 1)
+        assert not any(hasattr(M.span(*key), "_rows") for key in M.table)
+        assert not hasattr(M._full, "_rows")
+
+
 def test_chain_map_detects_corruption():
     def corrupted(D, src, dst):
         cols = _differential_columns(D, src, dst)
@@ -433,11 +499,21 @@ def _corrupted(diffs, p, r, c):
     return lambda D, src, dst: bad if src.degree == p else diffs[src.degree]
 
 
-@pytest.mark.parametrize("name, system", [("P4", "constant"), ("C4", "constant"), ("P4", "random")])
+# system -> the seed of random_coefficient_system(D, 2, Random(seed)); "nonunit" has pivot entries ±2
+RANDOM_SEEDS = {"random": 4, "nonunit": 3}
+
+
+@pytest.mark.parametrize("name, system", [
+    ("P4", "constant"), ("C4", "constant"), ("P4", "random"), ("P3", "nonunit")])
 def test_chain_map_reports_every_single_entry_corruption_at_its_degree(name, system):
-    D = PINNED_DIAGRAMS[name]
-    M = CONST if system == "constant" else random_coefficient_system(D, 2, random.Random(4))
+    D = {**PINNED_DIAGRAMS, "P3": P3}[name]
+    M = CONST if system == "constant" else random_coefficient_system(
+        D, 2, random.Random(RANDOM_SEEDS[system]))
     spaces, diffs = _differentials(D, M)
+    if system == "nonunit":  # the check scales each target row by L // its pivot entry
+        leads = {row[p] for space in spaces for span in space.spans
+                 for row, p in zip(span.ints, span.pivots)}
+        assert leads - {1, -1}
     assert verify_chain_map(D, M, 1)
     for p, cols in enumerate(diffs):
         for r in range(spaces[p + 1].dim):
