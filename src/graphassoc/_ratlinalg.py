@@ -21,7 +21,8 @@ subfamily, primitive integer echelon rows and integer equations
 cutting the span out, so membership is a check of those equations and
 the coordinates of a member in the reduced echelon basis are its
 entries at the pivots.  No linear system is solved per vector, and the
-reduced rows, the only divisions, are built when first read.
+primitive integer rows ``ints`` are the span's one echelon form: a
+reader wanting the reduced rows divides a row by its pivot entry.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-
 
 class Span:
     """The span of a family of vectors in Q^dim, factored by one echelon pass.
@@ -41,14 +40,15 @@ class Span:
     ``independent`` is the maximal independent subfamily in input order
     (a vector is kept iff it is not in the span of those before it);
     ``ints`` holds primitive integer echelon rows, one per pivot of the
-    ascending ``pivots``, and ``rows`` the reduced row echelon basis they
-    give; ``equations`` holds, for each coordinate c off the pivots,
-    integers ``(c, L, terms)`` with ``L * w[c] == sum(w[p] * x)`` over
-    the terms ``(p, x)``, for every w in the span.  The pass stops once
+    ascending ``pivots``: the span's one echelon form, a row divided by
+    its pivot entry being a reduced row echelon basis vector;
+    ``equations`` holds, for each coordinate c off the pivots, integers
+    ``(c, L, terms)`` with ``L * w[c] == sum(w[p] * x)`` over the terms
+    ``(p, x)``, for every w in the span.  The pass stops once
     the rank reaches ``dim``; a vector of another length is a ValueError.
     """
 
-    __slots__ = ("independent", "ints", "pivots", "equations", "_rows")
+    __slots__ = ("independent", "ints", "pivots", "equations")
 
     def __init__(self, vectors, dim: int):
         kept, rows, pivots = [], [], []  # rows: primitive integer echelon rows
@@ -80,14 +80,6 @@ class Span:
             (c, L, tuple((p, row[c] * L // row[p]) for p, row in zip(pivots, rows) if row[c]))
             for c in sorted(set(range(dim)) - set(pivots)))
 
-    @property
-    def rows(self):
-        """The reduced row echelon basis, built from ``ints`` on first read (the one division)."""
-        if not hasattr(self, "_rows"):
-            self._rows = tuple(tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
-                               for row, p in zip(self.ints, self.pivots))
-        return self._rows
-
     def contains(self, w) -> bool:
         """True iff w (a vector in Q^dim) lies in the span."""
         _check_length(w, len(self.pivots) + len(self.equations))
@@ -104,16 +96,6 @@ def _check_length(v, dim: int):
 def _solve_cached(basis, dim: int) -> Span:
     """The factored span of a tuple of basis tuples in Q^dim, cached per basis."""
     return Span(basis, dim)
-
-
-def independent_columns(vectors):
-    """A maximal independent subfamily, keeping the original order."""
-    return Span(vectors, len(vectors[0]) if vectors else 0).independent
-
-
-def subspace_leq(sub, sup) -> bool:
-    """True iff span(sub) is contained in span(sup), columns as vectors."""
-    return not sub or all(map(Span(sup, len(sub[0])).contains, sub))
 
 
 def columns(M):

@@ -103,19 +103,6 @@ def invert_word(word: RelationWord) -> RelationWord:
     return RelationWord(word.kind, tuple((sym, -e) for sym, e in reversed(word.letters)))
 
 
-def free_reduce(letters) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for sym, e in letters:
-        if out and out[-1][0] == sym:
-            merged = out[-1][1] + e
-            out.pop()
-            if merged:
-                out.append((sym, merged))
-        elif e:
-            out.append((sym, e))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # support and central support
 
@@ -191,21 +178,6 @@ def _minus_neighbours(D: Diagram, supp: int, delta) -> int:
     for C in delta:
         supp &= ~D.neighbors(C)
     return supp
-
-
-class PairSupport(Value):
-    """Support data of an ordered pair of maximal nested sets."""
-
-    pair: tuple[NestedSet, NestedSet]
-    sym_diff: tuple[int, ...]
-    supp: int
-    zsupp: int
-    __slots__ = _fields = ("pair", "sym_diff", "supp", "zsupp")
-
-
-def pair_support(D: Diagram, F: NestedSet, G: NestedSet) -> PairSupport:
-    supp, delta = _support(D, F, G)
-    return PairSupport((F, G), tuple(delta), supp, _minus_neighbours(D, supp, delta))
 
 
 def are_equivalent(D: Diagram, pair1, pair2) -> bool:
@@ -518,8 +490,8 @@ def sequence_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
 
 def support_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
     """Support and central support of the pair (F, G) as vertex lists."""
-    data = pair_support(D, F, G)
-    return {"supp": D.vertex_names(data.supp), "zsupp": D.vertex_names(data.zsupp)}
+    supp, delta = _support(D, F, G)
+    return {"supp": D.vertex_names(supp), "zsupp": D.vertex_names(_minus_neighbours(D, supp, delta))}
 
 
 def presentation_json(D: Diagram) -> dict:

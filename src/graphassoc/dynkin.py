@@ -266,9 +266,13 @@ class CochainSpace(Value):
         return self.index[(B, tuple(alpha))]
 
     def ambient(self, vec, slot_i: int):
-        """Ambient vector of one slot component of a local-coordinates cochain."""
-        rows, off = self.spans[slot_i].rows, self.offsets[slot_i]
-        terms = [(vec[off + j], row) for j, row in enumerate(rows) if vec[off + j]]
+        """Ambient vector of one slot component of a local-coordinates cochain.
+
+        Each ``ints`` row divided by its pivot entry is a reduced echelon row.
+        """
+        span, off = self.spans[slot_i], self.offsets[slot_i]
+        terms = [(vec[off + j], [Fraction(x, row[p]) for x in row])
+                 for j, (row, p) in enumerate(zip(span.ints, span.pivots)) if vec[off + j]]
         return tuple(sum((c * row[t] for c, row in terms), Fraction(0)) for t in range(self.ambient_dim))
 
 
@@ -287,13 +291,14 @@ def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
     into a target slot: a row must lie in the target span (else
     ``CoefficientError``), and its coordinates there are its entries at
     the target's pivots, so column j is scaled by its row's pivot entry.
+    A row of the target span itself is a member without a check.
     """
     cols = [{} for _ in range(src.dim)]
 
     def add_block(ti, si, negate=False):
-        target, toff = dst.spans[ti], dst.offsets[ti]
-        for j, row in enumerate(src.spans[si].ints):
-            if not target.contains(row):
+        target, toff, source = dst.spans[ti], dst.offsets[ti], src.spans[si]
+        for j, row in enumerate(source.ints):
+            if target is not source and not target.contains(row):
                 B, alpha = dst.slots[ti]
                 raise CoefficientError(
                     f"subspace inclusion fails at slot B={D.vertex_names(B)}, "
@@ -374,6 +379,8 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
     if not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
     space = cochain_space(D, M, k)
+    if len(vec) != space.dim:
+        raise DiagramError(f"a cochain of {len(vec)} entries in a degree-{k} space of dim {space.dim}")
     if k == 0:
         return space.ambient(vec, space.slot_index(D.full, ()))
     return [_g_on_cell(space, vec, H) for H in faces(D, k - 1)]

@@ -213,17 +213,6 @@ def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
     return M
 
 
-def boundary_matrix_json(D: Diagram, k: int) -> dict:
-    if not 0 <= k <= D.n - 1:
-        raise DiagramError(f"dimension {k} out of range")
-    boundary = cell_complex(D)[1]
-    return {
-        "rows": len(boundary[k - 1]) if k > 0 else 0,
-        "cols": len(boundary[k]),
-        "entries": sorted([r, c, v] for c, col in enumerate(boundary[k]) for r, v in col.items()),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form and homology
 

@@ -156,18 +156,6 @@ class NestedSet(Value):
         return [self.diagram.vertex_names(m) for m in self.elements]
 
 
-def is_nested(D: Diagram, masks) -> bool:
-    """True iff the family contains D and is connected and pairwise compatible."""
-    masks = list(masks)
-    for m in masks:
-        D.check_subset(m)
-    try:
-        NestedSet(D, tuple(masks)).validate()
-    except DiagramError:
-        return False
-    return True
-
-
 @lru_cache(maxsize=32)
 def connected_subdiagrams(D: Diagram) -> tuple[int, ...]:
     """All connected subdiagram masks, in increasing bitmask order."""

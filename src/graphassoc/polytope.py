@@ -14,7 +14,6 @@ Vertices are computed and checked on the weights scaled to integers.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -220,11 +219,3 @@ def off_text(R: Realization) -> str | None:
     for poly in polygons:
         lines.append(" ".join([str(len(poly))] + [str(i) for i in poly]))
     return "\n".join(lines) + "\n"
-
-
-def parse_export(text: str) -> dict:
-    """Round-trip helper: re-parse an exported JSON document with exact rationals."""
-    doc = json.loads(text)
-    for v in doc["vertices"]:
-        v["coords"] = [Fraction(s) for s in v["coords"]]
-    return doc

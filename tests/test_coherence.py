@@ -17,14 +17,12 @@ from graphassoc.coherence import (
     braid_relations,
     central_support,
     elementary_letter,
-    free_reduce,
     good_elementary_sequence,
     invert_word,
     is_elementary,
     kappa,
     monodromy_word,
     pair_from_triple,
-    pair_support,
     pentagon_relations,
     presentation_json,
     relations_by_face,
@@ -149,24 +147,24 @@ def test_pair_support_invariants_on_random_pairs(data):
     mns = maximal_nested_sets(D)
     F = data.draw(st.sampled_from(mns))
     G = data.draw(st.sampled_from(mns))
-    ps = pair_support(D, F, G)
+    sym_diff, supp, zsupp = symmetric_difference(F, G), support(D, F, G), central_support(D, F, G)
     union = 0
-    for m in ps.sym_diff:
+    for m in sym_diff:
         union |= m
-    assert ps.supp == union
-    assert ps.zsupp & ~ps.supp == 0
-    assert pair_support(D, G, F).supp == ps.supp
-    assert pair_support(D, G, F).zsupp == ps.zsupp
-    if ps.sym_diff:
-        assert set(kappa(D, list(ps.sym_diff))).isdisjoint(ps.sym_diff)
+    assert supp == union
+    assert zsupp & ~supp == 0
+    assert support(D, G, F) == supp
+    assert central_support(D, G, F) == zsupp
+    if sym_diff:
+        assert set(kappa(D, list(sym_diff))).isdisjoint(sym_diff)
 
 
 def test_pair_support_fields():
     F, G = ns(P3, [0], [2]), ns(P3, [0, 1], [0])
-    ps = pair_support(P3, F, G)
-    assert ps.supp == P3.full and ps.zsupp == 0b001
-    assert set(ps.sym_diff) == {0b100, 0b011}
-    assert ps.zsupp & ~ps.supp == 0
+    supp, zsupp = support(P3, F, G), central_support(P3, F, G)
+    assert supp == P3.full and zsupp == 0b001
+    assert set(symmetric_difference(F, G)) == {0b100, 0b011}
+    assert zsupp & ~supp == 0
 
 
 # -- equivalence ------------------------------------------------------------------
@@ -477,6 +475,20 @@ def test_two_face_consumers_split_each_b_alpha_once(monkeypatch):
         (key,) = H.unsaturated()
         assert by_key.setdefault(key, word) == word
     assert sorted(calls) == sorted(by_key)
+
+
+def free_reduce(letters):
+    """The free-group reduction of a word: adjacent powers of one symbol merge, zeros drop."""
+    out = []
+    for sym, e in letters:
+        if out and out[-1][0] == sym:
+            merged = out[-1][1] + e
+            out.pop()
+            if merged:
+                out.append((sym, merged))
+        elif e:
+            out.append((sym, e))
+    return tuple(out)
 
 
 def test_orientation_inverse_consistency():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphassoc._ratlinalg import Span, rank, subspace_leq
+from graphassoc._ratlinalg import Span, rank
 from graphassoc.diagram import DiagramError
 from graphassoc.dynkin import (
     CoefficientError,
@@ -43,6 +43,11 @@ CONST = ConstantCoefficients()
 
 def ns(D, *lists):
     return NestedSet.from_vertex_lists(D, lists)
+
+
+def contained(sub, sup, dim):
+    """True iff span(sub) lies in span(sup), both families of vectors in Q^dim."""
+    return all(map(Span(sup, dim).contains, sub))
 
 
 # -- basis ------------------------------------------------------------------------
@@ -210,19 +215,6 @@ def test_cohomology_is_dims_minus_rref_ranks_of_dense_differentials():
                 assert dynkin_cohomology(D, M) == expected, (seed, D.names)
 
 
-def test_dynkin_json_never_reads_the_fraction_rows(monkeypatch):
-    def unread(span):
-        raise AssertionError("Span.rows read on the cohomology path")
-
-    monkeypatch.setattr(Span, "rows", property(unread))
-    P4 = path_diagram(4)
-    M = random_coefficient_system(P4, 3, random.Random(5))
-    assert dynkin_json(P4, M)["dims"] == [cochain_space(P4, M, p).dim for p in range(5)]
-    assert dynkin_json(cycle_diagram(5), CONST)["HD"][0] == 0
-    with pytest.raises(AssertionError):
-        cochain_space(P4, M, 1).spans[0].rows
-
-
 def test_degree_zero_cohomology_vanishes_everywhere():
     rng = random.Random(9)
     for n in range(1, 5):
@@ -267,6 +259,21 @@ def test_unvalidated_broken_inclusion_fails_in_the_differential():
         assert str(err.value) == (
             "subspace inclusion fails at slot B=['1', '2', '3'], alpha=['1', '2']"
         )
+    for D, alpha, named in ((P3, 0b001, "['1']"), (P3, 0b011, "['1', '2']"),
+                            (C3, 0b011, "['1', '2']"), (path_diagram(4), 0b110, "['2', '3']")):
+        bad = MatrixCoefficients(2, {(D.full, D.full & ~alpha): ()})  # the rest share one span
+        with pytest.raises(CoefficientError) as err:
+            dynkin_cohomology(D, bad)
+        assert str(err.value) == f"subspace inclusion fails at slot B={list(D.names)}, alpha={named}"
+
+
+def test_a_slot_mapping_into_its_own_span_is_not_checked(monkeypatch):
+    """Every slot of the constant system shares one span: no membership check runs."""
+    calls = []
+    contains = Span.contains
+    monkeypatch.setattr(Span, "contains", lambda span, w: calls.append(w) or contains(span, w))
+    assert dynkin_json(cycle_diagram(6), CONST)["HD"][0] == 0
+    assert calls == []
 
 
 def test_basis_vectors_must_have_ambient_dim_entries():
@@ -289,7 +296,7 @@ def test_matrix_coefficients_reject_negative_dim_and_s_outside_b():
         with pytest.raises(CoefficientError) as err:
             MatrixCoefficients(2, {(0b011, 0b011): (e1,), (0b011, S): (e1,)})
         assert str(err.value) == f"M(B, S) at vertex positions B=[0, 1], S={named} has S outside B"
-    assert MatrixCoefficients(0).span(0b1, 0b1).rows == ()
+    assert MatrixCoefficients(0).span(0b1, 0b1).ints == ()
 
 
 def test_matrix_coefficients_equality_ignores_derived_spans():
@@ -316,8 +323,8 @@ def test_coefficient_json_roundtrip():
         for S in range(B + 1):
             if S & ~B:
                 continue
-            assert subspace_leq(M.subspace(B, S), M2.subspace(B, S))
-            assert subspace_leq(M2.subspace(B, S), M.subspace(B, S))
+            assert contained(M.subspace(B, S), M2.subspace(B, S), 3)
+            assert contained(M2.subspace(B, S), M.subspace(B, S), 3)
 
 
 def test_validate_fails_exactly_where_the_differential_does():
@@ -418,10 +425,20 @@ def test_matrix_coefficients_factor_each_basis_object_once():
 def test_random_systems_are_monotone():
     rng = random.Random(12)
     M = random_coefficient_system(C3, 4, rng)
-    assert subspace_leq(M.subspace(0b111, 0b011), M.subspace(0b111, 0b001))
+    assert contained(M.subspace(0b111, 0b011), M.subspace(0b111, 0b001), 4)
 
 
 # -- cellular embedding -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_g_rejects_a_cochain_of_the_wrong_length(extra):
+    """On P3 the degree-2 cochains have dim 5: one entry more or fewer is a DiagramError."""
+    assert cochain_space(P3, CONST, 2).dim == 5
+    vec = [Fraction(1)] * (5 + extra)
+    with pytest.raises(DiagramError) as err:
+        cellular_embedding_g(P3, CONST, 2, vec)
+    assert str(err.value) == f"a cochain of {5 + extra} entries in a degree-2 space of dim 5"
 
 
 def test_g_degree_zero_is_augmentation():
@@ -463,12 +480,20 @@ def test_chain_map_random_coefficients():
             assert verify_chain_map(D, M, 5, rng=rng)
 
 
-def test_chain_map_check_reads_only_the_integer_rows():
+def test_chain_map_check_reads_only_the_integer_rows(monkeypatch):
+    from graphassoc import _ratlinalg, dynkin
+
+    def no_fractions(*args):
+        raise AssertionError("Fraction called in the chain-map check or the cohomology")
+
     for D in (P3, C3, path_diagram(4)):
         M = random_coefficient_system(D, 3, random.Random(7))
-        assert verify_chain_map(D, M, 1)
-        assert not any(hasattr(M.span(*key), "_rows") for key in M.table)
-        assert not hasattr(M._full, "_rows")
+        doc = dynkin_json(D, M)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynkin, "Fraction", no_fractions)
+            patch.setattr(_ratlinalg, "Fraction", no_fractions)
+            assert verify_chain_map(D, M, 1)
+            assert dynkin_json(D, M) == doc
 
 
 def test_chain_map_detects_corruption():
@@ -547,6 +572,23 @@ def test_chain_map_reports_a_basis_vector_g_kills(monkeypatch):
     message = "g^2 kills the basis vector at B=['1', '2', '3'], alpha=['1', '2']"
     assert verify_chain_map(P3, CONST, 1).failures == [message]
     assert verify_chain_map(P3, MatrixCoefficients(2), 1).failures == [message, message]
+
+
+def test_ambient_maps_unit_cochains_to_the_reduced_echelon_rows():
+    """Multi-row slots: unit cochain j of a slot is row j of rref of its span's basis."""
+    rng = random.Random(25)
+    for n in range(1, 4):
+        for D in connected_reps(n):
+            M = random_coefficient_system(D, 3, rng)
+            for p in range(D.n + 1):
+                space = cochain_space(D, M, p)
+                for i, span in enumerate(space.spans):
+                    reduced = rref(span.independent)[0]
+                    assert len(reduced) == len(span.pivots)
+                    for j, row in enumerate(reduced):
+                        vec = [Fraction(0)] * space.dim
+                        vec[space.offsets[i] + j] = Fraction(1)
+                        assert space.ambient(vec, i) == tuple(row), (D.names, p, i, j)
 
 
 def test_image_characterization_clauses():

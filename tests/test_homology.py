@@ -22,7 +22,6 @@ from graphassoc.homology import (
     boundary,
     boundary_cell,
     boundary_matrix,
-    boundary_matrix_json,
     canonicalize,
     cell_complex,
     cell_index,
@@ -381,14 +380,6 @@ def test_boundary_matrix_examples():
     assert len(M) == 5 and len(M[0]) == 1
     assert sorted(abs(row[0]) for row in M) == [1, 1, 1, 1, 1]
     assert boundary_matrix(P2, 0) == []
-
-
-def test_boundary_matrix_json():
-    doc = boundary_matrix_json(P3, 2)
-    assert doc["rows"] == 5 and doc["cols"] == 1
-    assert len(doc["entries"]) == 5
-    doc0 = boundary_matrix_json(P3, 0)
-    assert doc0 == {"rows": 0, "cols": 5, "entries": []}
 
 
 # -- Smith normal form ---------------------------------------------------------------

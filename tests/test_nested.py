@@ -36,7 +36,6 @@ from graphassoc.nested import (
     faces,
     first_maximal_nested_set,
     irreducible_cell,
-    is_nested,
     maximal_nested_sets,
     split_components,
     two_face_split,
@@ -115,14 +114,18 @@ def test_nested_sets_are_immutable_values():
 
 
 def test_is_nested_examples():
-    assert is_nested(P3, [P3.full, 0b011, 0b001])
-    assert not is_nested(P3, [P3.full, 0b011, 0b110])
-    assert not is_nested(P3, [0b001])
+    NestedSet(P3, (P3.full, 0b011, 0b001)).validate()
+    with pytest.raises(DiagramError, match="incompatible elements"):
+        NestedSet(P3, (P3.full, 0b011, 0b110)).validate()
+    with pytest.raises(DiagramError, match="must contain the full diagram"):
+        NestedSet(P3, (0b001,)).validate()
 
 
 def test_is_nested_rejects_foreign_vertices():
-    with pytest.raises(DiagramError):
-        is_nested(P3, [0b1000])
+    with pytest.raises(DiagramError, match="not a subset of the vertex set"):
+        P3.check_subset(0b1000)
+    with pytest.raises(DiagramError, match="not a subset of the vertex set"):
+        NestedSet(P3, (P3.full, 0b1000)).validate()
 
 
 def test_maximal_nested_sets_p2():

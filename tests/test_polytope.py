@@ -17,7 +17,6 @@ from graphassoc.polytope import (
     is_face_nonempty,
     make_realization,
     off_text,
-    parse_export,
     vertex_coordinates,
 )
 from conftest import (
@@ -310,9 +309,9 @@ def test_export_roundtrip_exact():
         m: Fraction(7, 2) ** bin(m).count("1") for m in connected_subdiagrams(P3)
     })
     text = json.dumps(export_polytope(R))
-    doc = parse_export(text)
+    doc = json.loads(text)
     for v, F in zip(doc["vertices"], maximal_nested_sets(P3)):
-        assert tuple(v["coords"]) == vertex_coordinates(R, F)
+        assert tuple(map(Fraction, v["coords"])) == vertex_coordinates(R, F)
 
 
 def test_off_pentagon():

@@ -41,6 +41,59 @@ def test_traced_layers_and_caches_exist():
         assert hasattr(getattr(module, attr, None), "cache_info"), (mod_name, attr)
 
 
+def _library_attributes_read(tree):
+    """The ``(module, name)`` pairs a benchmark file reads off ``graphassoc`` modules.
+
+    Counts ``ga.<module>.<name>`` (``ga`` is the package the workloads
+    receive), ``<alias>.<name>`` for an alias bound by ``alias = ga.<module>``
+    (tuple assignments too) or by ``from graphassoc import <module>``, and
+    ``from graphassoc.<module> import <name>``.
+    """
+    aliases, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "graphassoc":
+            aliases.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphassoc."):
+            read.update((node.module.split(".", 1)[1], alias.name) for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                for name, value in pairs:
+                    if (isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                            and isinstance(value.value, ast.Name) and value.value.id == "ga"):
+                        aliases[name.id] = value.attr
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                and owner.value.id == "ga"):
+            read.add((owner.attr, node.attr))
+        elif isinstance(owner, ast.Name) and owner.id in aliases:
+            read.add((aliases[owner.id], node.attr))
+    return read
+
+
+def test_benchmark_reads_only_existing_library_attributes():
+    """Every ``graphassoc`` attribute the benchmark's workloads and probes read exists.
+
+    Deleting a name only the benchmark calls would otherwise pass every
+    other test and fail only the benchmark run.
+    """
+    bench = SRC.parent.parent / "perfbench"
+    read = set()
+    for name in ("workloads.py", "probes.py"):
+        read |= _library_attributes_read(ast.parse((bench / name).read_text(encoding="utf-8")))
+    modules = {mod for mod, _ in read}
+    assert {("_ratlinalg", "product_is_zero"), ("nested", "edge_graph"),
+            ("homology", "homology_json"), ("diagram", "parse_diagram")} <= read
+    missing = [(mod, attr) for mod, attr in sorted(read)
+               if not hasattr(importlib.import_module(f"graphassoc.{mod}"), attr)]
+    assert modules and missing == []
+
+
 def test_rational_elimination_is_fraction_free(monkeypatch):
     """The Q path of ``eliminate`` runs on integers: on int columns it never builds a Fraction."""
     from graphassoc import _ratlinalg
