@@ -3,7 +3,7 @@
 Computes, for any connected labeled diagram: the nested-set face poset
 of its associahedron with an exact convex realization, the integer
 homology of the oriented nested-set complex, Dynkin diagram cohomology
-with pluggable rational coefficient systems, and the symbolic
+with coefficients in tables of rational subspaces, and the symbolic
 presentation (generalized pentagon/hexagon and braid relations) of the
 attached quasi-Coxeter structure.
 """

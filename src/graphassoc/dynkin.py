@@ -1,22 +1,22 @@
-"""The Dynkin cochain complex of a diagram with pluggable coefficients.
+"""The Dynkin cochain complex of a diagram with coefficients in a subspace table.
 
-A coefficient system assigns to each pair (connected B, S inside B) a
-rational subspace M(B, S) of a fixed ambient space: the elements
-commuting with the S-part.  Cochains of degree p store one vector of
-M(B, B - alpha) per pair (connected B, alpha inside B, |alpha| = p);
-antisymmetry in alpha is realized by keeping ascending orders only.
-The differential alternately forgets a vertex of alpha or restricts to
-the component around the rest, and in degrees >= 2 the whole complex
-embeds into the cellular cochain complex of the associahedron.
+A coefficient system is a table assigning to pairs (connected B, S in B)
+a rational subspace M(B, S) of a fixed ambient space, the elements
+commuting with the S-part; an unlisted pair gets the whole space.
+Cochains of degree p store one vector of M(B, B - alpha) per pair
+(connected B, alpha inside B, |alpha| = p); antisymmetry in alpha is
+realized by keeping ascending orders only.  The differential alternately
+forgets a vertex of alpha or restricts to the component around the rest,
+and in degrees >= 2 the complex embeds into the associahedron's cellular cochains.
 
-Each subspace is factored once into a ``Span`` (``span``), and a slot's
-cochain coordinates are taken in the reduced echelon rows of its span.
-A source row's coordinates in a target slot are then its entries at the
-target's pivots, so the differential is built as sparse columns with
-one membership check per row and no linear solve.  The rows mapped are
-the integer ``Span.ints``, so neither the rank step nor the chain-map
-check (both sides times the lcm of the target pivot entries) builds a
-``Fraction``.  A random system factors each distinct seed family once.
+Each subspace is factored into a ``Span`` by ``_solve_cached``, whose
+bounded cache shares equal spans.  A slot's cochain coordinates are the
+reduced echelon rows of its span, so a source row's coordinates in a
+target slot are its entries at the target's pivots: the differential is
+built as sparse columns with one membership check per row and no linear
+solve.  The rows mapped are the integer ``Span.ints``, so neither the
+rank step nor the chain-map check (both sides times the lcm of the
+target pivot entries) builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -55,10 +55,13 @@ def _pairs(D: Diagram):
                 yield B, mask_of(keep)
 
 
-class CoefficientSystem:
-    """Base class: subclasses provide ``ambient_dim`` and ``subspace``.
+def _positions(B: int, S: int) -> str:
+    """A table entry named by vertex positions, for error messages."""
+    return f"M(B, S) at vertex positions B={list(bits(B))}, S={list(bits(S))}"
 
-    Systems that hold their subspaces factored override ``span`` too.
+
+class MatrixCoefficients:
+    """Explicit subspace table; unlisted pairs default to the full space.
 
     Every subspace is given in the coordinates of one shared ambient
     space, so the inclusion maps the differential needs are literal
@@ -66,57 +69,9 @@ class CoefficientSystem:
     cannot be embedded this way are out of scope, and ``validate``
     rejects any table whose spans fail a required containment.  The
     degree-0 slot of the complex is M(B, B), the fully invariant part.
-    """
 
-    ambient_dim: int
-
-    def subspace(self, B: int, S: int):
-        """Basis vectors (ambient coordinates) of M(B, S)."""
-        raise NotImplementedError
-
-    def span(self, B: int, S: int) -> Span:
-        """M(B, S) factored (see ``Span``); by default through a bounded cache."""
-        basis = tuple(tuple(v) for v in self.subspace(B, S))
-        return _solve_cached(basis, self.ambient_dim)
-
-    def validate(self, D: Diagram) -> "CoefficientSystem":
-        """Check every inclusion the differential uses by building it: its ``CoefficientError``."""
-        spaces = [cochain_space(D, self, p) for p in range(D.n + 1)]
-        for lo, hi in zip(spaces, spaces[1:]):
-            _differential_columns(D, lo, hi)
-        return self
-
-    def to_json(self, D: Diagram) -> dict:
-        subspaces = [
-            {"B": D.vertex_names(B), "S": D.vertex_names(S),
-             "basis": [[str(x) for x in v] for v in self.subspace(B, S)]}
-            for B, S in _pairs(D)
-        ]
-        return {"ambient_dim": self.ambient_dim, "subspaces": subspaces}
-
-
-class ConstantCoefficients(CoefficientSystem):
-    """One-dimensional coefficients: every subspace is the full line."""
-
-    ambient_dim = 1
-    _line = Span(((1,),), 1)
-
-    def subspace(self, B: int, S: int):
-        return self._line.independent
-
-    def span(self, B: int, S: int) -> Span:
-        return self._line
-
-
-def _positions(B: int, S: int) -> str:
-    """A table entry named by vertex positions, for error messages."""
-    return f"M(B, S) at vertex positions B={list(bits(B))}, S={list(bits(S))}"
-
-
-class MatrixCoefficients(CoefficientSystem):
-    """Explicit subspace table; unlisted pairs default to the full space.
-
-    Each listed basis is reduced to its independent vectors.  Equality
+    Each listed basis is factored through ``_solve_cached``, so equal bases
+    share one ``Span``, and reduced to its independent vectors.  Equality
     compares ``ambient_dim`` and the reduced table, not the derived spans.
     """
 
@@ -134,20 +89,10 @@ class MatrixCoefficients(CoefficientSystem):
                         f"basis vector of {_positions(B, S)} has {len(vec)} entries, "
                         f"not ambient_dim {n}"
                     )
-        bases = {id(vectors): vectors for vectors in table.values()}  # each basis object once
-        spans = {i: Span(vectors, n) for i, vectors in bases.items()}
-        self._adopt(n, {key: spans[id(vectors)] for key, vectors in table.items()})
-
-    @classmethod
-    def _factored(cls, n: int, spans: dict) -> "MatrixCoefficients":
-        """The system of already factored entries ``{(B, S): span}``, unchecked."""
-        return cls.__new__(cls)._adopt(n, spans)
-
-    def _adopt(self, n: int, spans: dict) -> "MatrixCoefficients":
-        self.ambient_dim, self._spans = n, spans
-        self.table = {key: span.independent for key, span in spans.items()}
-        self._full = Span([[int(i == j) for j in range(n)] for i in range(n)], n)
-        return self
+        self.ambient_dim = n
+        self._spans = {key: _solve_cached(tuple(map(tuple, vectors)), n) for key, vectors in table.items()}
+        self.table = {key: span.independent for key, span in self._spans.items()}
+        self._full = _solve_cached(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -157,10 +102,26 @@ class MatrixCoefficients(CoefficientSystem):
     __hash__ = None
 
     def subspace(self, B: int, S: int):
+        """Basis vectors (ambient coordinates) of M(B, S)."""
         return self.table.get((B, S), self._full.independent)
 
     def span(self, B: int, S: int) -> Span:
         return self._spans.get((B, S), self._full)
+
+    def validate(self, D: Diagram) -> "MatrixCoefficients":
+        """Check every inclusion the differential uses by building it: its ``CoefficientError``."""
+        spaces = [cochain_space(D, self, p) for p in range(D.n + 1)]
+        for lo, hi in zip(spaces, spaces[1:]):
+            _differential_columns(D, lo, hi)
+        return self
+
+    def to_json(self, D: Diagram) -> dict:
+        subspaces = [
+            {"B": D.vertex_names(B), "S": D.vertex_names(S),
+             "basis": [[str(x) for x in v] for v in self.subspace(B, S)]}
+            for B, S in _pairs(D)
+        ]
+        return {"ambient_dim": self.ambient_dim, "subspaces": subspaces}
 
     @staticmethod
     def from_json(D: Diagram, doc: dict) -> "MatrixCoefficients":
@@ -201,6 +162,13 @@ class MatrixCoefficients(CoefficientSystem):
         return MatrixCoefficients(n, table)
 
 
+class ConstantCoefficients(MatrixCoefficients):
+    """One-dimensional coefficients: no listed entries, so every subspace is the full line."""
+
+    def __init__(self):
+        super().__init__(1)
+
+
 def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) -> MatrixCoefficients:
     """A random coefficient system that is valid by construction.
 
@@ -209,31 +177,28 @@ def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) 
     and T containing S meet B0, which forces every inclusion the
     differential relies on.
 
-    Each entry keeps the seeds outside the span of those kept before, up to
-    full rank; each distinct kept family is factored once, into a shared Span.
+    Each entry lists the seeds outside the span of those kept before, up to
+    full rank; entries keeping the same seeds share one ``_solve_cached``
+    Span.  A negative ``ambient_dim`` is a ``CoefficientError``.
     """
     n, seeds = ambient_dim, {}
     for B0, T in _pairs(D):
         if rng.random() < 0.4:
             seeds[(B0, T)] = tuple(rng.randint(-2, 2) for _ in range(n))
     seeds = sorted(seeds.items())
-    spans = {(): Span((), n)}  # a family of kept seed vectors -> its span
     joins = {}  # (mask of the kept seeds, seed index) -> whether the seed lies outside their span
     table = {}
     for B, S in _pairs(D):
-        kept, family, span = 0, (), spans[()]
+        kept, family = 0, ()  # the kept seeds are independent: their rank is len(family)
         for i in [i for i, ((B0, T), _) in enumerate(seeds) if B0 & ~B == 0 and S & B0 & ~T == 0]:
-            if len(span.pivots) == n:
+            if len(family) == n:
                 break
             if (kept, i) not in joins:
-                joins[kept, i] = not span.contains(seeds[i][1])
+                joins[kept, i] = not _solve_cached(family, n).contains(seeds[i][1])
             if joins[kept, i]:
                 kept, family = kept | 1 << i, family + (seeds[i][1],)
-                if family not in spans:
-                    spans[family] = Span(family, n)
-                span = spans[family]
-        table[(B, S)] = span
-    return MatrixCoefficients._factored(n, table)
+        table[(B, S)] = family
+    return MatrixCoefficients(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +227,6 @@ class CochainSpace(Value):
     index: dict
     __slots__ = _fields = ("degree", "ambient_dim", "slots", "spans", "offsets", "dim", "index")
 
-    def slot_index(self, B: int, alpha) -> int:
-        return self.index[(B, tuple(alpha))]
-
     def ambient(self, vec, slot_i: int):
         """Ambient vector of one slot component of a local-coordinates cochain.
 
@@ -276,7 +238,7 @@ class CochainSpace(Value):
         return tuple(sum((c * row[t] for c, row in terms), Fraction(0)) for t in range(self.ambient_dim))
 
 
-def cochain_space(D: Diagram, M: CoefficientSystem, p: int) -> CochainSpace:
+def cochain_space(D: Diagram, M: MatrixCoefficients, p: int) -> CochainSpace:
     slots = tuple(dynkin_basis(D, p))
     spans = tuple(M.span(B, B & ~mask_of(alpha)) for B, alpha in slots)
     offsets = tuple(accumulate((len(span.pivots) for span in spans), initial=0))
@@ -326,7 +288,7 @@ def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
     return cols
 
 
-def dynkin_differential(D: Diagram, M: CoefficientSystem, p: int):
+def dynkin_differential(D: Diagram, M: MatrixCoefficients, p: int):
     """Dense matrix of the degree-p differential in slot-local coordinates.
 
     Rows run over degree p+1, columns over degree p, entries ``Fraction``s;
@@ -350,7 +312,7 @@ def _rat_rank(cols) -> int:
     return len(eliminate(cols, unit_pivots=False)[0])
 
 
-def _cohomology(D: Diagram, M: CoefficientSystem):
+def _cohomology(D: Diagram, M: MatrixCoefficients):
     """Cochain dimensions and cohomology dimensions in degrees 0..|D|."""
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
     ranks = [_rat_rank(_differential_columns(D, lo, hi)) for lo, hi in zip(spaces, spaces[1:])]
@@ -359,7 +321,7 @@ def _cohomology(D: Diagram, M: CoefficientSystem):
     return dims, [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(D.n + 1)]
 
 
-def dynkin_cohomology(D: Diagram, M: CoefficientSystem) -> list[int]:
+def dynkin_cohomology(D: Diagram, M: MatrixCoefficients) -> list[int]:
     """Rational cohomology dimensions in degrees 0..|D|."""
     return _cohomology(D, M)[1]
 
@@ -368,7 +330,7 @@ def dynkin_cohomology(D: Diagram, M: CoefficientSystem) -> list[int]:
 # embedding into cellular cochains
 
 
-def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
+def cellular_embedding_g(D: Diagram, M: MatrixCoefficients, k: int, vec):
     """Image of a degree-k Dynkin cochain among cellular cochains.
 
     Degree 0 lands in the augmentation slot (a single ambient vector);
@@ -381,30 +343,35 @@ def cellular_embedding_g(D: Diagram, M: CoefficientSystem, k: int, vec):
     space = cochain_space(D, M, k)
     if len(vec) != space.dim:
         raise DiagramError(f"a cochain of {len(vec)} entries in a degree-{k} space of dim {space.dim}")
-    if k == 0:
-        return space.ambient(vec, space.slot_index(D.full, ()))
-    return [_g_on_cell(space, vec, H) for H in faces(D, k - 1)]
+    cells = len(faces(D, k - 1)) if k else 1  # degree 0: the augmentation alone
+    values = [[Fraction(0)] * space.ambient_dim for _ in range(cells)]
+    for s, reads in enumerate(_feeds(D, space)):
+        if reads:  # each slot's ambient vector is built once, then added onto its cells
+            image = space.ambient(vec, s)
+            for c in reads:
+                values[c] = [x + y for x, y in zip(values[c], image)]
+    return [tuple(v) for v in values] if k else tuple(values[0])
 
 
-def _g_slots(space: CochainSpace, H) -> list[int]:
-    """The slots g^k adds up on one (k-1)-cell H, for k = ``space.degree`` >= 1.
+def _feeds(D: Diagram, space: CochainSpace) -> list[list[int]]:
+    """Per slot of ``space``, the cells of ``faces(D, k - 1)`` g^k reads it on, k = ``space.degree``.
 
-    For k = 1 one slot per element: the element with its one-vertex alpha
-    set, read off the alpha bitmask's length.  For k >= 2 H's single
+    Degree 0 reads (D, ()) on the augmentation, cell 0.  A 0-cell reads each
+    element with its one-vertex alpha set; for k >= 2 a cell reads its single
     unsaturated element with its alpha set, or none.
     """
-    if space.degree == 1:
-        return [space.index[(B, (H.alpha_set(B).bit_length() - 1,))] for B in H.elements]
-    unsat = H._unsaturated_pass()
-    return [space.index[(B, tuple(bits(alpha)))] for B, alpha in unsat] if len(unsat) == 1 else []
-
-
-def _g_on_cell(space: CochainSpace, vec, H):
-    """The value of g^k(vec) on one (k-1)-cell H, for k = ``space.degree`` >= 1."""
-    total = [Fraction(0)] * space.ambient_dim
-    for s in _g_slots(space, H):
-        total = [x + y for x, y in zip(total, space.ambient(vec, s))]
-    return tuple(total)
+    if space.degree == 0:
+        return [[0] if slot == (D.full, ()) else [] for slot in space.slots]
+    feeds = [[] for _ in space.slots]
+    for c, H in enumerate(faces(D, space.degree - 1)):
+        if space.degree == 1:
+            reads = [space.index[(B, (H.alpha_set(B).bit_length() - 1,))] for B in H.elements]
+        else:
+            unsat = H._unsaturated_pass()
+            reads = [space.index[(B, tuple(bits(alpha)))] for B, alpha in unsat] if len(unsat) == 1 else []
+        for s in reads:
+            feeds[s].append(c)
+    return feeds
 
 
 class ChainMapReport(Value):
@@ -420,7 +387,7 @@ class ChainMapReport(Value):
 
 def verify_chain_map(
     D: Diagram,
-    M: CoefficientSystem,
+    M: MatrixCoefficients,
     trials: int,
     rng: random.Random | None = None,
     dynkin_diff=_differential_columns,
@@ -441,12 +408,7 @@ def verify_chain_map(
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
     diffs = [dynkin_diff(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
     boundary = cell_complex(D)[1]
-    feeds = [[[0] if slot == (D.full, ()) else [] for slot in spaces[0].slots]]
-    for k in range(1, D.n + 1):
-        feeds.append([[] for _ in spaces[k].slots])
-        for c, H in enumerate(faces(D, k - 1)):
-            for s in _g_slots(spaces[k], H):
-                feeds[k][s].append(c)
+    feeds = [_feeds(D, space) for space in spaces]
 
     def commutes(k):
         src, dst = spaces[k], spaces[k + 1]
@@ -489,12 +451,12 @@ def verify_chain_map(
     return ChainMapReport(not failures, failures)
 
 
-def dynkin_json(D: Diagram, M: CoefficientSystem) -> dict:
+def dynkin_json(D: Diagram, M: MatrixCoefficients) -> dict:
     dims, HD = _cohomology(D, M)
     return {"HD": HD, "dims": dims}
 
 
-def load_coefficients(D: Diagram, path: str | None) -> CoefficientSystem:
+def load_coefficients(D: Diagram, path: str | None) -> MatrixCoefficients:
     """CLI helper: parse a coefficient-system JSON file, defaulting to Constant.
 
     The system is not ``validate``d here: ``_cohomology`` builds each differential

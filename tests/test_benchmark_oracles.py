@@ -41,3 +41,31 @@ def test_smoke_workload_passes_every_oracle(workloads, name):
         assert op.check(op.call()) is None, (op.kind, op.label)
         kinds.add(op.kind)
     assert kinds == set(workloads.KINDS)
+
+
+def test_complex_random_draws_build_at_most_455_spans(workloads, monkeypatch):
+    """The 16 random-coefficient draws of the full complex workload at seed 4242.
+
+    Every ``Span`` is built through ``_ratlinalg._solve_cached``, cleared
+    first so the count does not depend on the tests run before.  Of the
+    operations before the draws only the f-vectors run, which later
+    operations read.
+    """
+    builds = []
+    init = _ratlinalg.Span.__init__
+    rng = workloads.rng_for("complex", 4242)
+    inputs = workloads.complex_inputs(graphassoc, rng, False)
+    draws = 0
+    _ratlinalg._solve_cached.cache_clear()
+    for op in workloads.complex_ops(graphassoc, inputs, rng, False):
+        if op.kind == "fvector":
+            assert op.check(op.call()) is None
+        elif op.kind == "dynkin":
+            with monkeypatch.context() as patch:
+                patch.setattr(_ratlinalg.Span, "__init__",
+                              lambda span, *args: builds.append(1) or init(span, *args))
+                assert op.check(op.call()) is None
+            draws += 1
+            if draws == 16:
+                break
+    assert draws == 16 and 0 < len(builds) <= 455

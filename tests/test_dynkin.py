@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from graphassoc._ratlinalg import Span, rank
-from graphassoc.diagram import DiagramError
+from graphassoc.diagram import DiagramError, bits
 from graphassoc.dynkin import (
+    CochainSpace,
     CoefficientError,
     ConstantCoefficients,
     MatrixCoefficients,
@@ -23,7 +24,7 @@ from graphassoc.dynkin import (
     verify_chain_map,
 )
 from graphassoc.homology import chain_basis
-from graphassoc.nested import NestedSet
+from graphassoc.nested import NestedSet, faces
 from conftest import (
     complete_diagram,
     connected_reps,
@@ -422,6 +423,35 @@ def test_matrix_coefficients_factor_each_basis_object_once():
         assert copied.span(*key).independent == family
 
 
+def test_systems_built_from_a_table_or_its_json_share_every_span():
+    """Equal bases are factored once, through ``_solve_cached``: a copy shares each Span object."""
+    P4 = path_diagram(4)
+    for seed in range(3):
+        M = random_coefficient_system(P4, 3, random.Random(seed))
+        doc = json.loads(json.dumps(M.to_json(P4)))
+        for copy in (MatrixCoefficients(3, dict(M.table)), MatrixCoefficients.from_json(P4, doc)):
+            assert copy == M
+            for B, S in _pairs(P4):
+                assert copy.span(B, S) is M.span(B, S), (seed, B, S)
+
+
+def test_random_system_rejects_a_negative_dimension():
+    with pytest.raises(CoefficientError) as err:
+        random_coefficient_system(P3, -1, random.Random(0))
+    assert str(err.value) == "ambient_dim -1 is negative"
+
+
+def test_constant_coefficients_are_the_one_dimensional_table():
+    """No listed entries, equality by table, unhashable, and the parent's ``to_json`` bytes."""
+    assert ConstantCoefficients() == ConstantCoefficients()
+    assert (CONST.ambient_dim, CONST.table) == (1, {})
+    with pytest.raises(TypeError):
+        hash(CONST)
+    doc = json.dumps(CONST.to_json(cycle_diagram(5)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "08ddad12d17d742293d7947c4385c1adc5e4646210bcb2fc7045057930ac8f00")
+
+
 def test_random_systems_are_monotone():
     rng = random.Random(12)
     M = random_coefficient_system(C3, 4, rng)
@@ -444,7 +474,7 @@ def test_g_rejects_a_cochain_of_the_wrong_length(extra):
 def test_g_degree_zero_is_augmentation():
     space = cochain_space(P3, CONST, 0)
     vec = [Fraction(0)] * space.dim
-    vec[space.slot_index(P3.full, ())] = Fraction(5)
+    vec[space.index[(P3.full, ())]] = Fraction(5)
     assert cellular_embedding_g(P3, CONST, 0, vec) == (Fraction(5),)
 
 
@@ -452,7 +482,7 @@ def test_g_degree_two_support():
     """The basis cochain at (D, (1,2)) lands on cells whose unsaturated pair is it."""
     space = cochain_space(P3, CONST, 2)
     vec = [Fraction(0)] * space.dim
-    vec[space.slot_index(P3.full, (0, 1))] = Fraction(1)
+    vec[space.index[(P3.full, (0, 1))]] = Fraction(1)
     values = cellular_embedding_g(P3, CONST, 2, vec)
     cells = chain_basis(P3, 1)
     hits = [
@@ -464,6 +494,57 @@ def test_g_degree_two_support():
     (hit,) = hits
     assert hit.nested.elements == ns(P3, [2]).elements  # H = {D, {3}}
     assert hit.nested.unsaturated() == [(P3.full, 0b011)]
+
+
+def _g_per_cell(D, M, k, vec):
+    """The oracle for ``cellular_embedding_g``: each cell sums the ambient vectors of its slots."""
+    space = cochain_space(D, M, k)
+
+    def total(slots):
+        out = [Fraction(0)] * space.ambient_dim
+        for slot in slots:
+            out = [x + y for x, y in zip(out, space.ambient(vec, space.index[slot]))]
+        return tuple(out)
+
+    if k == 0:
+        return total([(D.full, ())])
+    values = []
+    for H in faces(D, k - 1):
+        if k == 1:
+            slots = [(B, tuple(bits(H.alpha_set(B)))) for B in H.elements]
+        else:
+            unsat = H.unsaturated()
+            slots = [(B, tuple(bits(alpha))) for B, alpha in unsat] if len(unsat) == 1 else []
+        values.append(total(slots))
+    return values
+
+
+def test_g_matches_the_per_cell_oracle():
+    rng = random.Random(26)
+    for n in range(1, 5):
+        for D in connected_reps(n):
+            for M in (CONST, random_coefficient_system(D, 3, rng)):
+                for k in range(D.n + 1):
+                    dim = cochain_space(D, M, k).dim
+                    vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+                    got, expected = cellular_embedding_g(D, M, k, vec), _g_per_cell(D, M, k, vec)
+                    assert got == expected and type(got) is type(expected), (D.names, k)
+                    for value in [got] if k == 0 else got:
+                        assert type(value) is tuple and all(type(x) is Fraction for x in value)
+
+
+def test_g_builds_each_slot_vector_once(monkeypatch):
+    """On P5 with an all-ones cochain, g^k builds each slot's ambient vector at most once."""
+    P5 = path_diagram(5)
+    M = random_coefficient_system(P5, 3, random.Random(1))
+    calls = []
+    ambient = CochainSpace.ambient
+    monkeypatch.setattr(CochainSpace, "ambient",
+                        lambda space, vec, s: calls.append((space.degree, s)) or ambient(space, vec, s))
+    for k in range(P5.n + 1):
+        cellular_embedding_g(P5, M, k, [Fraction(1)] * cochain_space(P5, M, k).dim)
+    assert calls and len(calls) == len(set(calls))
+    assert sum(degree == 1 for degree, _ in calls) <= len(dynkin_basis(P5, 1)) == 35
 
 
 def test_chain_map_small_diagrams():

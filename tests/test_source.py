@@ -41,6 +41,23 @@ def test_traced_layers_and_caches_exist():
         assert hasattr(getattr(module, attr, None), "cache_info"), (mod_name, attr)
 
 
+def test_spans_are_built_only_in_the_solve_cache():
+    """``Span(...)`` is called in the library only inside ``_ratlinalg._solve_cached``.
+
+    So equal spans are shared through one bounded cache, and no local span
+    memo sits beside it.
+    """
+    calls = [
+        (path.name, getattr(top, "name", None))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and "Span" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None))
+    ]
+    assert calls == [("_ratlinalg.py", "_solve_cached")]
+
+
 def _library_attributes_read(tree):
     """The ``(module, name)`` pairs a benchmark file reads off ``graphassoc`` modules.
 
