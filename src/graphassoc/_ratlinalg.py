@@ -9,11 +9,11 @@ pivot is a reduction of the chain complex (Kaczynski-Mrozek-Slusarek
 1998) that leaves the Smith normal form of the rest unchanged, so an
 empty leftover block certifies that every invariant factor is 1.  Over
 Q any nonzero entry may pivot, so nothing is left over and the pivot
-count is the rank.  Both run one integer loop: over Q a ``Fraction``
-column is first scaled to a primitive integer vector, which leaves the
-rank unchanged, and a non-unit pivot updates fraction-free (Bareiss
-1968), scaling the column by the pivot instead of dividing by it and
-then dividing out the column's content.
+count is the rank.  Both run one integer loop, and the module builds no
+``Fraction``: over Q a ``Fraction`` column is first scaled to a primitive
+integer vector, which leaves the rank unchanged, and a non-unit pivot
+updates fraction-free (Bareiss 1968), scaling the column by the pivot
+instead of dividing by it and then dividing out the column's content.
 
 Subspaces are factored once into a ``Span``: one echelon pass over the
 spanning vectors, on integer multiples of them, gives the independent
@@ -28,7 +28,6 @@ reader wanting the reduced rows divides a row by its pivot entry.
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -37,15 +36,15 @@ from math import gcd, lcm
 class Span:
     """The span of a family of vectors in Q^dim, factored by one echelon pass.
 
-    ``independent`` is the maximal independent subfamily in input order
-    (a vector is kept iff it is not in the span of those before it);
-    ``ints`` holds primitive integer echelon rows, one per pivot of the
-    ascending ``pivots``: the span's one echelon form, a row divided by
-    its pivot entry being a reduced row echelon basis vector;
-    ``equations`` holds, for each coordinate c off the pivots, integers
-    ``(c, L, terms)`` with ``L * w[c] == sum(w[p] * x)`` over the terms
-    ``(p, x)``, for every w in the span.  The pass stops once
-    the rank reaches ``dim``; a vector of another length is a ValueError.
+    ``independent`` is the maximal independent subfamily in input order,
+    each vector the tuple it was given (a vector is kept iff it is not in
+    the span of those before it); ``ints`` holds primitive integer echelon
+    rows, one per pivot of the ascending ``pivots``: the span's one echelon
+    form, a row divided by its pivot entry being a reduced row echelon
+    basis vector; ``equations`` holds, for each coordinate c off the
+    pivots, integers ``(c, L, terms)`` with ``L * w[c] == sum(w[p] * x)``
+    over the terms ``(p, x)``, for every w in the span.  The pass stops
+    once the rank reaches ``dim``; a vector of another length is a ValueError.
     """
 
     __slots__ = ("independent", "ints", "pivots", "equations")
@@ -63,7 +62,7 @@ class Span:
             lead = next((c for c, x in enumerate(w) if x), None)
             if lead is None:
                 continue
-            kept.append(tuple(x if type(x) is Fraction else Fraction(x) for x in v))
+            kept.append(tuple(v))
             at = bisect(pivots, lead)
             pivots.insert(at, lead)
             rows.insert(at, w)

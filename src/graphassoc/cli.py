@@ -19,12 +19,11 @@ from .diagram import Diagram, DiagramError, INFINITY, ParseError, Value, parse_d
 class CommandResult(Value):
     """One command's outcome; ``diagram`` is None when none was parsed."""
 
-    command: str
     diagram: Diagram | None
     payload: dict | None
     status: int
     message: str
-    __slots__ = _fields = ("command", "diagram", "payload", "status", "message")
+    __slots__ = _fields = ("diagram", "payload", "status", "message")
 
     @property
     def fingerprint(self) -> str:
@@ -117,25 +116,24 @@ def run(argv) -> CommandResult:
     """Parse arguments, dispatch, and fold any failure into the result."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    echo = "graphassoc " + " ".join(argv)
     try:
         with open(args.diagram, "r", encoding="utf-8") as fh:
             D = parse_diagram(fh.read())
     except OSError as exc:
-        return CommandResult(echo, None, None, 2, f"cannot read diagram: {exc}")
+        return CommandResult(None, None, 2, f"cannot read diagram: {exc}")
     except ParseError as exc:
-        return CommandResult(echo, None, None, 2, f"diagram parse error: {exc}")
+        return CommandResult(None, None, 2, f"diagram parse error: {exc}")
     except DiagramError as exc:
-        return CommandResult(echo, None, None, 1, str(exc))
+        return CommandResult(None, None, 1, str(exc))
     try:
         payload = _dispatch(args, D)
     except ParseError as exc:
-        return CommandResult(echo, D, None, 2, str(exc))
+        return CommandResult(D, None, 2, str(exc))
     except DiagramError as exc:  # RealizationError and CoefficientError included
-        return CommandResult(echo, D, None, 1, str(exc))
+        return CommandResult(D, None, 1, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return CommandResult(echo, D, None, 1, f"invalid input: {exc}")
-    return CommandResult(echo, D, payload, 0, "")
+        return CommandResult(D, None, 1, f"invalid input: {exc}")
+    return CommandResult(D, payload, 0, "")
 
 
 def main(argv=None) -> int:

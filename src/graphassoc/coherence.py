@@ -425,6 +425,8 @@ def monodromy_word(D: Diagram, F: NestedSet, i: int) -> RelationWord:
     maximal nested set through {i} is expanded into elementary letters.
     """
     _check_maximal(F)
+    if not 0 <= i < D.n:
+        raise DiagramError(f"vertex {i} out of range 0..{D.n - 1}")
     single = 1 << i
     if single in F.elements:
         return RelationWord("monodromy", ((LocalGenerator(i), 1),))

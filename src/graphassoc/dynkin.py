@@ -70,7 +70,8 @@ class MatrixCoefficients:
     rejects any table whose spans fail a required containment.  The
     degree-0 slot of the complex is M(B, B), the fully invariant part.
 
-    Each listed basis is factored through ``_solve_cached``, so equal bases
+    Each entry is admitted (``_admitted``) as an int or a non-whole ``Fraction``,
+    and each listed basis is factored through ``_solve_cached``, so equal bases
     share one ``Span``, and reduced to its independent vectors.  Equality
     compares ``ambient_dim`` and the reduced table, not the derived spans.
     """
@@ -79,18 +80,11 @@ class MatrixCoefficients:
         n = ambient_dim
         if n < 0:
             raise CoefficientError(f"ambient_dim {n} is negative")
-        table = {} if table is None else table
-        for (B, S), vectors in table.items():
+        self.ambient_dim, self._spans = n, {}
+        for (B, S), vectors in ({} if table is None else table).items():
             if S & ~B:
                 raise CoefficientError(f"{_positions(B, S)} has S outside B")
-            for vec in vectors:
-                if len(vec) != n:
-                    raise CoefficientError(
-                        f"basis vector of {_positions(B, S)} has {len(vec)} entries, "
-                        f"not ambient_dim {n}"
-                    )
-        self.ambient_dim = n
-        self._spans = {key: _solve_cached(tuple(map(tuple, vectors)), n) for key, vectors in table.items()}
+            self._spans[B, S] = _solve_cached(tuple(_admitted(vec, n, B, S) for vec in vectors), n)
         self.table = {key: span.independent for key, span in self._spans.items()}
         self._full = _solve_cached(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
@@ -160,6 +154,17 @@ class MatrixCoefficients:
         if type(n) is not int:  # a JSON integer: not a float, a bool or a string
             raise CoefficientError("ambient_dim is not an integer")
         return MatrixCoefficients(n, table)
+
+
+def _admitted(vec, n: int, B: int, S: int) -> tuple:
+    """A basis vector of M(B, S) as ints and non-whole ``Fraction``s, else a ``CoefficientError``."""
+    if len(vec) != n:
+        raise CoefficientError(f"basis vector of {_positions(B, S)} has {len(vec)} entries, not ambient_dim {n}")
+    if all(type(x) is int for x in vec):
+        return tuple(vec)
+    if not all(type(x) is int or type(x) is Fraction for x in vec):  # a bool is not an int here
+        raise CoefficientError(f"basis vector of {_positions(B, S)} has an entry that is not an int or a Fraction")
+    return tuple(int(x) if x.denominator == 1 else x for x in vec)
 
 
 class ConstantCoefficients(MatrixCoefficients):
@@ -340,6 +345,8 @@ def cellular_embedding_g(D: Diagram, M: MatrixCoefficients, k: int, vec):
     """
     if not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
+    if not is_connected(D, D.full):  # degree k >= 1 reads faces(D, k - 1), which checks this too
+        raise DiagramError("ambient diagram must be connected")
     space = cochain_space(D, M, k)
     if len(vec) != space.dim:
         raise DiagramError(f"a cochain of {len(vec)} entries in a degree-{k} space of dim {space.dim}")

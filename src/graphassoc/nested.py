@@ -362,23 +362,22 @@ def two_faces(D: Diagram) -> list[tuple[NestedSet, TwoFace]]:
 
 
 def boundary_cycle(D: Diagram, H: NestedSet) -> list[NestedSet]:
-    """The vertices of a 2-face in cyclic order along its boundary."""
+    """The vertices of a 2-face in cyclic order along its boundary.
+
+    A walk on the 1-skeleton from the first vertex containing H, by steps dropping no tube of H.
+    """
     if H.dim != 2:
         raise DiagramError("boundary cycle needs a 2-dimensional face")
+    verts, _index, nbrs, drops, _steps = _skeleton(D)
     hset = set(H.elements)
-    verts = [F for F in maximal_nested_sets(D) if hset <= set(F.elements)]
-    cycle = [verts[0]]
-    seen = {verts[0]}
-    while len(cycle) < len(verts):
-        cur = set(cycle[-1].elements)
-        for G in verts:
-            if G not in seen and len(cur - set(G.elements)) == 1:
-                cycle.append(G)
-                seen.add(G)
-                break
-        else:
-            raise DiagramError("boundary walk got stuck; face poset corrupt")
-    return cycle
+    i = next((i for i, F in enumerate(verts) if hset <= set(F.elements)), None)
+    if i is None:
+        raise DiagramError("no vertex of the associahedron contains the face")
+    cycle = []
+    while i is not None:
+        cycle.append(i)
+        i = next((j for j, B in zip(nbrs[i], drops[i]) if B not in hset and j not in cycle), None)
+    return [verts[i] for i in cycle]
 
 
 def face_poset_json(D: Diagram, dim: int | None = None) -> dict:

@@ -557,6 +557,13 @@ def test_monodromy_word_examples():
     assert word.letters[0][0].support == P2.full
 
 
+def test_monodromy_word_refuses_a_vertex_outside_the_diagram():
+    F = ns(P3, [0, 1], [0])
+    for i in (3, 7, -1):
+        with pytest.raises(DiagramError, match=f"vertex {i} out of range 0..2"):
+            monodromy_word(P3, F, i)
+
+
 def test_monodromy_word_is_conjugation():
     for D in [P3, cycle_diagram(3)]:
         for F in maximal_nested_sets(D):

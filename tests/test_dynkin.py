@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphassoc._ratlinalg import Span, rank
-from graphassoc.diagram import DiagramError, bits
+from graphassoc._ratlinalg import Span, _solve_cached, rank
+from graphassoc.diagram import DiagramError, bits, parse_diagram
 from graphassoc.dynkin import (
     CochainSpace,
     CoefficientError,
@@ -376,6 +376,39 @@ def test_coefficient_json_rejects_infinite_entries():
         assert str(err.value) == "basis of M(B, S) at B=['1'], S=[] has an entry that is not a rational"
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["empty-cache", "after-constant"])
+@pytest.mark.parametrize("vec", [(1.0,), (True, 0), ("1",), (Fraction(1), 0.5)])
+def test_coefficient_entries_are_ints_or_fractions_whatever_the_cache_holds(vec, warm):
+    """A float, a bool or a string entry is a ``CoefficientError`` naming the pair, cached line or not."""
+    _solve_cached.cache_clear()
+    if warm:
+        ConstantCoefficients()  # caches the full line ((1,),), which equals ((1.0,),) and ((True,),)
+    with pytest.raises(CoefficientError) as err:
+        MatrixCoefficients(len(vec), {(1, 1): [vec]})
+    assert str(err.value) == (
+        "basis vector of M(B, S) at vertex positions B=[0], S=[0] has an entry that is not an int or a Fraction")
+
+
+def test_whole_fraction_entries_are_stored_as_ints():
+    _solve_cached.cache_clear()
+    M = MatrixCoefficients(3, {(1, 1): [(Fraction(2), Fraction(1, 2), 0)], (1, 0): [(Fraction(-4, 2), 1, 5)]})
+    entries = [(type(x), x) for vectors in M.table.values() for v in vectors for x in v]
+    assert entries == [(int, 2), (Fraction, Fraction(1, 2)), (int, 0), (int, -2), (int, 1), (int, 5)]
+    # from_json parses each entry to a Fraction, a JSON float included, before the constructor admits it
+    doc = {"ambient_dim": 2, "subspaces": [{"B": ["1"], "S": ["1"], "basis": [["4/2", 1.5]]}]}
+    (vector,) = MatrixCoefficients.from_json(P2, doc).table[(1, 1)]
+    assert [(type(x), x) for x in vector] == [(int, 2), (Fraction, Fraction(3, 2))]
+
+
+def test_g_refuses_a_disconnected_diagram_in_every_degree():
+    D = parse_diagram("vertices: a b c\nedges: a-b\n")
+    for k in range(D.n + 1):
+        with pytest.raises(DiagramError, match="ambient diagram must be connected"):
+            cellular_embedding_g(D, CONST, k, [1] * cochain_space(D, CONST, k).dim)
+    with pytest.raises(DiagramError, match="ambient diagram must be connected"):
+        verify_chain_map(D, CONST, 1)
+
+
 def _entrywise_system(D, ambient_dim, rng):
     """The random system factored entry by entry: each entry's admissible seeds, in one Span."""
     seeds = {}
@@ -562,17 +595,18 @@ def test_chain_map_random_coefficients():
 
 
 def test_chain_map_check_reads_only_the_integer_rows(monkeypatch):
-    from graphassoc import _ratlinalg, dynkin
+    """From an empty span cache, building a random system, its cohomology and the check build no Fraction."""
+    from graphassoc import dynkin
 
     def no_fractions(*args):
-        raise AssertionError("Fraction called in the chain-map check or the cohomology")
+        raise AssertionError("Fraction called in the system, the chain-map check or the cohomology")
 
     for D in (P3, C3, path_diagram(4)):
-        M = random_coefficient_system(D, 3, random.Random(7))
-        doc = dynkin_json(D, M)
+        doc = dynkin_json(D, random_coefficient_system(D, 3, random.Random(7)))
+        _solve_cached.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(dynkin, "Fraction", no_fractions)
-            patch.setattr(_ratlinalg, "Fraction", no_fractions)
+            M = random_coefficient_system(D, 3, random.Random(7))
             assert verify_chain_map(D, M, 1)
             assert dynkin_json(D, M) == doc
 

@@ -373,6 +373,29 @@ def test_classification_matches_boundary_length():
             assert len(boundary_cycle(D, H)) == expected[kind]
 
 
+def _rescanned_boundary_cycle(D, H):
+    """The oracle: from the first vertex containing H, step to the first unvisited vertex one tube away."""
+    hset = set(H.elements)
+    verts = [F for F in maximal_nested_sets(D) if hset <= set(F.elements)]
+    cycle = [verts[0]]
+    while len(cycle) < len(verts):
+        cur = set(cycle[-1].elements)
+        cycle.append(next(G for G in verts if G not in cycle and len(cur - set(G.elements)) == 1))
+    return cycle
+
+
+def test_boundary_cycle_matches_the_rescanning_oracle():
+    for D in [E for n in range(3, 6) for E in connected_reps(n)]:
+        for H in faces(D, 2):
+            assert boundary_cycle(D, H) == _rescanned_boundary_cycle(D, H)
+
+
+def test_boundary_cycle_refuses_a_face_no_vertex_contains():
+    P4 = path_diagram(4)
+    with pytest.raises(DiagramError, match="no vertex of the associahedron contains the face"):
+        boundary_cycle(P4, NestedSet(P4, (0b1001, 0b1111)))  # {0, 3} is not a tube of P4
+
+
 SPLIT_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
     E for D in (cycle_diagram(6), complete_diagram(5), star_diagram(4))
     for E in relabelings(D, count=1, seed=17)
