@@ -120,9 +120,12 @@ def _primitive(values):
     """Ints or Fractions scaled by a positive rational to a primitive integer list.
 
     The scale makes the entries coprime integers; a zero vector stays zero.
+    All-int values skip the denominator pass.
     """
-    den = lcm(*(x.denominator for x in values))
-    w = [x.numerator * (den // x.denominator) for x in values]
+    w = list(values)
+    if any(type(x) is not int for x in w):
+        den = lcm(*(x.denominator for x in w))
+        w = [x.numerator * (den // x.denominator) for x in w]
     g = gcd(*w)
     return [x // g for x in w] if g > 1 else w
 

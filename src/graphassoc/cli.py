@@ -13,33 +13,16 @@ import json
 import sys
 
 from . import coherence, dynkin, homology, nested, polytope
-from .diagram import Diagram, DiagramError, INFINITY, ParseError, Value, parse_diagram
+from .diagram import Diagram, DiagramError, ParseError, Value, parse_diagram
 
 
 class CommandResult(Value):
-    """One command's outcome; ``diagram`` is None when none was parsed."""
+    """One command's outcome; ``payload`` is None unless it succeeded."""
 
-    diagram: Diagram | None
     payload: dict | None
     status: int
     message: str
-    __slots__ = _fields = ("diagram", "payload", "status", "message")
-
-    @property
-    def fingerprint(self) -> str:
-        """The parsed diagram's fingerprint, or "" when none was parsed."""
-        return "" if self.diagram is None else fingerprint(self.diagram)
-
-
-def fingerprint(D: Diagram) -> str:
-    """Canonical hash of the vertex/edge data."""
-    import hashlib  # only here: loading it is a real share of start-up
-
-    parts = ["v:" + ",".join(D.names)]
-    for (i, j), label in D.edge_labels:
-        text = "inf" if label == INFINITY else str(int(label))
-        parts.append(f"e:{D.names[i]}-{D.names[j]}:{text}")
-    return hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()
+    __slots__ = _fields = ("payload", "status", "message")
 
 
 def parse_nested_set(D: Diagram, text: str) -> nested.NestedSet:
@@ -66,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--diagram", required=True, help="diagram source file")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        return p
 
     cmd("faces", "face poset (all faces, or --dim k only)",
         **{"--dim": dict(type=int, default=None)})
@@ -78,10 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("dynkin", "Dynkin cohomology dimensions",
         **{"--coeffs": dict(default=None, metavar="FILE")})
     cmd("relations", "generators and relation words of the presentation")
-    p = cmd("sequence", "good elementary sequence between two maximal nested sets")
-    p.add_argument("--pair", nargs=2, required=True, metavar=("F", "G"))
-    p = cmd("support", "support and central support of a pair")
-    p.add_argument("--pair", nargs=2, required=True, metavar=("F", "G"))
+    pair = {"--pair": dict(nargs=2, required=True, metavar=("F", "G"))}
+    cmd("sequence", "good elementary sequence between two maximal nested sets", **pair)
+    cmd("support", "support and central support of a pair", **pair)
     return parser
 
 
@@ -120,20 +101,20 @@ def run(argv) -> CommandResult:
         with open(args.diagram, "r", encoding="utf-8") as fh:
             D = parse_diagram(fh.read())
     except OSError as exc:
-        return CommandResult(None, None, 2, f"cannot read diagram: {exc}")
+        return CommandResult(None, 2, f"cannot read diagram: {exc}")
     except ParseError as exc:
-        return CommandResult(None, None, 2, f"diagram parse error: {exc}")
+        return CommandResult(None, 2, f"diagram parse error: {exc}")
     except DiagramError as exc:
-        return CommandResult(None, None, 1, str(exc))
+        return CommandResult(None, 1, str(exc))
     try:
         payload = _dispatch(args, D)
     except ParseError as exc:
-        return CommandResult(D, None, 2, str(exc))
+        return CommandResult(None, 2, str(exc))
     except DiagramError as exc:  # RealizationError and CoefficientError included
-        return CommandResult(D, None, 1, str(exc))
+        return CommandResult(None, 1, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return CommandResult(D, None, 1, f"invalid input: {exc}")
-    return CommandResult(D, payload, 0, "")
+        return CommandResult(None, 1, f"invalid input: {exc}")
+    return CommandResult(payload, 0, "")
 
 
 def main(argv=None) -> int:

@@ -90,13 +90,13 @@ class RelationWord(Value):
         return len(self.letters)
 
 
-def associator_letter(B: int, source: int, target: int, exp: int = 1) -> Letter:
+def associator_letter(B: int, source: int, target: int) -> Letter:
     """Canonicalized letter for the associator (B; source, target)."""
     if source == target:
         raise DiagramError("associator needs two distinct vertices")
     if source < target:
-        return (AssociatorSymbol(B, (source, target)), exp)
-    return (AssociatorSymbol(B, (target, source)), -exp)
+        return (AssociatorSymbol(B, (source, target)), 1)
+    return (AssociatorSymbol(B, (target, source)), -1)
 
 
 def invert_word(word: RelationWord) -> RelationWord:
@@ -107,7 +107,9 @@ def invert_word(word: RelationWord) -> RelationWord:
 # support and central support
 
 
-def _check_maximal(F: NestedSet):
+def _check_maximal(D: Diagram, F: NestedSet):
+    if F.diagram != D:
+        raise DiagramError("not a maximal nested set of D")
     if not F.is_maximal():
         raise DiagramError("operation needs maximal nested sets")
 
@@ -132,8 +134,8 @@ def support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
 
 def _support(D: Diagram, F: NestedSet, G: NestedSet) -> tuple[int, list[int]]:
     """``(supp, delta)``: the support of a pair, cross-checked, and its symmetric difference."""
-    _check_maximal(F)
-    _check_maximal(G)
+    _check_maximal(D, F)
+    _check_maximal(D, G)
     delta = symmetric_difference(F, G)
     supp = 0
     for m in delta:
@@ -184,7 +186,7 @@ def are_equivalent(D: Diagram, pair1, pair2) -> bool:
     """Ordered pairs are equivalent when both one-sided differences agree."""
     (F, G), (F2, G2) = pair1, pair2
     for H in (F, G, F2, G2):
-        _check_maximal(H)
+        _check_maximal(D, H)
     return (
         set(F.elements) - set(G.elements) == set(F2.elements) - set(G2.elements)
         and set(G.elements) - set(F.elements) == set(G2.elements) - set(F2.elements)
@@ -242,8 +244,8 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     on D's cached 1-skeleton: from a vertex holding the intersection, a
     step keeps it exactly when the tube it drops is not in it.
     """
-    _check_maximal(F)
-    _check_maximal(G)
+    _check_maximal(D, F)
+    _check_maximal(D, G)
     if F.elements == G.elements:
         return [F]
     meet = set(F.elements) & set(G.elements)
@@ -300,7 +302,7 @@ def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     support is computed, with its cross-check, the first time its edge
     is seen, and kept with D's cached 1-skeleton.
     """
-    if seq[0].elements != F.elements or seq[-1].elements != G.elements:
+    if not seq or seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
     meet = set(F.elements) & set(G.elements)
     supp_fg, delta = _support(D, F, G)
@@ -424,18 +426,17 @@ def monodromy_word(D: Diagram, F: NestedSet, i: int) -> RelationWord:
     letter S_i; otherwise the associator to the deterministically chosen
     maximal nested set through {i} is expanded into elementary letters.
     """
-    _check_maximal(F)
+    _check_maximal(D, F)
     if not 0 <= i < D.n:
         raise DiagramError(f"vertex {i} out of range 0..{D.n - 1}")
     single = 1 << i
     if single in F.elements:
         return RelationWord("monodromy", ((LocalGenerator(i), 1),))
     G_i = next(H for H in maximal_nested_sets(D) if single in H.elements)
-    prefix = general_associator_letters(D, F, G_i)
+    prefix = RelationWord("monodromy", tuple(general_associator_letters(D, F, G_i)))
     # the return trip inverts the same expansion, keeping the word a conjugate
-    suffix = [(sym, -e) for sym, e in reversed(prefix)]
-    letters = prefix + [(LocalGenerator(i), 1)] + suffix
-    return RelationWord("monodromy", tuple(letters))
+    letters = prefix.letters + ((LocalGenerator(i), 1),) + invert_word(prefix).letters
+    return RelationWord("monodromy", letters)
 
 
 def twist_associator(D: Diagram, B: int, alpha_j: int, alpha_i: int) -> RelationWord:

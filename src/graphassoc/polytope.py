@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import lcm
 
 from .diagram import Diagram, DiagramError, InvariantError, Value, bits, components, is_connected
-from .nested import (NestedSet, _tube_table, boundary_cycle, connected_subdiagrams, faces,
-                     maximal_nested_sets)
+from .nested import (NestedSet, _skeleton, _tube_table, boundary_cycle, connected_subdiagrams,
+                     faces, maximal_nested_sets)
 
 
 class RealizationError(DiagramError):
@@ -87,6 +87,8 @@ def vertex_coordinates(R: Realization, F: NestedSet) -> tuple[Fraction, ...]:
     Solved by the triangular recursion ``t at alpha(B) = c(B) - sum of
     c over the maximal elements of F inside B``.
     """
+    if F.diagram != R.diagram:
+        raise DiagramError("not a maximal nested set of the realization's diagram")
     if not F.is_maximal():
         raise DiagramError("vertex coordinates need a maximal nested set")
     return tuple(Fraction(t, R._scale) for t in _scaled_vertex(R, F.elements))
@@ -207,8 +209,7 @@ def off_text(R: Realization) -> str | None:
     dim = D.n - 1
     if dim > 3:
         return None
-    mns = maximal_nested_sets(D)
-    index = {F.elements: i for i, F in enumerate(mns)}
+    mns, index, _nbrs, _drops, _steps = _skeleton(D)
     # the 2-faces; a polygon's one 2-face is D itself
     polygons = [[index[F.elements] for F in boundary_cycle(D, H)]
                 for H in (faces(D, 2) if dim >= 2 else ())]

@@ -2,219 +2,82 @@
 
 Kept as plain dicts so callers can validate outputs with any JSON-schema
 implementation; the test suite checks every subcommand against these.
+Every object schema is built by ``_object``: its required keys are its
+listed properties except those passed as ``optional``, and it is closed
+(``additionalProperties: false``) unless built with ``closed=False``.
 """
 
-_VERTEX_LIST = {"type": "array", "items": {"type": "string"}}
 
-_FACE = {
-    "type": "object",
-    "required": ["elements", "dim", "unsaturated"],
-    "additionalProperties": False,
-    "properties": {
-        "elements": {"type": "array", "items": _VERTEX_LIST},
-        "dim": {"type": "integer", "minimum": 0},
-        "unsaturated": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["B", "alpha"],
-                "additionalProperties": False,
-                "properties": {"B": _VERTEX_LIST, "alpha": _VERTEX_LIST},
-            },
-        },
-    },
-}
+def _object(required: dict, optional: dict | None = None, closed: bool = True) -> dict:
+    """An object schema requiring the keys of ``required``, in order, and allowing ``optional``."""
+    properties = {**required, **(optional or {})}
+    schema = {"type": "object", "required": list(required), "properties": properties}
+    if closed:
+        schema["additionalProperties"] = False
+    return schema
 
+
+def _array(items: dict) -> dict:
+    return {"type": "array", "items": items}
+
+
+_INTEGER = {"type": "integer"}
+_STRING = {"type": "string"}
 _RATIONAL = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
+_VERTEX_LIST = _array(_STRING)
+_ELEMENTS = _array(_VERTEX_LIST)  # a nested set: one vertex list per element
+_BOUND = {"B": _VERTEX_LIST, "rhs": _RATIONAL}
 
-_LETTER = {
-    "type": "object",
-    "required": ["letter", "exp"],
-    "additionalProperties": False,
-    "properties": {
-        "exp": {"type": "integer"},
-        "letter": {
-            "type": "object",
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": ["S", "Phi", "a"]},
-                "vertex": {"type": "string"},
-                "B": _VERTEX_LIST,
-                "pair": _VERTEX_LIST,
-                "alpha": {"type": "string"},
-            },
-        },
-    },
-}
+_FACE = _object({
+    "elements": _ELEMENTS,
+    "dim": {"type": "integer", "minimum": 0},
+    "unsaturated": _array(_object({"B": _VERTEX_LIST, "alpha": _VERTEX_LIST})),
+})
+
+_LETTER = _object({
+    "letter": _object({"type": {"enum": ["S", "Phi", "a"]}}, {
+        "vertex": _STRING,
+        "B": _VERTEX_LIST,
+        "pair": _VERTEX_LIST,
+        "alpha": _STRING,
+    }, closed=False),
+    "exp": _INTEGER,
+})
 
 SCHEMAS = {
-    "faces": {
-        "type": "object",
-        "required": ["faces"],
-        "additionalProperties": False,
-        "properties": {"faces": {"type": "array", "items": _FACE}},
-    },
-    "fvector": {
-        "type": "object",
-        "required": ["f"],
-        "additionalProperties": False,
-        "properties": {"f": {"type": "array", "items": {"type": "integer"}}},
-    },
-    "twofaces": {
-        "type": "object",
-        "required": ["twofaces", "counts"],
-        "additionalProperties": False,
-        "properties": {
-            "twofaces": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["elements", "kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "elements": {"type": "array", "items": _VERTEX_LIST},
-                        "kind": {"enum": ["square", "pentagon", "hexagon"]},
-                    },
-                },
-            },
-            "counts": {
-                "type": "object",
-                "required": ["square", "pentagon", "hexagon"],
-                "additionalProperties": False,
-                "properties": {
-                    "square": {"type": "integer"},
-                    "pentagon": {"type": "integer"},
-                    "hexagon": {"type": "integer"},
-                },
-            },
-        },
-    },
-    "polytope": {
-        "type": "object",
-        "required": ["vertices", "h_representation"],
-        "additionalProperties": False,
-        "properties": {
-            "off": {"type": "string"},
-            "vertices": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["face", "coords"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "face": {"type": "array", "items": _VERTEX_LIST},
-                        "coords": {"type": "array", "items": _RATIONAL},
-                    },
-                },
-            },
-            "h_representation": {
-                "type": "object",
-                "required": ["equality", "inequalities"],
-                "additionalProperties": False,
-                "properties": {
-                    "equality": {
-                        "type": "object",
-                        "required": ["B", "rhs"],
-                        "properties": {"B": _VERTEX_LIST, "rhs": _RATIONAL},
-                    },
-                    "inequalities": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["B", "rhs"],
-                            "properties": {"B": _VERTEX_LIST, "rhs": _RATIONAL},
-                        },
-                    },
-                },
-            },
-        },
-    },
-    "homology": {
-        "type": "object",
-        "required": ["H"],
-        "additionalProperties": False,
-        "properties": {
-            "H": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["betti"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "betti": {"type": "integer"},
-                        "torsion": {"type": "array", "items": {"type": "integer"}},
-                    },
-                },
-            }
-        },
-    },
-    "dynkin": {
-        "type": "object",
-        "required": ["HD", "dims"],
-        "additionalProperties": False,
-        "properties": {
-            "HD": {"type": "array", "items": {"type": "integer"}},
-            "dims": {"type": "array", "items": {"type": "integer"}},
-        },
-    },
-    "relations": {
-        "type": "object",
-        "required": ["generators", "relations"],
-        "additionalProperties": False,
-        "properties": {
-            "generators": {
-                "type": "object",
-                "required": ["S", "Phi", "a"],
-                "additionalProperties": False,
-                "properties": {
-                    "S": _VERTEX_LIST,
-                    "Phi": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["B", "pair"],
-                            "properties": {"B": _VERTEX_LIST, "pair": _VERTEX_LIST},
-                        },
-                    },
-                    "a": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["B", "alpha"],
-                            "properties": {"B": _VERTEX_LIST, "alpha": {"type": "string"}},
-                        },
-                    },
-                },
-            },
-            "relations": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["kind", "word"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["pentagon5", "hexagon6", "braid", "orientation"]},
-                        "word": {"type": "array", "items": _LETTER},
-                    },
-                },
-            },
-        },
-    },
-    "sequence": {
-        "type": "object",
-        "required": ["sequence"],
-        "additionalProperties": False,
-        "properties": {
-            "sequence": {
-                "type": "array",
-                "items": {"type": "array", "items": _VERTEX_LIST},
-            }
-        },
-    },
-    "support": {
-        "type": "object",
-        "required": ["supp", "zsupp"],
-        "additionalProperties": False,
-        "properties": {"supp": _VERTEX_LIST, "zsupp": _VERTEX_LIST},
-    },
+    "faces": _object({"faces": _array(_FACE)}),
+    "fvector": _object({"f": _array(_INTEGER)}),
+    "twofaces": _object({
+        "twofaces": _array(_object({
+            "elements": _ELEMENTS,
+            "kind": {"enum": ["square", "pentagon", "hexagon"]},
+        })),
+        "counts": _object({
+            "square": _INTEGER,
+            "pentagon": _INTEGER,
+            "hexagon": _INTEGER,
+        }),
+    }),
+    "polytope": _object({
+        "vertices": _array(_object({"face": _ELEMENTS, "coords": _array(_RATIONAL)})),
+        "h_representation": _object({
+            "equality": _object(_BOUND, closed=False),
+            "inequalities": _array(_object(_BOUND, closed=False)),
+        }),
+    }, {"off": _STRING}),
+    "homology": _object({"H": _array(_object({"betti": _INTEGER}, {"torsion": _array(_INTEGER)}))}),
+    "dynkin": _object({"HD": _array(_INTEGER), "dims": _array(_INTEGER)}),
+    "relations": _object({
+        "generators": _object({
+            "S": _VERTEX_LIST,
+            "Phi": _array(_object({"B": _VERTEX_LIST, "pair": _VERTEX_LIST}, closed=False)),
+            "a": _array(_object({"B": _VERTEX_LIST, "alpha": _STRING}, closed=False)),
+        }),
+        "relations": _array(_object({
+            "kind": {"enum": ["pentagon5", "hexagon6", "braid", "orientation"]},
+            "word": _array(_LETTER),
+        })),
+    }),
+    "sequence": _object({"sequence": _array(_ELEMENTS)}),
+    "support": _object({"supp": _VERTEX_LIST, "zsupp": _VERTEX_LIST}),
 }

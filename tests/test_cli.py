@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from graphassoc import dynkin
-from graphassoc.cli import fingerprint, main, parse_nested_set, run
+from graphassoc.cli import main, parse_nested_set, run
 from graphassoc.diagram import parse_diagram
 from graphassoc.schemas import SCHEMAS
 
@@ -182,15 +182,6 @@ def test_unknown_subcommand_exits_2(p3_file):
     assert proc.returncode == 2
 
 
-def test_fingerprint_tracks_content():
-    D1 = parse_diagram(P3_TEXT)
-    D2 = parse_diagram(C3_TEXT)
-    assert fingerprint(D1) != fingerprint(D2)
-    assert fingerprint(D1) == fingerprint(parse_diagram(P3_TEXT))
-    result = run(["fvector", "--diagram", "/nonexistent.dg"])
-    assert result.fingerprint == ""
-
-
 @pytest.mark.parametrize("vector", [["1", "0", "0"], ["1"]])
 def test_coefficient_vector_of_wrong_length_is_exit_1(tmp_path, p3_file, capsys, vector):
     coeffs = tmp_path / "coeffs.json"
@@ -205,7 +196,6 @@ def test_coefficient_vector_of_wrong_length_is_exit_1(tmp_path, p3_file, capsys,
         "basis vector of M(B, S) at vertex positions B=[0, 1, 2], S=[0, 1, 2] "
         f"has {len(vector)} entries, not ambient_dim 2"
     )
-    assert result.fingerprint == fingerprint(parse_diagram(P3_TEXT))
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == result.message + "\n"

@@ -303,6 +303,25 @@ def test_validator_rejects_bad_sequences():
         validate_good_sequence(P3, F, G, [F, detour, G])
 
 
+def test_empty_sequence_has_wrong_endpoints():
+    F, G = ns(P3, [0, 1], [0]), ns(P3, [0, 1], [1])
+    with pytest.raises(DiagramError, match="sequence endpoints are wrong"):
+        validate_good_sequence(P3, F, G, [])
+
+
+def test_support_refuses_a_nested_set_of_another_diagram():
+    F, G = ns(P3, [0, 1], [0]), maximal_nested_sets(path_diagram(4))[0]
+    for pair in ((F, G), (G, F)):
+        with pytest.raises(DiagramError, match="not a maximal nested set of D"):
+            support(P3, *pair)
+
+
+def test_monodromy_word_refuses_a_nested_set_of_another_diagram():
+    F = maximal_nested_sets(path_diagram(4))[0]
+    with pytest.raises(DiagramError, match="not a maximal nested set of D"):
+        monodromy_word(P3, F, 0)
+
+
 def breadth_first_oracle(D):
     """The vertices of D and a path search over them, independent of the cached skeleton.
 

@@ -108,6 +108,12 @@ def test_vertex_coordinates_need_maximal():
         vertex_coordinates(make_realization(P3), ns(P3, [0, 1]))
 
 
+def test_vertex_coordinates_refuse_a_nested_set_of_another_diagram():
+    F = maximal_nested_sets(path_diagram(4))[0]
+    with pytest.raises(DiagramError, match="not a maximal nested set of the realization's diagram"):
+        vertex_coordinates(make_realization(P3), F)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_vertices_feasible_and_tight_exactly_on_face(n):
     for D in connected_reps(n):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from graphassoc import _ratlinalg
 from graphassoc._ratlinalg import Span, columns, eliminate, rank
 from conftest import bareiss_rank, rref
 
@@ -138,6 +139,21 @@ def test_span_rejects_vectors_of_the_wrong_length():
         Span([[1, 2], [1]], 2)
     with pytest.raises(ValueError, match="length 1 in a span of dim 2"):
         Span([[1]], len([1, 0]))
+
+
+def test_span_of_int_vectors_takes_one_lcm(monkeypatch):
+    """All-int vectors skip the denominator pass: the one lcm is the equations' L."""
+    vectors = [(2, 4, 0, 6), (0, 3, 3, 0), (2, 7, 3, 6), (1, 0, 0, 1)]
+    calls = []
+    monkeypatch.setattr(_ratlinalg, "lcm", lambda *xs: calls.append(xs) or lcm(*xs))
+    span = Span(vectors, 4)
+    assert len(calls) == 1
+    assert span.ints == ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, -1))
+    assert span.pivots == (0, 1, 2)
+    assert span.equations == ((3, 1, ((0, 1), (1, 1), (2, -1))),)
+    as_fractions = Span([tuple(map(Fraction, v)) for v in vectors], 4)
+    assert (as_fractions.ints, as_fractions.pivots, as_fractions.equations) == (
+        span.ints, span.pivots, span.equations)
 
 
 def test_bareiss_rank_oracle_matches_rref():
