@@ -107,13 +107,6 @@ def invert_word(word: RelationWord) -> RelationWord:
 # support and central support
 
 
-def _check_maximal(D: Diagram, F: NestedSet):
-    if F.diagram != D:
-        raise DiagramError("not a maximal nested set of D")
-    if not F.is_maximal():
-        raise DiagramError("operation needs maximal nested sets")
-
-
 def symmetric_difference(F: NestedSet, G: NestedSet) -> list[int]:
     fs, gs = set(F.elements), set(G.elements)
     return sorted(fs ^ gs)
@@ -134,8 +127,8 @@ def support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
 
 def _support(D: Diagram, F: NestedSet, G: NestedSet) -> tuple[int, list[int]]:
     """``(supp, delta)``: the support of a pair, cross-checked, and its symmetric difference."""
-    _check_maximal(D, F)
-    _check_maximal(D, G)
+    F.check_maximal(D)
+    G.check_maximal(D)
     delta = symmetric_difference(F, G)
     supp = 0
     for m in delta:
@@ -186,7 +179,7 @@ def are_equivalent(D: Diagram, pair1, pair2) -> bool:
     """Ordered pairs are equivalent when both one-sided differences agree."""
     (F, G), (F2, G2) = pair1, pair2
     for H in (F, G, F2, G2):
-        _check_maximal(D, H)
+        H.check_maximal(D)
     return (
         set(F.elements) - set(G.elements) == set(F2.elements) - set(G2.elements)
         and set(G.elements) - set(F.elements) == set(G2.elements) - set(F2.elements)
@@ -244,8 +237,8 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     on D's cached 1-skeleton: from a vertex holding the intersection, a
     step keeps it exactly when the tube it drops is not in it.
     """
-    _check_maximal(D, F)
-    _check_maximal(D, G)
+    F.check_maximal(D)
+    G.check_maximal(D)
     if F.elements == G.elements:
         return [F]
     meet = set(F.elements) & set(G.elements)
@@ -304,6 +297,8 @@ def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     """
     if not seq or seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
+    for H in seq:
+        H.check_maximal(D)
     meet = set(F.elements) & set(G.elements)
     supp_fg, delta = _support(D, F, G)
     zcomps = components(D, _minus_neighbours(D, supp_fg, delta))
@@ -426,7 +421,7 @@ def monodromy_word(D: Diagram, F: NestedSet, i: int) -> RelationWord:
     letter S_i; otherwise the associator to the deterministically chosen
     maximal nested set through {i} is expanded into elementary letters.
     """
-    _check_maximal(D, F)
+    F.check_maximal(D)
     if not 0 <= i < D.n:
         raise DiagramError(f"vertex {i} out of range 0..{D.n - 1}")
     single = 1 << i

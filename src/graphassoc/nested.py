@@ -110,6 +110,11 @@ class NestedSet(Value):
     def is_maximal(self) -> bool:
         return len(self.elements) == self.diagram.n
 
+    def check_maximal(self, D: Diagram) -> None:
+        """Raise ``DiagramError`` unless this is a maximal nested set of D."""
+        if self.diagram != D or not self.is_maximal():
+            raise DiagramError("not a maximal nested set of D")
+
     def inner_union(self, B: int) -> int:
         """Union of the maximal elements properly contained in B (i_H(B)).
 

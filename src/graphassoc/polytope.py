@@ -87,10 +87,7 @@ def vertex_coordinates(R: Realization, F: NestedSet) -> tuple[Fraction, ...]:
     Solved by the triangular recursion ``t at alpha(B) = c(B) - sum of
     c over the maximal elements of F inside B``.
     """
-    if F.diagram != R.diagram:
-        raise DiagramError("not a maximal nested set of the realization's diagram")
-    if not F.is_maximal():
-        raise DiagramError("vertex coordinates need a maximal nested set")
+    F.check_maximal(R.diagram)
     return tuple(Fraction(t, R._scale) for t in _scaled_vertex(R, F.elements))
 
 

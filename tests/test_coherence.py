@@ -301,6 +301,9 @@ def test_validator_rejects_bad_sequences():
     detour = ns(P3, [1, 2], [2])
     with pytest.raises(DiagramError):
         validate_good_sequence(P3, F, G, [F, detour, G])
+    Q3 = path_diagram(3, label=4)  # the masks of P3, another diagram
+    with pytest.raises(DiagramError, match="not a maximal nested set of D"):
+        validate_good_sequence(P3, F, G, [NestedSet(Q3, H.elements) for H in (F, G)])
 
 
 def test_empty_sequence_has_wrong_endpoints():

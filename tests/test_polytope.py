@@ -110,7 +110,7 @@ def test_vertex_coordinates_need_maximal():
 
 def test_vertex_coordinates_refuse_a_nested_set_of_another_diagram():
     F = maximal_nested_sets(path_diagram(4))[0]
-    with pytest.raises(DiagramError, match="not a maximal nested set of the realization's diagram"):
+    with pytest.raises(DiagramError, match="not a maximal nested set of D"):
         vertex_coordinates(make_realization(P3), F)
 
 
