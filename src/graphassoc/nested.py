@@ -112,7 +112,7 @@ class NestedSet(Value):
 
     def check_maximal(self, D: Diagram) -> None:
         """Raise ``DiagramError`` unless this is a maximal nested set of D."""
-        if self.diagram != D or not self.is_maximal():
+        if (self.diagram is not D and self.diagram != D) or len(self.elements) != D.n:
             raise DiagramError("not a maximal nested set of D")
 
     def inner_union(self, B: int) -> int:
