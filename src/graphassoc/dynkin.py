@@ -14,9 +14,8 @@ bounded cache shares equal spans.  A slot's cochain coordinates are the
 reduced echelon rows of its span, so a source row's coordinates in a
 target slot are its entries at the target's pivots: the differential is
 built as sparse columns with one membership check per row and no linear
-solve.  The rows mapped are the integer ``Span.ints``, so neither the
-rank step nor the chain-map check (both sides times the lcm of the
-target pivot entries) builds a ``Fraction``.
+solve.  The rows mapped are the integer ``Span.ints``, and g is built from
+them too, so neither the rank step nor the chain-map check builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -232,16 +231,6 @@ class CochainSpace(Value):
     index: dict
     __slots__ = _fields = ("degree", "ambient_dim", "slots", "spans", "offsets", "dim", "index")
 
-    def ambient(self, vec, slot_i: int):
-        """Ambient vector of one slot component of a local-coordinates cochain.
-
-        Each ``ints`` row divided by its pivot entry is a reduced echelon row.
-        """
-        span, off = self.spans[slot_i], self.offsets[slot_i]
-        terms = [(vec[off + j], [Fraction(x, row[p]) for x in row])
-                 for j, (row, p) in enumerate(zip(span.ints, span.pivots)) if vec[off + j]]
-        return tuple(sum((c * row[t] for c, row in terms), Fraction(0)) for t in range(self.ambient_dim))
-
 
 def cochain_space(D: Diagram, M: MatrixCoefficients, p: int) -> CochainSpace:
     slots = tuple(dynkin_basis(D, p))
@@ -249,6 +238,11 @@ def cochain_space(D: Diagram, M: MatrixCoefficients, p: int) -> CochainSpace:
     offsets = tuple(accumulate((len(span.pivots) for span in spans), initial=0))
     index = {slot: i for i, slot in enumerate(slots)}
     return CochainSpace(p, M.ambient_dim, slots, spans, offsets[:-1], offsets[-1], index)
+
+
+def _leads(space: CochainSpace) -> list[int]:
+    """The pivot entry of each local coordinate: its ``ints`` row over it is a reduced echelon row."""
+    return [row[p] for span in space.spans for row, p in zip(span.ints, span.pivots)]
 
 
 def _differential_columns(D: Diagram, src: CochainSpace, dst: CochainSpace):
@@ -304,11 +298,10 @@ def dynkin_differential(D: Diagram, M: MatrixCoefficients, p: int):
     if p == D.n:
         return []
     src, dst = cochain_space(D, M, p), cochain_space(D, M, p + 1)
-    leads = [row[q] for span in src.spans for row, q in zip(span.ints, span.pivots)]
     rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    for c, col in enumerate(_differential_columns(D, src, dst)):
+    for c, (col, lead) in enumerate(zip(_differential_columns(D, src, dst), _leads(src))):
         for r, v in col.items():
-            rows[r][c] = Fraction(v, leads[c])
+            rows[r][c] = Fraction(v, lead)
     return rows
 
 
@@ -338,10 +331,9 @@ def dynkin_cohomology(D: Diagram, M: MatrixCoefficients) -> list[int]:
 def cellular_embedding_g(D: Diagram, M: MatrixCoefficients, k: int, vec):
     """Image of a degree-k Dynkin cochain among cellular cochains.
 
-    Degree 0 lands in the augmentation slot (a single ambient vector);
-    degree k >= 1 yields one ambient vector per cell of dimension k-1
-    (aligned with ``faces(D, k - 1)``), supported on irreducible cells for
-    k >= 2.
+    Degree 0 lands in the augmentation slot (a single ambient vector); degree
+    k >= 1 yields one ambient vector per cell of dimension k-1 (aligned with
+    ``faces(D, k - 1)``), supported on irreducible cells for k >= 2.
     """
     if not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
@@ -350,14 +342,25 @@ def cellular_embedding_g(D: Diagram, M: MatrixCoefficients, k: int, vec):
     space = cochain_space(D, M, k)
     if len(vec) != space.dim:
         raise DiagramError(f"a cochain of {len(vec)} entries in a degree-{k} space of dim {space.dim}")
-    cells = len(faces(D, k - 1)) if k else 1  # degree 0: the augmentation alone
-    values = [[Fraction(0)] * space.ambient_dim for _ in range(cells)]
-    for s, reads in enumerate(_feeds(D, space)):
-        if reads:  # each slot's ambient vector is built once, then added onto its cells
-            image = space.ambient(vec, s)
-            for c in reads:
-                values[c] = [x + y for x, y in zip(values[c], image)]
-    return [tuple(v) for v in values] if k else tuple(values[0])
+    L, total = lcm(*_leads(space)), {}
+    for v, col in zip(vec, _g_columns(space, _feeds(D, space), L)):
+        if v:
+            for key, x in col.items():
+                total[key] = total.get(key, 0) + v * x
+    values = [tuple(Fraction(total.get((c, a), 0), L) for a in range(space.ambient_dim))
+              for c in range(len(faces(D, k - 1)) if k else 1)]  # degree 0: the augmentation alone
+    return values if k else values[0]
+
+
+def _g_columns(space: CochainSpace, feeds, L: int) -> list[dict]:
+    """L times g of each unit cochain of ``space``: columns ``{(cell, ambient coordinate): int}``.
+
+    Local coordinate j, an echelon row of slot s with pivot entry l_j, maps
+    to x * (L // l_j) on each cell of ``feeds[s]`` and nonzero entry x of
+    the row: integers whenever every l_j divides L.
+    """
+    return [{(c, a): x * (L // row[p]) for c in reads for a, x in enumerate(row) if x}
+            for span, reads in zip(space.spans, feeds) for row, p in zip(span.ints, span.pivots)]
 
 
 def _feeds(D: Diagram, space: CochainSpace) -> list[list[int]]:
@@ -401,14 +404,15 @@ def verify_chain_map(
 ) -> ChainMapReport:
     """Prove d_cell . g = g . d_D and the injectivity of g^k for k >= 2, on the slot bases.
 
-    g^k reads slot s on the (k-1)-cells listed in ``feeds[k][s]``, once per
-    reading (degree 0 reads (D, ()) on the augmentation), so both sides are
-    compared exactly on every echelon row of every slot.  For k >= 2 a cell
-    reads at most one slot, so g^k is injective once each slot's irreducible
-    cell reads it: a slot's echelon rows are independent.  ``trials`` must
-    be at least 1; it and ``rng`` are accepted and unused.  Each degree's
-    differential is ``dynkin_diff(D, src, dst)``, as columns on the cochain
-    spaces built here; the left side reads the rows they map (``Span.ints``).
+    g is read as the integer columns of ``_g_columns``, with one L for every
+    degree: for each local coordinate j of degree k, with pivot entry l_j,
+    l_j times the coboundary of column j must equal the sum of v_i times
+    column i of degree k+1 over the entries v_i of differential column j.
+    For k >= 2 a cell reads at most one slot, so g^k is injective once each
+    slot's irreducible cell reads it: a slot's echelon rows are independent.
+    ``trials`` must be at least 1; it and ``rng`` are accepted and unused.
+    Each degree's differential is ``dynkin_diff(D, src, dst)``, as columns
+    on the cochain spaces built here.
     """
     if trials < 1:
         raise DiagramError("need at least one trial")
@@ -416,35 +420,28 @@ def verify_chain_map(
     diffs = [dynkin_diff(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
     boundary = cell_complex(D)[1]
     feeds = [_feeds(D, space) for space in spaces]
+    leads = [_leads(space) for space in spaces]
+    L = lcm(*(lead for degree in leads for lead in degree))
+    columns = [_g_columns(space, reads, L) for space, reads in zip(spaces, feeds)]
 
     def commutes(k):
-        src, dst = spaces[k], spaces[k + 1]
         # cofaces[c]: {k-cell: sign}; the augmentation's cofaces are the vertices
         cofaces = [{} for _ in boundary[k - 1]] if k else [dict.fromkeys(range(len(boundary[0])), 1)]
         for e, col in enumerate(boundary[k]):
             for c, sign in col.items():
                 cofaces[c][e] = sign
-        # each row of dst: the cells g reads its slot on, and the nonzero entries of L times
-        # its reduced row, L the lcm of dst's pivot entries; the left side is scaled by L too
-        L = lcm(*(row[p] for span in dst.spans for row, p in zip(span.ints, span.pivots)))
-        images = [(feeds[k + 1][t], [(a, x * (L // row[p])) for a, x in enumerate(row) if x])
-                  for t, span in enumerate(dst.spans) for row, p in zip(span.ints, span.pivots)]
-        for s, span in enumerate(src.spans):
-            coboundary = {}
-            for c in feeds[k][s]:
+        for j, (lead, col) in enumerate(zip(leads[k], columns[k])):
+            # l_j times the coboundary of column j, minus the image of differential column j
+            gap = {}
+            for (c, a), x in col.items():
+                x *= lead
                 for e, sign in cofaces[c].items():
-                    coboundary[e] = coboundary.get(e, 0) + L * sign
-            for j, row in enumerate(span.ints):
-                # the left side minus the right side, by (k-cell, ambient coordinate)
-                gap = {(e, a): v * x for e, v in coboundary.items() for a, x in enumerate(row) if x}
-                for i, v in diffs[k][src.offsets[s] + j].items():
-                    reads, entries = images[i]
-                    for a, x in entries:
-                        vx = v * x
-                        for e in reads:
-                            gap[e, a] = gap.get((e, a), 0) - vx
-                if any(gap.values()):
-                    return False
+                    gap[e, a] = gap.get((e, a), 0) + sign * x
+            for i, v in diffs[k][j].items():
+                for key, x in columns[k + 1][i].items():
+                    gap[key] = gap.get(key, 0) - v * x
+            if any(gap.values()):
+                return False
         return True
 
     failures = [f"chain-map identity fails at degree {k}" for k in range(D.n) if not commutes(k)]

@@ -107,9 +107,6 @@ class NestedSet(Value):
     def dim(self) -> int:
         return self.diagram.n - len(self.elements)
 
-    def is_maximal(self) -> bool:
-        return len(self.elements) == self.diagram.n
-
     def check_maximal(self, D: Diagram) -> None:
         """Raise ``DiagramError`` unless this is a maximal nested set of D."""
         if (self.diagram is not D and self.diagram != D) or len(self.elements) != D.n:

@@ -212,8 +212,8 @@ def off_text(R: Realization) -> str | None:
                 for H in (faces(D, 2) if dim >= 2 else ())]
     lines = ["OFF", f"{len(mns)} {len(polygons)} 0"]
     for F in mns:
-        coords = (list(vertex_coordinates(R, F))[: max(D.n - 1, 1)] + [0, 0])[:3]
-        lines.append(" ".join(str(float(c)) for c in coords))
+        coords = [t / R._scale for t in _scaled_vertex(R, F.elements)][: max(D.n - 1, 1)]
+        lines.append(" ".join(map(str, (coords + [0.0, 0.0])[:3])))
     for poly in polygons:
         lines.append(" ".join([str(len(poly))] + [str(i) for i in poly]))
     return "\n".join(lines) + "\n"

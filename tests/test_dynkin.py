@@ -8,7 +8,6 @@ import pytest
 from graphassoc._ratlinalg import Span, _solve_cached, rank
 from graphassoc.diagram import DiagramError, bits, parse_diagram
 from graphassoc.dynkin import (
-    CochainSpace,
     CoefficientError,
     ConstantCoefficients,
     MatrixCoefficients,
@@ -23,7 +22,7 @@ from graphassoc.dynkin import (
     random_coefficient_system,
     verify_chain_map,
 )
-from graphassoc.homology import chain_basis
+from graphassoc.homology import boundary_matrix, chain_basis
 from graphassoc.nested import NestedSet, faces
 from conftest import (
     complete_diagram,
@@ -530,13 +529,18 @@ def test_g_degree_two_support():
 
 
 def _g_per_cell(D, M, k, vec):
-    """The oracle for ``cellular_embedding_g``: each cell sums the ambient vectors of its slots."""
+    """The oracle for ``cellular_embedding_g``: each cell sums its slots' reduced rows times ``vec``.
+
+    A slot's rows are the ``rref`` of its span's basis, not the library's ``Span.ints``.
+    """
     space = cochain_space(D, M, k)
 
     def total(slots):
         out = [Fraction(0)] * space.ambient_dim
         for slot in slots:
-            out = [x + y for x, y in zip(out, space.ambient(vec, space.index[slot]))]
+            i = space.index[slot]
+            for j, row in enumerate(rref(space.spans[i].independent)[0]):
+                out = [x + vec[space.offsets[i] + j] * y for x, y in zip(out, row)]
         return tuple(out)
 
     if k == 0:
@@ -566,18 +570,33 @@ def test_g_matches_the_per_cell_oracle():
                         assert type(value) is tuple and all(type(x) is Fraction for x in value)
 
 
-def test_g_builds_each_slot_vector_once(monkeypatch):
-    """On P5 with an all-ones cochain, g^k builds each slot's ambient vector at most once."""
-    P5 = path_diagram(5)
-    M = random_coefficient_system(P5, 3, random.Random(1))
-    calls = []
-    ambient = CochainSpace.ambient
-    monkeypatch.setattr(CochainSpace, "ambient",
-                        lambda space, vec, s: calls.append((space.degree, s)) or ambient(space, vec, s))
-    for k in range(P5.n + 1):
-        cellular_embedding_g(P5, M, k, [Fraction(1)] * cochain_space(P5, M, k).dim)
-    assert calls and len(calls) == len(set(calls))
-    assert sum(degree == 1 for degree, _ in calls) <= len(dynkin_basis(P5, 1)) == 35
+def test_g_is_a_chain_map_through_the_public_api():
+    """The coboundary of g^k(x) is g^(k+1)(d x) for a random rational cochain x in each degree k < |D|.
+
+    For k = 0 the coboundary maps the augmentation to every vertex with sign +1;
+    above that it is the transpose of ``boundary_matrix(D, k)``.
+    """
+    rng = random.Random(29)
+    nonzero = 0
+    for n in range(1, 5):
+        for D in connected_reps(n):
+            for M in (CONST, random_coefficient_system(D, 3, rng)):
+                for k in range(D.n):
+                    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cochain_space(D, M, k).dim)]
+                    dx = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in dynkin_differential(D, M, k)]
+                    image, expected = cellular_embedding_g(D, M, k, x), cellular_embedding_g(D, M, k + 1, dx)
+                    if k == 0:
+                        coboundary = [image] * len(expected)
+                    else:
+                        B = boundary_matrix(D, k)
+                        coboundary = [
+                            tuple(sum((B[c][e] * value[a] for c, value in enumerate(image)), Fraction(0))
+                                  for a in range(M.ambient_dim))
+                            for e in range(len(expected))
+                        ]
+                    assert coboundary == expected, (D.names, k)
+                    nonzero += any(map(any, expected))
+    assert nonzero > 20
 
 
 def test_chain_map_small_diagrams():
@@ -689,21 +708,29 @@ def test_chain_map_reports_a_basis_vector_g_kills(monkeypatch):
     assert verify_chain_map(P3, MatrixCoefficients(2), 1).failures == [message, message]
 
 
-def test_ambient_maps_unit_cochains_to_the_reduced_echelon_rows():
-    """Multi-row slots: unit cochain j of a slot is row j of rref of its span's basis."""
+def test_g_maps_unit_cochains_to_the_reduced_echelon_rows():
+    """Multi-row slots: g of unit cochain j of a slot is row j of rref of its span's basis.
+
+    It lands on every cell that reads the slot, and every other cell gets zero.
+    Each slot of degree p >= 1 is read on some cell; in degree 0 only (D, ())
+    is, on the augmentation.
+    """
     rng = random.Random(25)
     for n in range(1, 4):
         for D in connected_reps(n):
             M = random_coefficient_system(D, 3, rng)
             for p in range(D.n + 1):
                 space = cochain_space(D, M, p)
-                for i, span in enumerate(space.spans):
+                for i, (slot, span) in enumerate(zip(space.slots, space.spans)):
                     reduced = rref(span.independent)[0]
                     assert len(reduced) == len(span.pivots)
                     for j, row in enumerate(reduced):
                         vec = [Fraction(0)] * space.dim
                         vec[space.offsets[i] + j] = Fraction(1)
-                        assert space.ambient(vec, i) == tuple(row), (D.names, p, i, j)
+                        image = cellular_embedding_g(D, M, p, vec)
+                        hits = {value for value in ([image] if p == 0 else image) if any(value)}
+                        read = p > 0 or slot == (D.full, ())
+                        assert hits == ({tuple(row)} if read else set()), (D.names, p, i, j)
 
 
 def test_image_characterization_clauses():

@@ -217,7 +217,7 @@ def test_faces_examples():
 
 def test_every_maximal_is_maximal():
     for F in maximal_nested_sets(P5):
-        assert F.is_maximal()
+        F.check_maximal(P5)
         free = [
             m
             for m in connected_subdiagrams(P5)

@@ -126,6 +126,29 @@ def test_rational_elimination_is_fraction_free():
     assert len(_ratlinalg.eliminate(cols, unit_pivots=True)[0]) < 3  # the Z path stops at non-units
 
 
+def test_fractions_are_built_only_at_public_boundaries():
+    """``Fraction(...)`` is called in the library only by functions that take or return rationals.
+
+    Spans, differentials, ranks, g's columns and the chain-map check run on
+    integers in between.  A method is named ``Class.method``; a nested
+    function counts towards the function around it.
+    """
+    allowed = {"MatrixCoefficients.from_json", "dynkin_differential", "cellular_embedding_g",
+               "Realization.weight", "make_realization", "vertex_coordinates"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owners = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+                      if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+            callers |= {
+                name
+                for name, owner in owners
+                for node in ast.walk(owner)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+            }
+    assert callers and callers <= allowed, sorted(callers - allowed)
+
+
 def test_library_caches_are_bounded():
     """Every ``lru_cache`` in the library has a literal finite ``maxsize``.
 
