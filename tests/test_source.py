@@ -139,7 +139,7 @@ def test_fractions_are_built_only_at_public_boundaries():
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owners = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
-                      if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+                      if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)])
             callers |= {
                 name
                 for name, owner in owners
