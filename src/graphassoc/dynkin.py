@@ -81,6 +81,8 @@ class MatrixCoefficients:
             raise CoefficientError(f"ambient_dim {n} is negative")
         self.ambient_dim, self._spans = n, {}
         for (B, S), vectors in ({} if table is None else table).items():
+            if B <= 0 or S < 0:  # before any message lists their bits
+                raise CoefficientError(f"M(B, S) at masks B={B}, S={S}: B must be positive, S not negative")
             if S & ~B:
                 raise CoefficientError(f"{_positions(B, S)} has S outside B")
             self._spans[B, S] = _solve_cached(tuple(_admitted(vec, n, B, S) for vec in vectors), n)

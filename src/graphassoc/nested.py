@@ -94,14 +94,8 @@ class NestedSet(Value):
                         f"incompatible elements {D.vertex_names(a)} / {D.vertex_names(b)}"
                     )
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.elements
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     @property
     def dim(self) -> int:

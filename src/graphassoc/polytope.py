@@ -2,9 +2,9 @@
 
 The polytope lives in the hyperplane ``sum(t) = c(D)`` of R^|D| and is cut
 out by one inequality ``sum(t over B) >= c(B)`` per proper connected
-subdiagram B, for any superadditive weight function c.  Faces correspond
-to nested sets; all arithmetic is exact (``fractions.Fraction``), with no
-tolerances anywhere.
+subdiagram B, for positive weights c with a positive ``_gap`` on every
+incompatible pair of tubes.  Faces correspond to nested sets; all
+arithmetic is exact (``fractions.Fraction``), with no tolerances anywhere.
 
 Whether a slice of the polytope is nonempty is decided by pairwise
 compatibility and returned with a checked certificate: a vertex on the
@@ -23,14 +23,19 @@ from .nested import (NestedSet, _skeleton, _tube_table, boundary_cycle, connecte
 
 
 class RealizationError(DiagramError):
-    """Weight function failing the superadditivity requirement."""
+    """Weights that are not one positive weight per connected subdiagram with a positive ``_gap``."""
+
+
+def _name(D: Diagram, mask: int) -> list[str] | str:
+    """The vertex names of a subset mask, and any other mask by its value."""
+    return f"mask {mask:#x}" if mask & ~D.full else D.vertex_names(mask)
 
 
 class Realization(Value):
-    """A diagram with a superadditive weight on its connected subdiagrams.
+    """A diagram with a weight on each connected subdiagram and on no other mask.
 
     ``_scaled`` holds the weights times ``_scale``, their least common
-    denominator, as integers.
+    denominator, as integers.  The gap is checked by ``make_realization``.
     """
 
     diagram: Diagram
@@ -41,9 +46,10 @@ class Realization(Value):
     def __init__(self, diagram: Diagram, weights: tuple[tuple[int, Fraction], ...]):
         super().__init__(diagram, weights)
         table = dict(weights)
-        for m in connected_subdiagrams(diagram):
-            if m not in table:
-                raise RealizationError(f"no weight for {diagram.vertex_names(m)}")
+        m = min(set(table).symmetric_difference(connected_subdiagrams(diagram)), default=None)
+        if m is not None:
+            raise RealizationError(f"no weight for {_name(diagram, m)}" if m not in table else
+                                   f"weight for {_name(diagram, m)}, not a connected subdiagram")
         scale = lcm(*(c.denominator for c in table.values()))
         scaled = {m: c.numerator * (scale // c.denominator) for m, c in table.items()}
         object.__setattr__(self, "_scale", scale)
@@ -52,33 +58,37 @@ class Realization(Value):
     def weight(self, mask: int) -> Fraction:
         """c(B) for a subdiagram B with a weight; ``RealizationError`` for any other mask."""
         if mask not in self._scaled:
-            raise RealizationError(f"no weight for {self.diagram.vertex_names(mask)}")
+            raise RealizationError(f"no weight for {_name(self.diagram, mask)}")
         return Fraction(self._scaled[mask], self._scale)
 
 
 def make_realization(D: Diagram, overrides=None) -> Realization:
     """Build a realization, default weight ``c(B) = 3^|B|``.
 
-    Overrides must cover every connected subdiagram and are rejected
-    unless ``c(B1 | B2) > c(B1) + c(B2)`` for every incompatible pair.
+    Overrides give a positive weight to each connected subdiagram and no
+    other mask; ``_gap`` must be positive on every incompatible pair of tubes.
     """
-    masks = connected_subdiagrams(D)
     if overrides is None:
-        overrides = {m: 3 ** bin(m).count("1") for m in masks}
-    table = {m: Fraction(overrides[m]) for m in masks if m in overrides}
+        overrides = {m: 3 ** bin(m).count("1") for m in connected_subdiagrams(D)}
+    table = {m: Fraction(c) for m, c in overrides.items()}
     R = Realization(D, tuple(sorted(table.items())))
     for m, c in R.weights:
         if c <= 0:
             raise RealizationError(f"weight of {D.vertex_names(m)} must be positive")
     tubes, _pos, compatible, _vertices = _tube_table(D)  # D is compatible with every tube
-    w = R._scaled
     failing = [(a, b) for i, a in enumerate(tubes) for j, b in enumerate(tubes)
-               if a < b and not compatible[i] >> j & 1 and w[a | b] <= w[a] + w[b]]
+               if a < b and not compatible[i] >> j & 1 and _gap(R, a, b) <= 0]
     if failing:
         a, b = min(failing)  # the first in increasing mask order
-        raise RealizationError(
-            f"superadditivity fails on {D.vertex_names(a)} / {D.vertex_names(b)}")
+        raise RealizationError(f"no positive gap on {D.vertex_names(a)} / {D.vertex_names(b)}")
     return R
+
+
+def _gap(R: Realization, B1: int, B2: int) -> int:
+    """``_scale`` times c(B1 | B2) + sum of c(C) - c(B1) - c(B2), C the components of B1 & B2."""
+    w, meet = R._scaled, B1 & B2  # a connected meet is a tube, an empty one adds nothing
+    inner = w[meet] if meet in w else sum(w[C] for C in components(R.diagram, meet)) if meet else 0
+    return w[B1 | B2] + inner - w[B1] - w[B2]
 
 
 def vertex_coordinates(R: Realization, F: NestedSet) -> tuple[Fraction, ...]:
@@ -122,17 +132,15 @@ def _check_farkas(R: Realization, B1: int, B2: int) -> None:
 
     C runs over the components of B1 & B2.  The rows with coefficient +1
     are tube constraints ``t(B) >= c(B)`` and the rows with -1 are
-    equalities of the face, so a zero linear form with a positive gap
-    ``c(B1|B2) + sum c(C) - c(B1) - c(B2)`` is a contradiction ``0 > 0``.
+    equalities of the face, so a zero linear form with a positive
+    ``_gap`` is a contradiction ``0 > 0``.
     """
     D = R.diagram
     plus = [B1 | B2] + components(D, B1 & B2)
     form = [sum(m >> k & 1 for m in plus) - (B1 >> k & 1) - (B2 >> k & 1) for k in range(D.n)]
     if any(form) or not all(is_connected(D, m) for m in plus):
         raise InvariantError("the Farkas combination is not a zero form over tube rows")
-    w = R._scaled
-    gap = sum(w[m] for m in plus) - w[B1] - w[B2]
-    if gap <= 0:
+    if _gap(R, B1, B2) <= 0:
         raise InvariantError(
             f"no positive Farkas gap on {D.vertex_names(B1)} / {D.vertex_names(B2)}"
         )

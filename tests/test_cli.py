@@ -126,6 +126,13 @@ def test_bad_nested_set_is_parse_or_validation_error(p3_file):
     assert result.status in (1, 2) and result.payload is None
 
 
+def test_pair_with_an_empty_part_or_a_disconnected_element(p3_file):
+    result = run(["support", "--diagram", p3_file, "--pair", "1 2;", "1 2;1"])
+    assert (result.status, result.message) == (2, "empty subdiagram in '1 2;'")
+    result = run(["sequence", "--diagram", p3_file, "--pair", "1 3;1", "1 2;1"])
+    assert (result.status, result.message) == (1, "element ['1', '3'] is not connected")
+
+
 def test_validation_error_is_exit_1(p3_file, capsys):
     assert main(["faces", "--diagram", p3_file, "--dim", "9"]) == 1
     out, err = capsys.readouterr()

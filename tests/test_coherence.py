@@ -40,6 +40,7 @@ from graphassoc.nested import (
     boundary_cycle,
     classify_two_face,
     connected_subdiagrams,
+    edge_graph,
     faces,
     maximal_nested_sets,
 )
@@ -304,6 +305,35 @@ def test_validator_rejects_bad_sequences():
     Q3 = path_diagram(3, label=4)  # the masks of P3, another diagram
     with pytest.raises(DiagramError, match="not a maximal nested set of D"):
         validate_good_sequence(P3, F, G, [NestedSet(Q3, H.elements) for H in (F, G)])
+
+
+@pytest.mark.parametrize("D", [path_diagram(4), cycle_diagram(4), complete_diagram(4), star_diagram(3),
+                               path_diagram(5), cycle_diagram(5)],
+                         ids=["P4", "C4", "K4", "star3", "P5", "C5"])
+def test_a_walk_is_refused_exactly_when_a_vertex_loses_the_intersection(D):
+    """Random 1-skeleton walks of 1 to 6 steps from F to G: every other clause
+    holds on such walks, so the validator refuses one exactly when one of its
+    vertices lacks an element of F & G, and says so."""
+    rng = random.Random(30)
+    verts, edges = edge_graph(D)
+    nbrs = [[] for _ in verts]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    refused = 0
+    for _ in range(1000):
+        steps = [rng.randrange(len(verts))]
+        for _ in range(rng.randint(1, 6)):
+            steps.append(rng.choice(nbrs[steps[-1]]))
+        walk = [verts[i] for i in steps]
+        meet = set(walk[0].elements) & set(walk[-1].elements)
+        if all(meet <= set(H.elements) for H in walk):
+            validate_good_sequence(D, walk[0], walk[-1], walk)
+        else:
+            refused += 1
+            with pytest.raises(DiagramError, match="^step loses the intersection$"):
+                validate_good_sequence(D, walk[0], walk[-1], walk)
+    assert 100 < refused < 900
 
 
 def test_empty_sequence_has_wrong_endpoints():

@@ -70,20 +70,26 @@ def test_parse_comments_and_inf():
     assert D.label(0, 1) == INFINITY
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "vertices: 1 1\nedges:",
-        "vertices: 1 2\nedges: 1-3",
-        "vertices: 1 2\nedges: 1-2:2",
-        "vertices: 1 2\nedges: 1-1",
-        "edges: 1-2",
-        "vertices: 1 2\nedges: 1-2:x",
-    ],
-)
+PARSE_ERRORS = {
+    "vertices: 1 1\nedges:": "duplicate vertex identifier",
+    "vertices: 1 2\nedges: 1-3": "edge references unknown vertex '3'",
+    "vertices: 1 2\nedges: 1-2:2": "edge label 2 must be >= 3 or infinity",
+    "vertices: 1 2\nedges: 1-1": "loop at vertex 1",
+    "edges: 1-2": "first line must be 'vertices: ...'",
+    "vertices: 1 2\nedges: 1-2:x": "bad label in '1-2:x'",
+    "vertices: # none": "no vertices declared",
+    "vertices: 1 2\nnodes: 1-2": "second line must be 'edges: ...'",
+    "vertices: 1 2\nedges: 1-2\nedges: 2-1": "trailing content after the edges line",
+    "vertices: 1 2\nedges: 12": "malformed edge '12'",
+    "vertices: 1 2\nedges: 1-": "malformed edge '1-'",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_diagram(text)
+    assert str(err.value) == PARSE_ERRORS[text]
 
 
 def test_capacity_error():

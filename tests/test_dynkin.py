@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,6 +300,27 @@ def test_matrix_coefficients_reject_negative_dim_and_s_outside_b():
             MatrixCoefficients(2, {(0b011, 0b011): (e1,), (0b011, S): (e1,)})
         assert str(err.value) == f"M(B, S) at vertex positions B=[0, 1], S={named} has S outside B"
     assert MatrixCoefficients(0).span(0b1, 0b1).ints == ()
+
+
+def test_matrix_coefficients_refuse_keys_that_are_not_masks():
+    """A B that is not a positive mask, or a negative S, is refused before any
+    message lists its bits, which never end for a negative mask: the tables run
+    in a subprocess, so a hang fails the test instead of stalling the suite."""
+    code = (
+        "from graphassoc.dynkin import CoefficientError, MatrixCoefficients\n"
+        "for table in ({(-1, 0): [(1,)], (0, 0): [(1,)]}, {(-1, 0): [(1.5,)]},\n"
+        "              {(0, 0): [(1,)]}, {(1, -1): [(1,)]}):\n"
+        "    try:\n"
+        "        MatrixCoefficients(1, table)\n"
+        "    except CoefficientError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    rule = "B must be positive, S not negative"
+    assert proc.stdout.splitlines() == [f"M(B, S) at masks B=-1, S=0: {rule}"] * 2 + [
+        f"M(B, S) at masks B=0, S=0: {rule}", f"M(B, S) at masks B=1, S=-1: {rule}"]
 
 
 def test_matrix_coefficients_equality_ignores_derived_spans():

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from graphassoc import diagram, nested, polytope
 from graphassoc.diagram import Diagram, DiagramError, InvariantError, is_compatible
-from graphassoc.nested import NestedSet, connected_subdiagrams, maximal_nested_sets
+from graphassoc.nested import NestedSet, connected_subdiagrams, edge_graph, maximal_nested_sets
 from graphassoc.polytope import (
     Realization,
     RealizationError,
@@ -85,6 +86,86 @@ def test_missing_weight_is_a_realization_error():
     R = make_realization(P3)  # a disconnected mask has no weight of its own
     with pytest.raises(RealizationError, match=r"no weight for \['1', '3'\]"):
         R.weight(0b101)
+    for mask, named in ((0b1000, "mask 0x8"), (-1, "mask -0x1"), (0b1011, "mask 0xb")):
+        with pytest.raises(RealizationError) as err:  # named by value, outside the vertex set
+            R.weight(mask)
+        assert str(err.value) == f"no weight for {named}"
+
+
+def test_only_connected_subdiagrams_take_weights():
+    table = {m: Fraction(3) ** bin(m).count("1") for m in connected_subdiagrams(P3)}
+    for mask, named in ((0b101, "['1', '3']"), (0b1000, "mask 0x8"), (-1, "mask -0x1")):
+        with pytest.raises(RealizationError) as err:
+            make_realization(P3, {**table, mask: Fraction(1)})
+        assert str(err.value) == f"weight for {named}, not a connected subdiagram"
+
+
+def postnikov(D, y):
+    """Postnikov's Minkowski sum of simplices: c(S) = sum of y(B) over the tubes B inside S."""
+    tubes = connected_subdiagrams(D)
+    return {S: sum(y[B] for B in tubes if B & ~S == 0) for S in tubes}
+
+
+def crosses_every_wall(D, table):
+    """Every vertex of the recursion lies strictly inside the half-space of each neighbour's new tube.
+
+    For a 1-skeleton edge F - G with C the tube of G not in F, the vertex of F
+    must have sum of t over C greater than c(C): the wall-crossing test.
+    """
+    R = Realization(D, tuple(sorted((m, Fraction(c)) for m, c in table.items())))
+    verts, edges = edge_graph(D)
+    t = [vertex_coordinates(R, F) for F in verts]
+    for i, j in edges:
+        for a, b in ((i, j), (j, i)):
+            (C,) = set(verts[b].elements) - set(verts[a].elements)
+            if tsum(t[a], C, D.n) <= table[C]:
+                return False
+    return True
+
+
+def test_postnikov_weights_give_the_b_tree_vertices():
+    """With y = 1 every tube is a simplex summand: t_i counts the tubes B with
+    i in B inside F_i, the element of F whose alpha set is {i}."""
+    for n in range(1, 6):
+        for D in connected_reps(n):
+            tubes = connected_subdiagrams(D)
+            R = make_realization(D, postnikov(D, dict.fromkeys(tubes, 1)))
+            for F in maximal_nested_sets(D):
+                top = {F.alpha_set(B).bit_length() - 1: B for B in F.elements}
+                expected = tuple(sum(1 for B in tubes if B >> i & 1 and B & ~top[i] == 0)
+                                 for i in range(D.n))
+                assert vertex_coordinates(R, F) == expected
+    R = make_realization(P3, postnikov(P3, dict.fromkeys(connected_subdiagrams(P3), 1)))
+    loday = sorted(vertex_coordinates(R, F) for F in maximal_nested_sets(P3))
+    assert loday == [(1, 2, 3), (1, 4, 1), (2, 1, 3), (3, 1, 2), (3, 2, 1)]
+
+
+def test_seeded_postnikov_tables_are_accepted_exactly_when_every_wall_is_crossed():
+    """Small nonnegative y on the larger tubes and a positive y on each vertex:
+    ``make_realization`` accepts a table exactly when the wall-crossing test
+    passes, and an accepted table's vertices are tight exactly on their tubes."""
+    rng = random.Random(30)
+    verdicts = []
+    for n in range(1, 6):
+        for D in connected_reps(n):
+            tubes = connected_subdiagrams(D)
+            for _ in range(10):
+                y = {B: rng.randint(1, 3) if B & (B - 1) == 0 else rng.choice((0, 1, 1, 2))
+                     for B in tubes}
+                table = postnikov(D, y)
+                try:
+                    R = make_realization(D, table)
+                except RealizationError as err:
+                    assert str(err).startswith("no positive gap on ")
+                    R = None
+                verdicts.append(R is not None)
+                assert verdicts[-1] == crosses_every_wall(D, table)
+                for F in maximal_nested_sets(D) if R else ():
+                    t = vertex_coordinates(R, F)
+                    for B in tubes:
+                        s = tsum(t, B, D.n)
+                        assert s == table[B] if B in F.elements else s > table[B]
+    assert verdicts.count(True) > 30 and verdicts.count(False) > 30
 
 
 def mixed_denominators(D):

@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from graphassoc import _ratlinalg
-from graphassoc._ratlinalg import Span, columns, eliminate, rank
+from graphassoc._ratlinalg import Span, columns, eliminate, product_is_zero, rank
 from conftest import bareiss_rank, rref
 
 
@@ -74,6 +74,22 @@ def _random_family(rng, trial):
 def _reduced_rows(span):
     """The reduced row echelon basis of a span: each ``ints`` row divided by its pivot entry."""
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(span.ints, span.pivots)]
+
+
+def test_product_is_zero_rejects_a_nonzero_product():
+    """Dense and sparse: a product that cancels is zero, and one nonzero entry is seen
+    in any column, the last included."""
+    A = [[1, 2], [2, 4]]
+    assert product_is_zero(A, [[2, -4], [-1, 2]])
+    assert not product_is_zero(A, [[2, -4], [-1, 3]])
+    assert not product_is_zero(A, [[1, 0], [0, 1]])
+    sparse = [[0] * 6 for _ in range(5)]
+    sparse[2][3], sparse[2][4] = 7, 7
+    right = [[0] * 4 for _ in range(6)]
+    right[3][1], right[4][1] = Fraction(1, 7), Fraction(-1, 7)
+    assert product_is_zero(sparse, right)
+    right[4][3] = -1
+    assert not product_is_zero(sparse, right)
 
 
 def test_span_matches_rref_oracle():
