@@ -36,6 +36,47 @@ def parse_nested_set(D: Diagram, text: str) -> nested.NestedSet:
     return nested.NestedSet.from_vertex_lists(D, lists)
 
 
+def _polytope(args, D: Diagram) -> dict:
+    """The polytope payload, its OFF text also written to the ``--off`` path if one is given."""
+    doc = polytope.export_polytope(polytope.make_realization(D))
+    if args.off is not None:
+        if "off" not in doc:
+            raise DiagramError("OFF export needs affine dimension at most 3")
+        with open(args.off, "w", encoding="utf-8") as fh:
+            fh.write(doc["off"])
+    return doc
+
+
+def _pair(args, D: Diagram) -> list[nested.NestedSet]:
+    """The two maximal nested sets given by ``--pair``."""
+    return [parse_nested_set(D, text) for text in args.pair]
+
+
+_PAIR = {"--pair": dict(nargs=2, required=True, metavar=("F", "G"))}
+
+# Each subcommand once: name -> (help text, flags besides --diagram, payload of (args, D)).
+COMMANDS = {
+    "faces": ("face poset (all faces, or --dim k only)", {"--dim": dict(type=int, default=None)},
+              lambda args, D: nested.face_poset_json(D, args.dim)),
+    "fvector": ("face counts by dimension", {},
+                lambda args, D: {"f": nested.f_vector(D)}),
+    "twofaces": ("classification of the 2-faces", {},
+                 lambda args, D: nested.two_faces_json(D)),
+    "polytope": ("exact convex realization (JSON; OFF via --off)",
+                 {"--off": dict(default=None, metavar="PATH")}, _polytope),
+    "homology": ("integer homology of the nested-set complex", {},
+                 lambda args, D: homology.homology_json(D)),
+    "dynkin": ("Dynkin cohomology dimensions", {"--coeffs": dict(default=None, metavar="FILE")},
+               lambda args, D: dynkin.dynkin_json(D, dynkin.load_coefficients(D, args.coeffs))),
+    "relations": ("generators and relation words of the presentation", {},
+                  lambda args, D: coherence.presentation_json(D)),
+    "sequence": ("good elementary sequence between two maximal nested sets", _PAIR,
+                 lambda args, D: coherence.sequence_json(D, *_pair(args, D))),
+    "support": ("support and central support of a pair", _PAIR,
+                lambda args, D: coherence.support_json(D, *_pair(args, D))),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphassoc",
@@ -43,54 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "Dynkin cohomology and quasi-Coxeter presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, **flags):
+    for name, (help_text, flags, _payload) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--diagram", required=True, help="diagram source file")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-
-    cmd("faces", "face poset (all faces, or --dim k only)",
-        **{"--dim": dict(type=int, default=None)})
-    cmd("fvector", "face counts by dimension")
-    cmd("twofaces", "classification of the 2-faces")
-    cmd("polytope", "exact convex realization (JSON; OFF via --off)",
-        **{"--off": dict(default=None, metavar="PATH")})
-    cmd("homology", "integer homology of the nested-set complex")
-    cmd("dynkin", "Dynkin cohomology dimensions",
-        **{"--coeffs": dict(default=None, metavar="FILE")})
-    cmd("relations", "generators and relation words of the presentation")
-    pair = {"--pair": dict(nargs=2, required=True, metavar=("F", "G"))}
-    cmd("sequence", "good elementary sequence between two maximal nested sets", **pair)
-    cmd("support", "support and central support of a pair", **pair)
     return parser
-
-
-def _dispatch(args, D: Diagram) -> dict:
-    if args.command == "faces":
-        return nested.face_poset_json(D, args.dim)
-    if args.command == "fvector":
-        return {"f": nested.f_vector(D)}
-    if args.command == "twofaces":
-        return nested.two_faces_json(D)
-    if args.command == "polytope":
-        doc = polytope.export_polytope(polytope.make_realization(D))
-        if args.off is not None:
-            if "off" not in doc:
-                raise DiagramError("OFF export needs affine dimension at most 3")
-            with open(args.off, "w", encoding="utf-8") as fh:
-                fh.write(doc["off"])
-        return doc
-    if args.command == "homology":
-        return homology.homology_json(D)
-    if args.command == "dynkin":
-        return dynkin.dynkin_json(D, dynkin.load_coefficients(D, args.coeffs))
-    if args.command == "relations":
-        return coherence.presentation_json(D)
-    F, G = (parse_nested_set(D, text) for text in args.pair)
-    if args.command == "sequence":
-        return coherence.sequence_json(D, F, G)
-    return coherence.support_json(D, F, G)
 
 
 def run(argv) -> CommandResult:
@@ -107,7 +106,7 @@ def run(argv) -> CommandResult:
     except DiagramError as exc:
         return CommandResult(None, 1, str(exc))
     try:
-        payload = _dispatch(args, D)
+        payload = COMMANDS[args.command][2](args, D)
     except ParseError as exc:
         return CommandResult(None, 2, str(exc))
     except DiagramError as exc:  # RealizationError and CoefficientError included

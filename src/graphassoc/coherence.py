@@ -10,6 +10,7 @@ algebra.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .diagram import (
@@ -92,11 +93,18 @@ class RelationWord(Value):
 
 def associator_letter(B: int, source: int, target: int) -> Letter:
     """Canonicalized letter for the associator (B; source, target)."""
-    if source == target:
-        raise DiagramError("associator needs two distinct vertices")
+    _check_pair(B, source, target)
     if source < target:
         return (AssociatorSymbol(B, (source, target)), 1)
     return (AssociatorSymbol(B, (target, source)), -1)
+
+
+def _check_pair(B: int, i: int, j: int) -> None:
+    """Refuse a vertex pair that is not two distinct vertices of the positive mask ``B``."""
+    if i == j:
+        raise DiagramError("the two vertices must be distinct")
+    if B <= 0 or not (B >> i & 1 and B >> j & 1):
+        raise DiagramError("both vertices must lie in B")
 
 
 def invert_word(word: RelationWord) -> RelationWord:
@@ -210,10 +218,7 @@ def pair_from_triple(D: Diagram, B: int, alpha_g: int, alpha_f: int) -> tuple[Ne
     symmetrically for G; both share the elements of ``irreducible_cell``
     on B with alpha set {alpha_g, alpha_f}.
     """
-    if alpha_g == alpha_f:
-        raise DiagramError("the two vertices must be distinct")
-    if not ((B >> alpha_g) & 1 and (B >> alpha_f) & 1):
-        raise DiagramError("both vertices must lie in B")
+    _check_pair(B, alpha_g, alpha_f)
     shared = irreducible_cell(D, B, (1 << alpha_g) | (1 << alpha_f)).elements
     B1 = component_containing(D, 1 << alpha_f, 1 << alpha_g, within=B)
     B2 = component_containing(D, 1 << alpha_g, 1 << alpha_f, within=B)
@@ -290,34 +295,35 @@ def transport_good_sequence(D: Diagram, seq, F2: NestedSet, G2: NestedSet) -> li
 def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     """Raise unless ``seq`` satisfies every clause required of a good sequence.
 
-    Every step must join two enumerated vertices of D, so its meet is a
-    subfamily of a nested set and needs no re-validation.  A step's
-    support is computed, with its cross-check, the first time its edge
-    is seen, and kept with D's cached 1-skeleton.
+    Every member must be a vertex of D's cached 1-skeleton and every step
+    one of its edges keeping F & G by the search's own test: the tube it
+    drops is not in F & G.  An edge's supports, read off its two exchanged
+    tubes and cross-checked, are kept with the skeleton by vertex pair.
     """
     if not seq or seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
+    verts, index, nbrs, drops, steps = _skeleton(D)
     for H in seq:
         H.check_maximal(D)
+    path = [index.get(H.elements) for H in seq]
+    if None in path:
+        raise DiagramError("not a maximal nested set of D")
     meet = set(F.elements) & set(G.elements)
     supp_fg, delta = _support(D, F, G)
     zcomps = components(D, _minus_neighbours(D, supp_fg, delta))
-    _verts, index, _nbrs, _drops, steps = _skeleton(D)
-    for H, K in zip(seq, seq[1:]):
-        hs, ks = set(H.elements), set(K.elements)
-        if len(hs - ks) != 1:
+    for i, j in zip(path, path[1:]):
+        k = bisect_left(nbrs[i], j)
+        if nbrs[i][k:k + 1] != (j,):
             raise DiagramError("non-elementary step")
-        if not meet <= hs & ks:
+        b = drops[i][k]
+        if b in meet:
             raise DiagramError("step loses the intersection")
-        edge = (H.elements, K.elements) if H.elements < K.elements else (K.elements, H.elements)
+        edge = (i, j) if i < j else (j, i)
         found = steps.get(edge)
         if found is None:
-            if H.elements not in index or K.elements not in index:
-                raise DiagramError("not a maximal nested set of D")
-            delta = b, c = hs ^ ks
-            supp = b | c
-            _check_meet(NestedSet(D, tuple(m for m in H.elements if m in ks)), supp)
-            found = steps[edge] = supp, _minus_neighbours(D, supp, delta)
+            c = drops[j][bisect_left(nbrs[j], i)]  # the tube j drops towards i
+            _check_meet(NestedSet(D, tuple(m for m in verts[i].elements if m != b)), b | c)
+            found = steps[edge] = b | c, _minus_neighbours(D, b | c, (b, c))
         supp_step, zsupp_step = found
         if supp_step & ~supp_fg:
             raise DiagramError("step support leaves supp(F, G)")
@@ -436,10 +442,7 @@ def monodromy_word(D: Diagram, F: NestedSet, i: int) -> RelationWord:
 
 def twist_associator(D: Diagram, B: int, alpha_j: int, alpha_i: int) -> RelationWord:
     """The twisted associator as a five-letter word, empty components dropped."""
-    if alpha_i == alpha_j:
-        raise DiagramError("twist needs two distinct vertices")
-    if not ((B >> alpha_i) & 1 and (B >> alpha_j) & 1):
-        raise DiagramError("both vertices must lie in B")
+    _check_pair(B, alpha_j, alpha_i)
     if not is_connected(D, B):
         raise DiagramError("B must be connected")
     c_i = component_containing(D, 1 << alpha_j, 1 << alpha_i, within=B)
@@ -461,24 +464,13 @@ def twist_associator(D: Diagram, B: int, alpha_j: int, alpha_i: int) -> Relation
 def _letter_json(D: Diagram, letter: Letter, names: dict) -> dict:
     sym, exp = letter
     if isinstance(sym, LocalGenerator):
-        return {"letter": {"type": "S", "vertex": D.names[sym.vertex]}, "exp": exp}
-    if isinstance(sym, AssociatorSymbol):
-        return {
-            "letter": {
-                "type": "Phi",
-                "B": list(names[sym.support]),
-                "pair": [D.names[sym.pair[0]], D.names[sym.pair[1]]],
-            },
-            "exp": exp,
-        }
-    return {
-        "letter": {
-            "type": "a",
-            "B": list(names[sym.support]),
-            "alpha": D.names[sym.vertex],
-        },
-        "exp": exp,
-    }
+        body = {"type": "S", "vertex": D.names[sym.vertex]}
+    elif isinstance(sym, AssociatorSymbol):
+        body = {"type": "Phi", "B": list(names[sym.support]),
+                "pair": [D.names[sym.pair[0]], D.names[sym.pair[1]]]}
+    else:
+        body = {"type": "a", "B": list(names[sym.support]), "alpha": D.names[sym.vertex]}
+    return {"letter": body, "exp": exp}
 
 
 def sequence_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:

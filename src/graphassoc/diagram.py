@@ -37,6 +37,8 @@ class InvariantError(DiagramError):
 
 def bits(mask: int):
     """Iterate over the set bit positions of ``mask`` in increasing order."""
+    if mask < 0:
+        raise DiagramError(f"mask {mask:#x} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -188,6 +190,7 @@ class Diagram(Value):
             raise DiagramError(f"unknown vertex {name!r}") from None
 
     def vertex_names(self, mask: int) -> list[str]:
+        self.check_subset(mask)
         return [self.names[i] for i in bits(mask)]
 
     def check_subset(self, mask: int):
@@ -206,6 +209,7 @@ class Diagram(Value):
 
     def neighbors(self, mask: int) -> int:
         """Vertices outside ``mask`` joined to it by an edge."""
+        self.check_subset(mask)
         out = 0
         for i in bits(mask):
             out |= self.adj[i]

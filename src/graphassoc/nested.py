@@ -264,7 +264,8 @@ def _skeleton(D: Diagram):
     sets, the position of each by its ``elements``, each vertex's
     neighbours in ascending order, the tube each of those steps drops,
     and a dict that callers fill with data of the edges they have checked
-    (``coherence`` keeps each step's supports there).
+    (``coherence.validate_good_sequence`` keeps each edge's supports
+    there, keyed by its ascending pair of vertex positions).
 
     Each (n-1)-element nested set, an edge, lies in exactly two vertices.
     It is keyed by the bitmask of its proper tubes' ``_tube_table``

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from graphassoc import dynkin
-from graphassoc.cli import main, parse_nested_set, run
+from graphassoc.cli import COMMANDS, main, parse_nested_set, run
 from graphassoc.diagram import parse_diagram
 from graphassoc.schemas import SCHEMAS
 
@@ -288,3 +288,7 @@ def test_parse_nested_set_full_diagram_implied():
     H = parse_nested_set(D, "1 2;1")
     assert D.full in H.elements
     assert len(H.elements) == 3
+
+
+def test_command_table_names_the_schemas():
+    assert list(COMMANDS) == list(SCHEMAS)

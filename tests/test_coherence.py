@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import deque
 
 import pytest
@@ -33,7 +34,7 @@ from graphassoc.coherence import (
     twist_associator,
     validate_good_sequence,
 )
-from graphassoc.diagram import Diagram, DiagramError, InvariantError, bits, is_orthogonal
+from graphassoc.diagram import Diagram, DiagramError, InvariantError, bits, components, is_orthogonal
 from graphassoc.nested import (
     NestedSet,
     TwoFace,
@@ -433,6 +434,103 @@ def test_steps_must_join_enumerated_vertices():
             validate_good_sequence(P3, F, G, seq)
 
 
+def validator_oracle(D, verts, F, G, seq):
+    """The message ``validate_good_sequence`` must raise on ``seq``, or None, by set rules.
+
+    Every member must be an enumerated vertex, checked before any step.
+    A step is elementary when its two element sets differ in one element
+    and keeps F & G when both of its vertices hold it; its support is the
+    union of the symmetric difference.
+    """
+    if any(H.elements not in {V.elements for V in verts} for H in seq):
+        return "not a maximal nested set of D"
+    meet = set(F.elements) & set(G.elements)
+
+    def union(H, K):
+        out = 0
+        for m in set(H.elements) ^ set(K.elements):
+            out |= m
+        return out
+
+    zcomps = components(D, central_support(D, F, G))
+    for H, K in zip(seq, seq[1:]):
+        hs, ks = set(H.elements), set(K.elements)
+        if len(hs - ks) != 1:
+            return "non-elementary step"
+        if not meet <= hs & ks:
+            return "step loses the intersection"
+        supp, zsupp = union(H, K), central_support(D, H, K)
+        if supp & ~union(F, G):
+            return "step support leaves supp(F, G)"
+        if any(not is_orthogonal(D, comp, supp) and comp & ~zsupp for comp in zcomps):
+            return "central support clause violated"
+    return None
+
+
+@pytest.mark.parametrize("D", [path_diagram(4), cycle_diagram(4), complete_diagram(4), star_diagram(3),
+                               path_diagram(5), cycle_diagram(5)],
+                         ids=["P4", "C4", "K4", "star3", "P5", "C5"])
+def test_validator_matches_the_set_rules_oracle(D):
+    """Seeded sequences mixing 1-skeleton steps with jumps, repeated vertices and
+    members that are not vertices: the validator accepts exactly what the oracle
+    accepts and raises the oracle's message.  Inside the face of F & G every
+    edge also meets both support clauses, so neither side refuses one for them."""
+    rng = random.Random(31)
+    verts, edges = edge_graph(D)
+    nbrs = [[] for _ in verts]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    tubes = [B for B in connected_subdiagrams(D) if B != D.full]
+    seen = set()
+    for _ in range(600):
+        cur = rng.randrange(len(verts))
+        seq = [verts[cur]]
+        for _ in range(rng.randint(1, 6)):
+            move = rng.random()
+            if move < 0.7:
+                cur = rng.choice(nbrs[cur])
+            elif move < 0.82:
+                cur = rng.randrange(len(verts))
+            if move < 0.9:
+                seq.append(verts[cur])
+            else:  # one proper tube swapped for any tube: never a vertex of D
+                elements = list(verts[cur].elements)
+                elements[rng.randrange(D.n - 1)] = rng.choice(tubes)
+                if set(elements) not in [set(V.elements) for V in verts]:
+                    seq.append(NestedSet(D, tuple(elements)))
+        want = validator_oracle(D, verts, seq[0], seq[-1], seq)
+        seen.add(want)
+        if want is None:
+            validate_good_sequence(D, seq[0], seq[-1], seq)
+        else:
+            with pytest.raises(DiagramError, match=f"^{re.escape(want)}$"):
+                validate_good_sequence(D, seq[0], seq[-1], seq)
+    assert seen == {None, "not a maximal nested set of D", "non-elementary step",
+                    "step loses the intersection"}
+
+
+def test_support_clauses_read_each_edges_kept_supports(monkeypatch):
+    """The two support clauses, which no walk inside the face of F & G violates,
+    refuse an edge whose kept supports do, each with its own message."""
+    verts, index, nbrs, drops, _steps = nested._skeleton(P3)
+    kept = {}
+    monkeypatch.setattr(coherence, "_skeleton", lambda D: (verts, index, nbrs, drops, kept))
+    F, G = ns(P3, [0, 1], [0]), ns(P3, [0, 1], [1])  # supp(F, G) = {0, 1}
+    edge = tuple(sorted((index[F.elements], index[G.elements])))
+    kept[edge] = (P3.full, 0)
+    with pytest.raises(DiagramError, match=r"^step support leaves supp\(F, G\)$"):
+        validate_good_sequence(P3, F, G, [F, G])
+    F, G = ns(P3, [0], [2]), ns(P3, [0, 1], [0])  # central support {0}
+    edge = tuple(sorted((index[F.elements], index[G.elements])))
+    kept[edge] = (P3.full, 0)
+    with pytest.raises(DiagramError, match="^central support clause violated$"):
+        validate_good_sequence(P3, F, G, [F, G])
+    kept.clear()
+    validate_good_sequence(P3, F, G, [F, G])
+    assert kept[edge] == (P3.full, 0b001)
+
+
 # -- relation words ----------------------------------------------------------------
 
 
@@ -656,6 +754,14 @@ def test_twist_rejects_bad_input():
         twist_associator(P3, 0b011, 2, 0)
     with pytest.raises(DiagramError):
         twist_associator(P3, 0b101, 2, 0)
+
+
+@pytest.mark.parametrize("B", [-1, 0, 0b100, 0b001])
+def test_associator_letter_refuses_a_support_without_both_endpoints(B):
+    """The support must be a positive mask holding both endpoints; -1 holds every bit."""
+    with pytest.raises(DiagramError, match="^both vertices must lie in B$"):
+        associator_letter(B, 1, 2)
+    assert associator_letter(0b110, 2, 1) == (AssociatorSymbol(0b110, (1, 2)), -1)
 
 
 # -- presentation export ---------------------------------------------------------------

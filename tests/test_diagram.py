@@ -1,6 +1,9 @@
 import copy
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -348,3 +351,30 @@ def test_diagrams_are_immutable_values():
     )
     assert hash(D) == hash((D.names, D.adj, D.edge_labels))
     assert D.__reduce__() == (Diagram, (D.names, D.adj, D.edge_labels))
+
+
+@pytest.mark.parametrize("method", ["vertex_names", "neighbors"])
+@pytest.mark.parametrize("mask", [0b1000, -1])
+def test_mask_readers_refuse_masks_outside_the_vertex_set(method, mask):
+    with pytest.raises(DiagramError, match="is not a subset of the vertex set"):
+        getattr(P3, method)(mask)
+    assert P3.vertex_names(0b101) == ["1", "3"] and P3.neighbors(0b001) == 0b010
+
+
+def test_bits_refuses_a_negative_mask_before_yielding():
+    """A negative mask has infinitely many set bits: the loop runs in a
+    subprocess, so a hang fails the test instead of stalling the suite."""
+    code = (
+        "from graphassoc.diagram import DiagramError, bits\n"
+        "seen = 0\n"
+        "try:\n"
+        "    for _ in bits(-1):\n"
+        "        seen += 1\n"
+        "except DiagramError as err:\n"
+        "    print(seen, err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 mask -0x1 is negative\n"
+    assert list(bits(0)) == [] and list(bits(0b1010)) == [1, 3]
