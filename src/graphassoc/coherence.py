@@ -11,7 +11,7 @@ algebra.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from functools import lru_cache
 
 from .diagram import (
     Diagram,
@@ -159,6 +159,9 @@ def kappa(D: Diagram, collection) -> list[int]:
     containment in and orthogonality to a member pass to subsets; so
     every vertex of a result is itself a (singleton) result.
     """
+    collection = tuple(collection)
+    for C in collection:
+        D.check_subset(C)
     out = []
     for B in connected_subdiagrams(D):
         if all(B & ~C == 0 or is_orthogonal(D, B, C) for C in collection):
@@ -176,10 +179,20 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     return _minus_neighbours(D, *_support(D, F, G))
 
 
+@lru_cache(maxsize=8)
+def _neighbour_table(D: Diagram) -> dict:
+    """D's ``tube -> D.neighbors(tube)``, filled once per tube by ``_minus_neighbours``."""
+    return {}
+
+
 def _minus_neighbours(D: Diagram, supp: int, delta) -> int:
     """The central support from a known support: ``supp`` minus the neighbours of Δ."""
+    table = _neighbour_table(D)
     for C in delta:
-        supp &= ~D.neighbors(C)
+        near = table.get(C)
+        if near is None:
+            near = table[C] = D.neighbors(C)
+        supp &= ~near
     return supp
 
 
@@ -239,36 +252,61 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     Every step shares the intersection, has support inside supp(F, G) and
     treats each component of the central support as the supports axiom
     requires; the output is re-checked clause by clause.  The search runs
-    on D's cached 1-skeleton: from a vertex holding the intersection, a
-    step keeps it exactly when the tube it drops is not in it.
+    on D's cached 1-skeleton in bitsets over vertex positions.  The face
+    of the intersection is the AND of the holder sets of its proper tubes.
+    Breadth-first layers grow from F (the neighbours of the last layer,
+    inside the face, not seen before) until one holds G.  A walk back
+    keeps in each layer the vertices with a neighbour kept in the next,
+    so each leads on to G, and the path walks forward from F by the
+    least-index kept neighbour.
+
+    This is the shortest path that is lexicographically least by vertex
+    position, which is also what a queue search over the ascending
+    skeleton rows returns: by induction on the layer, the queue takes a
+    layer's vertices in the order of their least shortest paths from F
+    (a vertex is entered from the first-taken neighbour of the layer
+    before, and rows ascend), so G's parent chain is the least of its
+    shortest paths.
     """
     F.check_maximal(D)
     G.check_maximal(D)
     if F.elements == G.elements:
         return [F]
-    meet = set(F.elements) & set(G.elements)
-    verts, index, nbrs, drops, _steps = _skeleton(D)
+    verts, index, _nbrs, _drops, adjacent, holders, _steps = _skeleton(D)
     start, goal = index.get(F.elements), index.get(G.elements)
     if start is None or goal is None:
         raise DiagramError("not a maximal nested set of D")
-    parent = {start: None}
-    queue = deque([start])
-    while queue and goal not in parent:  # parent[goal] is final once discovered
-        cur = queue.popleft()
-        for j, dropped in zip(nbrs[cur], drops[cur]):
-            if dropped not in meet and j not in parent:
-                parent[j] = cur
-                queue.append(j)
-    if goal not in parent:
-        raise DiagramError("face of the intersection is disconnected; poset corrupt")
-    path = []
-    node = goal
-    while node is not None:
-        path.append(verts[node])
-        node = parent[node]
-    path.reverse()
-    validate_good_sequence(D, F, G, path)
-    return path
+    unseen = (1 << len(verts)) - 1
+    for B in set(F.elements[:-1]) & set(G.elements[:-1]):  # D itself comes last
+        unseen &= holders[B]
+    target, frontier = 1 << goal, 1 << start
+    unseen ^= frontier
+    layers = [frontier]
+    while not frontier & target:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacent[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & unseen
+        if not frontier:
+            raise DiagramError("face of the intersection is disconnected; poset corrupt")
+        unseen ^= frontier
+        layers.append(frontier)
+    layers[-1] = kept = target
+    for k in range(len(layers) - 2, 0, -1):
+        near = 0
+        while kept:
+            low = kept & -kept
+            near |= adjacent[low.bit_length() - 1]
+            kept ^= low
+        layers[k] = kept = layers[k] & near
+    path = [start]
+    for layer in layers[1:]:
+        step = adjacent[path[-1]] & layer
+        path.append((step & -step).bit_length() - 1)
+    _check_steps(D, F, G, path)
+    return [verts[i] for i in path]
 
 
 def transport_good_sequence(D: Diagram, seq, F2: NestedSet, G2: NestedSet) -> list[NestedSet]:
@@ -295,19 +333,29 @@ def transport_good_sequence(D: Diagram, seq, F2: NestedSet, G2: NestedSet) -> li
 def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     """Raise unless ``seq`` satisfies every clause required of a good sequence.
 
-    Every member must be a vertex of D's cached 1-skeleton and every step
-    one of its edges keeping F & G by the search's own test: the tube it
-    drops is not in F & G.  An edge's supports, read off its two exchanged
-    tubes and cross-checked, are kept with the skeleton by vertex pair.
+    Every member must be a vertex of D's cached 1-skeleton, checked before
+    any step; the steps are then checked by ``_check_steps``.
     """
     if not seq or seq[0].elements != F.elements or seq[-1].elements != G.elements:
         raise DiagramError("sequence endpoints are wrong")
-    verts, index, nbrs, drops, steps = _skeleton(D)
+    index = _skeleton(D)[1]
     for H in seq:
         H.check_maximal(D)
     path = [index.get(H.elements) for H in seq]
     if None in path:
         raise DiagramError("not a maximal nested set of D")
+    _check_steps(D, F, G, path)
+
+
+def _check_steps(D: Diagram, F: NestedSet, G: NestedSet, path) -> None:
+    """Raise unless the vertex positions ``path`` step as a good sequence from F to G.
+
+    Every step must be an edge of D's cached 1-skeleton keeping F & G by
+    the search's own test: the tube it drops is not in F & G.  An edge's
+    supports, read off its two exchanged tubes and cross-checked, are kept
+    with the skeleton by vertex pair.
+    """
+    verts, _index, nbrs, drops, _adjacent, _holders, steps = _skeleton(D)
     meet = set(F.elements) & set(G.elements)
     supp_fg, delta = _support(D, F, G)
     zcomps = components(D, _minus_neighbours(D, supp_fg, delta))

@@ -48,6 +48,8 @@ def bits(mask: int):
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
+        if i < 0:
+            raise DiagramError(f"vertex index {i} is negative")
         m |= 1 << i
     return m
 
@@ -210,9 +212,11 @@ class Diagram(Value):
     def neighbors(self, mask: int) -> int:
         """Vertices outside ``mask`` joined to it by an edge."""
         self.check_subset(mask)
-        out = 0
-        for i in bits(mask):
-            out |= self.adj[i]
+        adj, out, rest = self.adj, 0, mask
+        while rest:
+            low = rest & -rest
+            out |= adj[low.bit_length() - 1]
+            rest ^= low
         return out & ~mask
 
 
@@ -269,11 +273,16 @@ def flood_fill(D: Diagram, seed: int, S: int) -> int:
 
     ``seed`` is kept whole, so a one-vertex seed in ``S`` gives its component.
     """
+    if seed < 0:
+        raise DiagramError(f"mask {seed:#x} is negative")
+    adj = D.adj
     comp = frontier = seed
     while frontier:
         grown = 0
-        for i in bits(frontier):
-            grown |= D.adj[i]
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = grown & S & ~comp
         comp |= frontier
     return comp

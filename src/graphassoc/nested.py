@@ -260,9 +260,11 @@ def face_factorization(D: Diagram, H: NestedSet) -> list[Diagram]:
 def _skeleton(D: Diagram):
     """The 1-skeleton of D's associahedron, built once per diagram.
 
-    Returns ``(verts, index, nbrs, drops, steps)``: the maximal nested
-    sets, the position of each by its ``elements``, each vertex's
-    neighbours in ascending order, the tube each of those steps drops,
+    Returns ``(verts, index, nbrs, drops, adjacent, holders, steps)``: the
+    maximal nested sets, the position of each by its ``elements``, each
+    vertex's neighbours in ascending order, the tube each of those steps
+    drops, each vertex's neighbours again as one bitset over vertex
+    positions, for each proper tube the bitset of the vertices holding it,
     and a dict that callers fill with data of the edges they have checked
     (``coherence.validate_good_sequence`` keeps each edge's supports
     there, keyed by its ascending pair of vertex positions).
@@ -273,24 +275,26 @@ def _skeleton(D: Diagram):
     """
     verts = maximal_nested_sets(D)
     bit = {B: 1 << i for B, i in _tube_table(D)[1].items()}
-    ends = {}
+    ends, holders = {}, dict.fromkeys(bit, 0)
     for i, F in enumerate(verts):
         tubes = F.elements[:-1]  # D itself, the largest element, comes last
-        key = sum(map(bit.__getitem__, tubes))
+        key, here = sum(map(bit.__getitem__, tubes)), 1 << i
         for B in tubes:
             ends.setdefault(key ^ bit[B], []).extend((i, B))
+            holders[B] |= here
     rows = [[] for _ in verts]
     for i, B, j, C in ends.values():
         rows[i].append((j, B))
         rows[j].append((i, C))
     # each row in neighbour order, split into the neighbours and the tubes dropped (none on P1)
     nbrs, drops = zip(*(tuple(zip(*sorted(row))) or ((), ()) for row in rows))
-    return verts, {F.elements: i for i, F in enumerate(verts)}, nbrs, drops, {}
+    index = {F.elements: i for i, F in enumerate(verts)}
+    return verts, index, nbrs, drops, tuple(map(mask_of, nbrs)), holders, {}
 
 
 def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]]:
     """The 1-skeleton: maximal nested sets, joined when they differ by one element."""
-    verts, _index, nbrs, _drops, _steps = _skeleton(D)
+    verts, _index, nbrs = _skeleton(D)[:3]
     return verts, [(i, j) for i, row in enumerate(nbrs) for j in row if i < j]
 
 
@@ -365,7 +369,7 @@ def boundary_cycle(D: Diagram, H: NestedSet) -> list[NestedSet]:
     """
     if H.dim != 2:
         raise DiagramError("boundary cycle needs a 2-dimensional face")
-    verts, _index, nbrs, drops, _steps = _skeleton(D)
+    verts, _index, nbrs, drops = _skeleton(D)[:4]
     hset = set(H.elements)
     i = next((i for i, F in enumerate(verts) if hset <= set(F.elements)), None)
     if i is None:

@@ -214,7 +214,7 @@ def off_text(R: Realization) -> str | None:
     dim = D.n - 1
     if dim > 3:
         return None
-    mns, index, _nbrs, _drops, _steps = _skeleton(D)
+    mns, index = _skeleton(D)[:2]
     # the 2-faces; a polygon's one 2-face is D itself
     polygons = [[index[F.elements] for F in boundary_cycle(D, H)]
                 for H in (faces(D, 2) if dim >= 2 else ())]

@@ -404,6 +404,48 @@ def test_good_sequences_match_breadth_first_oracle():
             assert good_elementary_sequence(D, verts[i], verts[j]) == search(i, j), (D.names, i, j)
 
 
+@pytest.mark.parametrize("D", [cycle_diagram(7), complete_diagram(6), path_diagram(7)],
+                         ids=["C7", "K6", "P7"])
+def test_good_sequences_match_the_oracle_on_large_diagrams(D):
+    """The bitset layers return the queue search's path where faces and layers are widest."""
+    rng = random.Random(32)
+    verts, search = breadth_first_oracle(D)
+    for _ in range(100):
+        i, j = rng.randrange(len(verts)), rng.randrange(len(verts))
+        assert good_elementary_sequence(D, verts[i], verts[j]) == search(i, j), (i, j)
+
+
+def test_an_empty_layer_is_a_disconnected_face(monkeypatch):
+    """A face whose holder bitset misses every vertex between F and G stops the search."""
+    P4 = path_diagram(4)
+    F, G = ns(P4, [0], [0, 1], [0, 1, 2]), ns(P4, [2], [1, 2], [0, 1, 2])  # two steps apart
+    verts, index, nbrs, drops, adjacent, holders, steps = nested._skeleton(P4)
+    assert len(good_elementary_sequence(P4, F, G)) == 3
+    corrupt = dict(holders)
+    corrupt[0b111] = 1 << index[F.elements] | 1 << index[G.elements]
+    monkeypatch.setattr(coherence, "_skeleton",
+                        lambda D: (verts, index, nbrs, drops, adjacent, corrupt, steps))
+    with pytest.raises(DiagramError, match="face of the intersection is disconnected"):
+        good_elementary_sequence(P4, F, G)
+
+
+def test_support_queries_enumerate_nothing():
+    """On K20 support and central support read neither the tube list nor the tube table."""
+    D = complete_diagram(20)
+    G, F = pair_from_triple(D, D.full, 0, 1)
+    before = connected_subdiagrams.cache_info().misses, nested._tube_table.cache_info().misses
+    assert support(D, F, G) == D.full
+    assert central_support(D, F, G) == D.full & ~0b11
+    after = connected_subdiagrams.cache_info().misses, nested._tube_table.cache_info().misses
+    assert after == before
+
+
+def test_kappa_refuses_a_member_outside_the_diagram():
+    for C in (-1, 0b1000):
+        with pytest.raises(DiagramError, match="not a subset of the vertex set"):
+            kappa(P3, [C])
+
+
 @pytest.mark.parametrize("elements", [(1, 2, 7), (5, 7, 7)])
 def test_sequence_end_outside_the_vertices_is_diagram_error(elements):
     bogus = NestedSet(P3, elements)
@@ -513,9 +555,10 @@ def test_validator_matches_the_set_rules_oracle(D):
 def test_support_clauses_read_each_edges_kept_supports(monkeypatch):
     """The two support clauses, which no walk inside the face of F & G violates,
     refuse an edge whose kept supports do, each with its own message."""
-    verts, index, nbrs, drops, _steps = nested._skeleton(P3)
+    verts, index, nbrs, drops, adjacent, holders, _steps = nested._skeleton(P3)
     kept = {}
-    monkeypatch.setattr(coherence, "_skeleton", lambda D: (verts, index, nbrs, drops, kept))
+    monkeypatch.setattr(coherence, "_skeleton",
+                        lambda D: (verts, index, nbrs, drops, adjacent, holders, kept))
     F, G = ns(P3, [0, 1], [0]), ns(P3, [0, 1], [1])  # supp(F, G) = {0, 1}
     edge = tuple(sorted((index[F.elements], index[G.elements])))
     kept[edge] = (P3.full, 0)

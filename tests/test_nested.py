@@ -128,6 +128,11 @@ def test_is_nested_rejects_foreign_vertices():
         NestedSet(P3, (P3.full, 0b1000)).validate()
 
 
+
+def test_vertex_lists_refuse_a_negative_index():
+    with pytest.raises(DiagramError, match="vertex index -1 is negative"):
+        NestedSet.from_vertex_lists(P3, [[-1]])
+
 def test_maximal_nested_sets_p2():
     mns = maximal_nested_sets(P2)
     assert [[P2.vertex_names(m) for m in F.elements] for F in mns] == [
@@ -328,7 +333,7 @@ def test_edge_graph_matches_pairwise_definition():
     diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
     for D in diagrams + [cycle_diagram(6), path_diagram(6), complete_diagram(5)]:
         verts, edges = edge_graph(D)
-        skel_verts, index, nbrs, drops, _steps = _skeleton(D)
+        skel_verts, index, nbrs, drops, _adjacent, _holders, _steps = _skeleton(D)
         assert skel_verts == verts == maximal_nested_sets(D)
         assert index == {F.elements: i for i, F in enumerate(verts)}
         sets = [set(F.elements) for F in verts]
@@ -338,6 +343,17 @@ def test_edge_graph_matches_pairwise_definition():
         for i, s in enumerate(sets):
             assert list(nbrs[i]) == [j for j, t in enumerate(sets) if len(s - t) == 1], D.names
             assert [{B} for B in drops[i]] == [s - sets[j] for j in nbrs[i]]
+
+
+def test_skeleton_bitsets_match_rows_and_elements():
+    """Each vertex's neighbour bitset is its row, and each tube's holder bitset the vertices holding it."""
+    for D in [D for n in range(1, 6) for D in connected_reps(n)]:
+        verts, _index, nbrs, _drops, adjacent, holders, _steps = _skeleton(D)
+        assert [list(bits(m)) for m in adjacent] == [list(row) for row in nbrs], D.names
+        tubes = [B for B in connected_subdiagrams(D) if B != D.full]
+        assert sorted(holders) == tubes, D.names
+        for B in tubes:
+            assert list(bits(holders[B])) == [i for i, F in enumerate(verts) if B in F.elements]
 
 
 def test_edge_graph_connected():
