@@ -10,7 +10,6 @@ algebra.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 
 from .diagram import (
@@ -19,6 +18,7 @@ from .diagram import (
     INFINITY,
     InvariantError,
     Value,
+    _union,
     bits,
     component_containing,
     components,
@@ -28,6 +28,7 @@ from .diagram import (
 from .nested import (
     NestedSet,
     TwoFace,
+    _holding,
     _non_square_key,
     _skeleton,
     connected_subdiagrams,
@@ -180,14 +181,15 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
 
 
 @lru_cache(maxsize=8)
-def _neighbour_table(D: Diagram) -> dict:
-    """D's ``tube -> D.neighbors(tube)``, filled once per tube by ``_minus_neighbours``."""
-    return {}
+def _memos(D: Diagram) -> tuple[dict, dict]:
+    """D's ``tube -> D.neighbors(tube)`` and, per 1-skeleton edge between vertex positions
+    i < j, ``(i, j) -> (support, central support)``; filled on first use."""
+    return {}, {}
 
 
 def _minus_neighbours(D: Diagram, supp: int, delta) -> int:
     """The central support from a known support: ``supp`` minus the neighbours of Δ."""
-    table = _neighbour_table(D)
+    table = _memos(D)[0]
     for C in delta:
         near = table.get(C)
         if near is None:
@@ -261,46 +263,33 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     least-index kept neighbour.
 
     This is the shortest path that is lexicographically least by vertex
-    position, which is also what a queue search over the ascending
-    skeleton rows returns: by induction on the layer, the queue takes a
-    layer's vertices in the order of their least shortest paths from F
-    (a vertex is entered from the first-taken neighbour of the layer
-    before, and rows ascend), so G's parent chain is the least of its
-    shortest paths.
+    position, which is also what a queue search over ascending neighbour
+    lists returns: by induction on the layer, the queue takes a layer's
+    vertices in the order of their least shortest paths from F (a vertex
+    is entered from the first-taken neighbour of the layer before, and
+    lists ascend), so G's parent chain is the least of its shortest paths.
     """
     F.check_maximal(D)
     G.check_maximal(D)
     if F.elements == G.elements:
         return [F]
-    verts, index, _nbrs, _drops, adjacent, holders, _steps = _skeleton(D)
+    verts, index, adjacent, _holders = _skeleton(D)
     start, goal = index.get(F.elements), index.get(G.elements)
     if start is None or goal is None:
         raise DiagramError("not a maximal nested set of D")
-    unseen = (1 << len(verts)) - 1
-    for B in set(F.elements[:-1]) & set(G.elements[:-1]):  # D itself comes last
-        unseen &= holders[B]
+    unseen = _holding(D, set(F.elements) & set(G.elements))  # the face of F & G
     target, frontier = 1 << goal, 1 << start
     unseen ^= frontier
     layers = [frontier]
     while not frontier & target:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adjacent[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & unseen
+        frontier = _union(adjacent, frontier) & unseen
         if not frontier:
             raise DiagramError("face of the intersection is disconnected; poset corrupt")
         unseen ^= frontier
         layers.append(frontier)
     layers[-1] = kept = target
     for k in range(len(layers) - 2, 0, -1):
-        near = 0
-        while kept:
-            low = kept & -kept
-            near |= adjacent[low.bit_length() - 1]
-            kept ^= low
-        layers[k] = kept = layers[k] & near
+        layers[k] = kept = layers[k] & _union(adjacent, kept)
     path = [start]
     for layer in layers[1:]:
         step = adjacent[path[-1]] & layer
@@ -317,6 +306,8 @@ def transport_good_sequence(D: Diagram, seq, F2: NestedSet, G2: NestedSet) -> li
     by step yields a good sequence whose steps are equivalent to the
     original ones.
     """
+    if not seq:
+        raise DiagramError("sequence endpoints are wrong")
     F, G = seq[0], seq[-1]
     if not are_equivalent(D, (F, G), (F2, G2)):
         raise DiagramError("pairs are not equivalent")
@@ -348,30 +339,32 @@ def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
 
 
 def _check_steps(D: Diagram, F: NestedSet, G: NestedSet, path) -> None:
-    """Raise unless the vertex positions ``path`` step as a good sequence from F to G.
+    """Raise unless the vertex positions ``path``, from F, step as a good sequence to G.
 
-    Every step must be an edge of D's cached 1-skeleton keeping F & G by
-    the search's own test: the tube it drops is not in F & G.  An edge's
-    supports, read off its two exchanged tubes and cross-checked, are kept
-    with the skeleton by vertex pair.
+    Every step must be an edge of D's cached 1-skeleton into the face of
+    F & G: from a vertex holding F & G, a step leaves it exactly when it
+    drops one of its tubes.  An edge's supports, read off its two
+    exchanged tubes and cross-checked, are kept in ``_memos`` by vertex pair.
     """
-    verts, _index, nbrs, drops, _adjacent, _holders, steps = _skeleton(D)
-    meet = set(F.elements) & set(G.elements)
+    verts, _index, adjacent, _holders = _skeleton(D)
+    face = _holding(D, set(F.elements) & set(G.elements))
     supp_fg, delta = _support(D, F, G)
     zcomps = components(D, _minus_neighbours(D, supp_fg, delta))
+    kept = _memos(D)[1]
     for i, j in zip(path, path[1:]):
-        k = bisect_left(nbrs[i], j)
-        if nbrs[i][k:k + 1] != (j,):
+        if not adjacent[i] >> j & 1:
             raise DiagramError("non-elementary step")
-        b = drops[i][k]
-        if b in meet:
+        if not face >> j & 1:
             raise DiagramError("step loses the intersection")
         edge = (i, j) if i < j else (j, i)
-        found = steps.get(edge)
+        found = kept.get(edge)
         if found is None:
-            c = drops[j][bisect_left(nbrs[j], i)]  # the tube j drops towards i
+            fs, gs = set(verts[i].elements), set(verts[j].elements)
+            if len(fs - gs) != 1:  # both hold n tubes, so gs - fs has as many
+                raise InvariantError("a 1-skeleton edge must exchange exactly one tube")
+            (b,), (c,) = fs - gs, gs - fs
             _check_meet(NestedSet(D, tuple(m for m in verts[i].elements if m != b)), b | c)
-            found = steps[edge] = b | c, _minus_neighbours(D, b | c, (b, c))
+            found = kept[edge] = b | c, _minus_neighbours(D, b | c, (b, c))
         supp_step, zsupp_step = found
         if supp_step & ~supp_fg:
             raise DiagramError("step support leaves supp(F, G)")

@@ -45,6 +45,16 @@ def bits(mask: int):
         mask ^= low
 
 
+def _union(rows, mask: int) -> int:
+    """The OR of ``rows[v]`` over the set bits v of the nonnegative ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
@@ -212,12 +222,7 @@ class Diagram(Value):
     def neighbors(self, mask: int) -> int:
         """Vertices outside ``mask`` joined to it by an edge."""
         self.check_subset(mask)
-        adj, out, rest = self.adj, 0, mask
-        while rest:
-            low = rest & -rest
-            out |= adj[low.bit_length() - 1]
-            rest ^= low
-        return out & ~mask
+        return _union(self.adj, mask) & ~mask
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -273,17 +278,11 @@ def flood_fill(D: Diagram, seed: int, S: int) -> int:
 
     ``seed`` is kept whole, so a one-vertex seed in ``S`` gives its component.
     """
-    if seed < 0:
-        raise DiagramError(f"mask {seed:#x} is negative")
-    adj = D.adj
+    if seed < 0 or S < 0:
+        raise DiagramError(f"mask {min(seed, S):#x} is negative")
     comp = frontier = seed
     while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & S & ~comp
+        frontier = _union(D.adj, frontier) & S & ~comp
         comp |= frontier
     return comp
 
@@ -336,6 +335,8 @@ def component_containing(D: Diagram, removed: int, anchor: int, within: int | No
     """
     ctx = D.full if within is None else within
     D.check_subset(ctx)
+    if removed < 0:
+        raise DiagramError(f"mask {removed:#x} is negative")
     if anchor & removed:
         raise DiagramError("anchor meets the removed set")
     if anchor & ~ctx:

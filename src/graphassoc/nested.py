@@ -260,14 +260,10 @@ def face_factorization(D: Diagram, H: NestedSet) -> list[Diagram]:
 def _skeleton(D: Diagram):
     """The 1-skeleton of D's associahedron, built once per diagram.
 
-    Returns ``(verts, index, nbrs, drops, adjacent, holders, steps)``: the
-    maximal nested sets, the position of each by its ``elements``, each
-    vertex's neighbours in ascending order, the tube each of those steps
-    drops, each vertex's neighbours again as one bitset over vertex
-    positions, for each proper tube the bitset of the vertices holding it,
-    and a dict that callers fill with data of the edges they have checked
-    (``coherence.validate_good_sequence`` keeps each edge's supports
-    there, keyed by its ascending pair of vertex positions).
+    Returns ``(verts, index, adjacent, holders)``: the maximal nested sets,
+    the position of each by its ``elements``, each vertex's neighbours as
+    one bitset over vertex positions, and for each proper tube the bitset
+    of the vertices holding it.
 
     Each (n-1)-element nested set, an edge, lies in exactly two vertices.
     It is keyed by the bitmask of its proper tubes' ``_tube_table``
@@ -275,27 +271,34 @@ def _skeleton(D: Diagram):
     """
     verts = maximal_nested_sets(D)
     bit = {B: 1 << i for B, i in _tube_table(D)[1].items()}
-    ends, holders = {}, dict.fromkeys(bit, 0)
+    ends, holders, adjacent = {}, dict.fromkeys(bit, 0), [0] * len(verts)
     for i, F in enumerate(verts):
         tubes = F.elements[:-1]  # D itself, the largest element, comes last
         key, here = sum(map(bit.__getitem__, tubes)), 1 << i
         for B in tubes:
-            ends.setdefault(key ^ bit[B], []).extend((i, B))
+            j = ends.setdefault(key ^ bit[B], i)
+            if j != i:  # the edge's other end, seen first
+                adjacent[i] |= 1 << j
+                adjacent[j] |= here
             holders[B] |= here
-    rows = [[] for _ in verts]
-    for i, B, j, C in ends.values():
-        rows[i].append((j, B))
-        rows[j].append((i, C))
-    # each row in neighbour order, split into the neighbours and the tubes dropped (none on P1)
-    nbrs, drops = zip(*(tuple(zip(*sorted(row))) or ((), ()) for row in rows))
     index = {F.elements: i for i, F in enumerate(verts)}
-    return verts, index, nbrs, drops, tuple(map(mask_of, nbrs)), holders, {}
+    return verts, index, tuple(adjacent), holders
+
+
+def _holding(D: Diagram, tubes) -> int:
+    """The bitset of the skeleton's vertices holding every one of ``tubes``: a face of D."""
+    verts, _index, _adjacent, holders = _skeleton(D)
+    face = (1 << len(verts)) - 1
+    for B in tubes:
+        if B != D.full:
+            face &= holders.get(B, 0)
+    return face
 
 
 def edge_graph(D: Diagram) -> tuple[tuple[NestedSet, ...], list[tuple[int, int]]]:
     """The 1-skeleton: maximal nested sets, joined when they differ by one element."""
-    verts, _index, nbrs = _skeleton(D)[:3]
-    return verts, [(i, j) for i, row in enumerate(nbrs) for j in row if i < j]
+    verts, _index, adjacent = _skeleton(D)[:3]
+    return verts, [(i, j) for i, row in enumerate(adjacent) for j in bits(row) if i < j]
 
 
 class TwoFace(enum.Enum):
@@ -365,19 +368,21 @@ def two_faces(D: Diagram) -> list[tuple[NestedSet, TwoFace]]:
 def boundary_cycle(D: Diagram, H: NestedSet) -> list[NestedSet]:
     """The vertices of a 2-face in cyclic order along its boundary.
 
-    A walk on the 1-skeleton from the first vertex containing H, by steps dropping no tube of H.
+    A walk on the 1-skeleton from the first vertex containing H, each step
+    to the least-index unvisited neighbour that contains H too.
     """
     if H.dim != 2:
         raise DiagramError("boundary cycle needs a 2-dimensional face")
-    verts, _index, nbrs, drops = _skeleton(D)[:4]
-    hset = set(H.elements)
-    i = next((i for i, F in enumerate(verts) if hset <= set(F.elements)), None)
-    if i is None:
+    verts, _index, adjacent = _skeleton(D)[:3]
+    face = _holding(D, H.elements)
+    if not face:
         raise DiagramError("no vertex of the associahedron contains the face")
-    cycle = []
-    while i is not None:
+    cycle, near = [], face
+    while near:
+        i = (near & -near).bit_length() - 1
         cycle.append(i)
-        i = next((j for j, B in zip(nbrs[i], drops[i]) if B not in hset and j not in cycle), None)
+        face ^= 1 << i
+        near = adjacent[i] & face
     return [verts[i] for i in cycle]
 
 

@@ -419,12 +419,12 @@ def test_an_empty_layer_is_a_disconnected_face(monkeypatch):
     """A face whose holder bitset misses every vertex between F and G stops the search."""
     P4 = path_diagram(4)
     F, G = ns(P4, [0], [0, 1], [0, 1, 2]), ns(P4, [2], [1, 2], [0, 1, 2])  # two steps apart
-    verts, index, nbrs, drops, adjacent, holders, steps = nested._skeleton(P4)
+    verts, index, adjacent, holders = nested._skeleton(P4)
     assert len(good_elementary_sequence(P4, F, G)) == 3
     corrupt = dict(holders)
     corrupt[0b111] = 1 << index[F.elements] | 1 << index[G.elements]
-    monkeypatch.setattr(coherence, "_skeleton",
-                        lambda D: (verts, index, nbrs, drops, adjacent, corrupt, steps))
+    monkeypatch.setattr(nested, "_skeleton", lambda D: (verts, index, adjacent, corrupt))
+    monkeypatch.setattr(coherence, "_skeleton", nested._skeleton)
     with pytest.raises(DiagramError, match="face of the intersection is disconnected"):
         good_elementary_sequence(P4, F, G)
 
@@ -460,6 +460,7 @@ def test_edge_cache_never_skips_the_support_cross_check(monkeypatch):
     F, G = ns(P4, [0, 1, 2], [0, 1], [0]), ns(P4, [1, 2, 3], [2, 3], [3])
     assert not is_elementary(F, G)
     coherence._skeleton.cache_clear()
+    coherence._memos.cache_clear()
     monkeypatch.setattr(NestedSet, "unsaturated", lambda self: [])
     with pytest.raises(InvariantError):
         good_elementary_sequence(P4, F, G)
@@ -555,10 +556,9 @@ def test_validator_matches_the_set_rules_oracle(D):
 def test_support_clauses_read_each_edges_kept_supports(monkeypatch):
     """The two support clauses, which no walk inside the face of F & G violates,
     refuse an edge whose kept supports do, each with its own message."""
-    verts, index, nbrs, drops, adjacent, holders, _steps = nested._skeleton(P3)
+    index = nested._skeleton(P3)[1]
     kept = {}
-    monkeypatch.setattr(coherence, "_skeleton",
-                        lambda D: (verts, index, nbrs, drops, adjacent, holders, kept))
+    monkeypatch.setattr(coherence, "_memos", lambda D: ({}, kept))
     F, G = ns(P3, [0, 1], [0]), ns(P3, [0, 1], [1])  # supp(F, G) = {0, 1}
     edge = tuple(sorted((index[F.elements], index[G.elements])))
     kept[edge] = (P3.full, 0)
@@ -572,6 +572,44 @@ def test_support_clauses_read_each_edges_kept_supports(monkeypatch):
     kept.clear()
     validate_good_sequence(P3, F, G, [F, G])
     assert kept[edge] == (P3.full, 0b001)
+
+
+def test_pair_queries_leave_the_skeleton_unchanged():
+    """Searches and validations keep what they learn about edges out of the cached skeleton."""
+    C5 = cycle_diagram(5)
+    coherence._skeleton.cache_clear()
+    skeleton = coherence._skeleton(C5)
+    before = [dict(part) if isinstance(part, dict) else part for part in skeleton]
+    verts = skeleton[0]
+    rng = random.Random(33)
+    for _ in range(50):
+        F, G = rng.choice(verts), rng.choice(verts)
+        validate_good_sequence(C5, F, G, good_elementary_sequence(C5, F, G))
+    assert coherence._skeleton(C5) is skeleton
+    assert list(skeleton) == before
+
+
+def test_a_corrupted_edge_is_an_invariant_error_when_its_supports_are_first_read(monkeypatch):
+    """An adjacency bit joining two vertices that differ in more than one tube
+    passes the step tests but not the exchange read when the edge memo misses."""
+    P4 = path_diagram(4)
+    verts, index, adjacent, holders = nested._skeleton(P4)
+    F, G = ns(P4, [0], [0, 1], [0, 1, 2]), ns(P4, [2], [1, 2], [0, 1, 2])  # two steps apart
+    i, j = index[F.elements], index[G.elements]
+    assert not adjacent[i] >> j & 1
+    corrupt = list(adjacent)
+    corrupt[i] |= 1 << j
+    corrupt[j] |= 1 << i
+    monkeypatch.setattr(coherence, "_skeleton", lambda D: (verts, index, tuple(corrupt), holders))
+    monkeypatch.setattr(coherence, "_memos", lambda D: ({}, {}))
+    with pytest.raises(InvariantError, match="exchange exactly one tube"):
+        validate_good_sequence(P4, F, G, [F, G])
+
+
+def test_transport_refuses_an_empty_sequence():
+    F, G = ns(P3, [0, 1], [0]), ns(P3, [0, 1], [1])
+    with pytest.raises(DiagramError, match="sequence endpoints are wrong"):
+        transport_good_sequence(P3, [], F, G)
 
 
 # -- relation words ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from graphassoc.diagram import (
     bits,
     component_containing,
     components,
+    flood_fill,
     is_compatible,
     is_connected,
     is_orthogonal,
@@ -187,6 +188,14 @@ def test_component_containing_is_the_component_holding_anchor(n):
 def test_component_containing_rejects_overlap():
     with pytest.raises(DiagramError):
         component_containing(P3, 0b011, 0b001)
+
+
+@pytest.mark.parametrize("call", [lambda D: flood_fill(D, 1, -1), lambda D: flood_fill(D, -1, 1),
+                                  lambda D: component_containing(D, -2, 1)],
+                         ids=["flood_fill-S", "flood_fill-seed", "component_containing-removed"])
+def test_mask_entries_refuse_a_negative_mask(call):
+    with pytest.raises(DiagramError, match="is negative"):
+        call(path_diagram(4))
 
 
 # -- quotient and lift -------------------------------------------------------

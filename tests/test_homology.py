@@ -2,8 +2,10 @@ import copy
 import hashlib
 import importlib.util
 import json
+import os
 import pickle
 import random
+import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
@@ -193,6 +195,24 @@ def test_shuffle_rejects_non_subsequence():
         shuffle_number((3, 1), (0, 1, 2, 3))
     with pytest.raises(DiagramError):
         shuffle_number((9,), (0, 1))
+
+
+def test_shuffle_refuses_a_negative_mask_before_counting():
+    """A negative beta has infinitely many set bits: the count runs in a
+    subprocess, so a hang fails the test instead of stalling the suite."""
+    code = (
+        "from graphassoc.diagram import DiagramError\n"
+        "from graphassoc.homology import shuffle\n"
+        "try:\n"
+        "    shuffle(-1, 3)\n"
+        "except DiagramError as err:\n"
+        "    print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "mask -0x1 is negative\n"
+    assert shuffle(0b0010, 0b1011) == 1
 
 
 def bubble_count(beta, alpha):

@@ -329,31 +329,32 @@ def test_edge_graph_examples():
 
 
 def test_edge_graph_matches_pairwise_definition():
-    """Edges and cached rows follow the pairwise definition; each row ascends with its dropped tubes."""
+    """Edges and cached positions follow the pairwise definition."""
     diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
     for D in diagrams + [cycle_diagram(6), path_diagram(6), complete_diagram(5)]:
         verts, edges = edge_graph(D)
-        skel_verts, index, nbrs, drops, _adjacent, _holders, _steps = _skeleton(D)
+        skel_verts, index, _adjacent, _holders = _skeleton(D)
         assert skel_verts == verts == maximal_nested_sets(D)
         assert index == {F.elements: i for i, F in enumerate(verts)}
         sets = [set(F.elements) for F in verts]
         n = len(sets)
         expected = [(i, j) for i in range(n) for j in range(i + 1, n) if len(sets[i] - sets[j]) == 1]
         assert edges == expected, D.names
-        for i, s in enumerate(sets):
-            assert list(nbrs[i]) == [j for j, t in enumerate(sets) if len(s - t) == 1], D.names
-            assert [{B} for B in drops[i]] == [s - sets[j] for j in nbrs[i]]
 
 
 def test_skeleton_bitsets_match_rows_and_elements():
-    """Each vertex's neighbour bitset is its row, and each tube's holder bitset the vertices holding it."""
-    for D in [D for n in range(1, 6) for D in connected_reps(n)]:
-        verts, _index, nbrs, _drops, adjacent, holders, _steps = _skeleton(D)
-        assert [list(bits(m)) for m in adjacent] == [list(row) for row in nbrs], D.names
+    """Each vertex's neighbour bitset is its row by the pairwise definition,
+    and each proper tube's holder bitset the vertices whose elements hold it."""
+    diagrams = [D for n in range(1, 6) for D in connected_reps(n)]
+    for D in diagrams + [cycle_diagram(6), path_diagram(6), complete_diagram(5)]:
+        verts, _index, adjacent, holders = _skeleton(D)
+        sets = [set(F.elements) for F in verts]
+        for i, s in enumerate(sets):
+            assert list(bits(adjacent[i])) == [j for j, t in enumerate(sets) if len(s - t) == 1], D.names
         tubes = [B for B in connected_subdiagrams(D) if B != D.full]
         assert sorted(holders) == tubes, D.names
         for B in tubes:
-            assert list(bits(holders[B])) == [i for i, F in enumerate(verts) if B in F.elements]
+            assert list(bits(holders[B])) == [i for i, s in enumerate(sets) if B in s]
 
 
 def test_edge_graph_connected():
