@@ -104,7 +104,7 @@ def _check_pair(B: int, i: int, j: int) -> None:
     """Refuse a vertex pair that is not two distinct vertices of the positive mask ``B``."""
     if i == j:
         raise DiagramError("the two vertices must be distinct")
-    if B <= 0 or not (B >> i & 1 and B >> j & 1):
+    if B <= 0 or i < 0 or j < 0 or not (B >> i & 1 and B >> j & 1):
         raise DiagramError("both vertices must lie in B")
 
 

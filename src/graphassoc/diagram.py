@@ -276,10 +276,13 @@ def parse_diagram(text: str) -> Diagram:
 def flood_fill(D: Diagram, seed: int, S: int) -> int:
     """The vertices of ``S`` reachable from ``seed`` by edges inside ``S``.
 
-    ``seed`` is kept whole, so a one-vertex seed in ``S`` gives its component.
+    ``seed`` is kept whole, so a one-vertex seed in ``S`` gives its component;
+    it must be a subset of D's vertex set.
     """
     if seed < 0 or S < 0:
         raise DiagramError(f"mask {min(seed, S):#x} is negative")
+    if seed > D.full:  # nonnegative, so it has a bit outside the vertex set
+        raise DiagramError(f"seed {seed:#x} is not a subset of the vertex set")
     comp = frontier = seed
     while frontier:
         frontier = _union(D.adj, frontier) & S & ~comp

@@ -88,8 +88,8 @@ def canonicalize(cell: OrientedCell) -> tuple[OrientedCell, int]:
 
 def shuffle(beta: int, alpha: int) -> int:
     """Transpositions moving beta (in alpha) to alpha's front: per v in beta, alpha - beta below v."""
-    if beta < 0:
-        raise DiagramError(f"mask {beta:#x} is negative")
+    if beta < 0 or alpha < 0:
+        raise DiagramError(f"mask {min(beta, alpha):#x} is negative")
     rest, count = alpha & ~beta, 0
     while beta:
         v = beta & -beta

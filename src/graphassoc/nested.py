@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import repeat
 
 from .diagram import (
     Diagram,
@@ -48,7 +49,9 @@ class NestedSet(Value):
     """An immutable nested set; ``elements`` is canonically sorted.
 
     The hash reads ``elements`` only (equal nested sets have equal
-    elements); equality compares the diagram too.
+    elements); equality compares the diagram too.  The enumeration builds
+    its records in bulk with ``_records``, which sets the two slots
+    directly; every other caller goes through ``__init__``.
     """
 
     diagram: Diagram
@@ -58,6 +61,14 @@ class NestedSet(Value):
     def __init__(self, diagram: Diagram, elements: tuple[int, ...]):
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "elements", elements)
+
+    @classmethod
+    def _records(cls, D: Diagram, tuples: list) -> tuple["NestedSet", ...]:
+        """``tuple(NestedSet(D, e) for e in tuples)`` with no Python-level ``__init__`` call."""
+        records = tuple(map(object.__new__, repeat(cls, len(tuples))))
+        any(map(cls.diagram.__set__, records, repeat(D)))  # each __set__ returns None
+        any(map(cls.elements.__set__, records, tuples))
+        return records
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -195,29 +206,35 @@ def _tube_table(D: Diagram):
 def _nested_families(D: Diagram) -> tuple[NestedSet, ...]:
     """Every nested set of D, ordered by cardinality, then by its elements' vertex lists.
 
-    Cliques of ``_tube_table`` grow in position order, so a face's tubes come in
-    ``element_key`` order with D last.  Each tube is ranked once by its vertex list,
-    and each face carries the integer whose base-``radix`` digits are its tubes' ranks.
-    Faces of one cardinality have as many digits: sorting each cardinality's bucket
-    on these codes compares their vertex lists lexicographically.
+    Cliques of ``_tube_table`` grow in position order on an explicit stack of
+    ``(chosen, allowed, code)``, so a face's tubes come in ``element_key`` order with
+    D last and no Python frame is pushed per face.  A face's elements are one
+    concatenation ``chosen + (tube, D.full)``; its prefix ``chosen + (tube,)`` is built
+    and pushed only when a compatible later tube remains.  Each tube is ranked once by
+    its vertex list, and each face carries the integer whose base-``radix`` digits are
+    its tubes' ranks.  Faces of one cardinality have as many digits: sorting each
+    cardinality's bucket on these codes compares their vertex lists lexicographically.
+    The records are built in bulk by ``NestedSet._records``.
     """
     if not is_connected(D, D.full):
         raise DiagramError("ambient diagram must be connected")
     tubes, _pos, compatible, vertices = _tube_table(D)
-    later = [row >> i + 1 << i + 1 for i, row in enumerate(compatible)]  # compatible later tubes
     rank = {i: r for r, i in enumerate(sorted(range(len(tubes)), key=vertices.__getitem__))}
-    radix, full, buckets = len(tubes) + 1, (D.full,), [{} for _ in range(D.n)]
-
-    def extend(chosen: tuple[int, ...], allowed: int, code: int):
-        buckets[len(chosen)][code] = chosen + full
+    radix, tail, buckets = len(tubes) + 1, [(t, D.full) for t in tubes], [{} for _ in range(D.n)]
+    buckets[0][0] = (D.full,)
+    stack = [((), (1 << len(tubes)) - 1, 0)] if tubes else []
+    while stack:
+        chosen, allowed, code = stack.pop()
+        bucket, code = buckets[len(chosen) + 1], code * radix
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             i = low.bit_length() - 1
-            extend(chosen + (tubes[i],), allowed & later[i], code * radix + rank[i])
-
-    extend((), (1 << len(tubes)) - 1, 0)
-    return tuple(NestedSet(D, bucket[code]) for bucket in buckets for code in sorted(bucket))
+            face = code + rank[i]
+            bucket[face] = chosen + tail[i]
+            if more := allowed & compatible[i]:  # compatible tubes after i
+                stack.append((chosen + (tubes[i],), more, face))
+    return NestedSet._records(D, [e for b in buckets for e in map(b.__getitem__, sorted(b))])
 
 
 def all_nested_sets(D: Diagram) -> tuple[NestedSet, ...]:
@@ -316,6 +333,8 @@ def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
     quotient lemma of ``diagram.quotient_components``).  Each value is one
     flood fill of ``B - z`` from a vertex of the rest of alpha.
     """
+    if alpha & ~B:
+        raise DiagramError("alpha must be a subset of B")
     return {z: component_containing(D, 1 << z, alpha & ~(1 << z), within=B) for z in bits(alpha)}
 
 

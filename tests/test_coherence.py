@@ -845,6 +845,17 @@ def test_associator_letter_refuses_a_support_without_both_endpoints(B):
     assert associator_letter(0b110, 2, 1) == (AssociatorSymbol(0b110, (1, 2)), -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: associator_letter(0b111, -1, 1),
+    lambda: associator_letter(0b111, 1, -1),
+    lambda: pair_from_triple(P3, P3.full, -1, 2),
+    lambda: twist_associator(P3, P3.full, 2, -2),
+], ids=["letter-source", "letter-target", "pair_from_triple", "twist"])
+def test_pair_entries_refuse_a_negative_vertex_index(call):
+    with pytest.raises(DiagramError, match="^both vertices must lie in B$"):
+        call()
+
+
 # -- presentation export ---------------------------------------------------------------
 
 

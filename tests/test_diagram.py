@@ -198,6 +198,12 @@ def test_mask_entries_refuse_a_negative_mask(call):
         call(path_diagram(4))
 
 
+@pytest.mark.parametrize("seed", [0b100000, 0b10000, 0b10001])
+def test_flood_fill_refuses_a_seed_outside_the_vertex_set(seed):
+    with pytest.raises(DiagramError, match="is not a subset of the vertex set"):
+        flood_fill(path_diagram(4), seed, 0b1111)
+
+
 # -- quotient and lift -------------------------------------------------------
 
 

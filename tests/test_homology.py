@@ -215,6 +215,11 @@ def test_shuffle_refuses_a_negative_mask_before_counting():
     assert shuffle(0b0010, 0b1011) == 1
 
 
+def test_shuffle_refuses_a_negative_alpha():
+    with pytest.raises(DiagramError, match="^mask -0x1 is negative$"):
+        shuffle(3, -1)
+
+
 def bubble_count(beta, alpha):
     """Oracle: literally bubble the beta elements to the front."""
     seq = list(alpha)

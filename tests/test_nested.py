@@ -212,6 +212,35 @@ def test_enumeration_order_matches_oracle(D):
     assert start == len(every)
 
 
+@pytest.mark.parametrize("D", ORDER_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
+def test_bulk_records_equal_constructed_records(D):
+    """The enumeration's records, built without ``__init__``, behave as constructed ones.
+
+    The cache is cleared first: an equal diagram enumerated earlier would own the records.
+    """
+    _nested_families.cache_clear()
+    for H in all_nested_sets(D):
+        assert type(H) is NestedSet and H.diagram is D
+        built = NestedSet(D, H.elements)
+        assert H == built and hash(H) == hash(built)
+        assert pickle.loads(pickle.dumps(H)) == H and copy.copy(H) == H and copy.deepcopy(H) == H
+        with pytest.raises(AttributeError):
+            H.elements = ()
+
+
+def test_cold_enumeration_runs_no_nested_set_init(monkeypatch):
+    calls = []
+    init = NestedSet.__init__
+    monkeypatch.setattr(NestedSet, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    C6 = cycle_diagram(6)
+    _nested_families.cache_clear()
+    try:
+        assert len(_nested_families(C6)) == sum(f_vector(C6))
+    finally:
+        _nested_families.cache_clear()
+    assert calls == []
+
+
 def test_faces_examples():
     assert [H.elements for H in faces(P3, 2)] == [(P3.full,)]
     assert len(faces(P3, 1)) == 5
@@ -312,6 +341,12 @@ def test_face_dimensions_add_up():
 
 
 # -- edges and 2-faces ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("B, alpha", [(0b0011, 0b10000), (0b0011, 0b0100), (0b0110, 0b1011)])
+def test_split_components_refuses_alpha_outside_b(B, alpha):
+    with pytest.raises(DiagramError, match="^alpha must be a subset of B$"):
+        split_components(path_diagram(4), B, alpha)
 
 
 def test_edge_graph_examples():
