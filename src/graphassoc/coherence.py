@@ -134,17 +134,28 @@ def support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     return _support(D, F, G)[0]
 
 
-def _support(D: Diagram, F: NestedSet, G: NestedSet) -> tuple[int, list[int]]:
-    """``(supp, delta)``: the support of a pair, cross-checked, and its symmetric difference."""
+def _support(D: Diagram, F: NestedSet, G: NestedSet) -> tuple[int, int]:
+    """``(supp, zsupp)`` of a pair; on every call, before the memo is read, both ends
+    are checked maximal, and after it an elementary pair's meet is cross-checked."""
     F.check_maximal(D)
     G.check_maximal(D)
-    delta = symmetric_difference(F, G)
+    supp, zsupp, meet = _pair_supports(D, F.elements, G.elements)
+    if meet is not None:
+        _check_meet(meet, supp)
+    return supp, zsupp
+
+
+@lru_cache(maxsize=16)
+def _pair_supports(D: Diagram, f: tuple, g: tuple):
+    """``(supp, zsupp, meet)`` of the pair with elements ``f`` and ``g``; ``meet``, the
+    validated nested set of their common elements, only for an elementary pair."""
+    fs, gs = set(f), set(g)
+    delta = fs ^ gs
     supp = 0
     for m in delta:
         supp |= m
-    if is_elementary(F, G):
-        _check_meet(NestedSet.make(D, set(F.elements) & set(G.elements)), supp)
-    return supp, delta
+    meet = NestedSet.make(D, fs & gs) if len(fs - gs) == 1 else None
+    return supp, _minus_neighbours(D, supp, delta), meet
 
 
 def _check_meet(meet: NestedSet, supp: int) -> None:
@@ -177,7 +188,7 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     support with {v} in kappa, and {v} is in kappa exactly when v is not a
     neighbour of any member C: the support minus ``D.neighbors(C)``.
     """
-    return _minus_neighbours(D, *_support(D, F, G))
+    return _support(D, F, G)[1]
 
 
 @lru_cache(maxsize=8)
@@ -256,11 +267,20 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     requires; the output is re-checked clause by clause.  The search runs
     on D's cached 1-skeleton in bitsets over vertex positions.  The face
     of the intersection is the AND of the holder sets of its proper tubes.
-    Breadth-first layers grow from F (the neighbours of the last layer,
-    inside the face, not seen before) until one holds G.  A walk back
-    keeps in each layer the vertices with a neighbour kept in the next,
-    so each leads on to G, and the path walks forward from F by the
-    least-index kept neighbour.
+    Breadth-first layers (the neighbours of the last layer, inside the
+    face, not seen from that end) grow from F, ``ahead[k]`` at distance k,
+    and from G, ``behind[k]``, each round at the end whose last layer has
+    fewer bits, until the last two meet; an empty layer means the face is
+    disconnected.  While the balls grown are disjoint, F and G are more
+    than rF - 1 + rG apart, so the first meeting gives d = rF + rG, and
+    ``ahead[rF] & behind[rG]`` holds exactly the vertices at distances rF
+    and rG (an earlier layer cannot meet, as d would be smaller).  A walk
+    back keeps ``ahead[k] & _union(adjacent, kept)``, by induction the
+    vertices at distances k from F and d - k from G: those on shortest
+    paths, as a walk back from G over layers grown from F alone keeps.
+    The path walks forward from F by the least-index kept neighbour, then
+    by the least-index neighbour in ``behind[d - k]``, which is kept too:
+    its distance from F is at least d - (d - k) = k.
 
     This is the shortest path that is lexicographically least by vertex
     position, which is also what a queue search over ascending neighbour
@@ -277,21 +297,22 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     start, goal = index.get(F.elements), index.get(G.elements)
     if start is None or goal is None:
         raise DiagramError("not a maximal nested set of D")
-    unseen = _holding(D, set(F.elements) & set(G.elements))  # the face of F & G
-    target, frontier = 1 << goal, 1 << start
-    unseen ^= frontier
-    layers = [frontier]
-    while not frontier & target:
-        frontier = _union(adjacent, frontier) & unseen
+    face = _holding(D, set(F.elements) & set(G.elements))
+    ahead, behind = [1 << start], [1 << goal]
+    unseen = [face & ~ahead[0], face & ~behind[0]]  # per end, in the order (ahead, behind)
+    while not ahead[-1] & behind[-1]:
+        side = ahead[-1].bit_count() > behind[-1].bit_count()
+        layers = behind if side else ahead
+        frontier = _union(adjacent, layers[-1]) & unseen[side]
         if not frontier:
             raise DiagramError("face of the intersection is disconnected; poset corrupt")
-        unseen ^= frontier
+        unseen[side] ^= frontier
         layers.append(frontier)
-    layers[-1] = kept = target
-    for k in range(len(layers) - 2, 0, -1):
-        layers[k] = kept = layers[k] & _union(adjacent, kept)
+    ahead[-1] = kept = ahead[-1] & behind.pop()
+    for k in range(len(ahead) - 2, 0, -1):
+        ahead[k] = kept = ahead[k] & _union(adjacent, kept)
     path = [start]
-    for layer in layers[1:]:
+    for layer in ahead[1:] + behind[::-1]:
         step = adjacent[path[-1]] & layer
         path.append((step & -step).bit_length() - 1)
     _check_steps(D, F, G, path)
@@ -348,8 +369,8 @@ def _check_steps(D: Diagram, F: NestedSet, G: NestedSet, path) -> None:
     """
     verts, _index, adjacent, _holders = _skeleton(D)
     face = _holding(D, set(F.elements) & set(G.elements))
-    supp_fg, delta = _support(D, F, G)
-    zcomps = components(D, _minus_neighbours(D, supp_fg, delta))
+    supp_fg, zsupp_fg = _support(D, F, G)
+    zcomps = components(D, zsupp_fg)
     kept = _memos(D)[1]
     for i, j in zip(path, path[1:]):
         if not adjacent[i] >> j & 1:
@@ -521,8 +542,8 @@ def sequence_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
 
 def support_json(D: Diagram, F: NestedSet, G: NestedSet) -> dict:
     """Support and central support of the pair (F, G) as vertex lists."""
-    supp, delta = _support(D, F, G)
-    return {"supp": D.vertex_names(supp), "zsupp": D.vertex_names(_minus_neighbours(D, supp, delta))}
+    supp, zsupp = _support(D, F, G)
+    return {"supp": D.vertex_names(supp), "zsupp": D.vertex_names(zsupp)}
 
 
 def presentation_json(D: Diagram) -> dict:

@@ -104,7 +104,15 @@ class MatrixCoefficients:
         return self._spans.get((B, S), self._full)
 
     def validate(self, D: Diagram) -> "MatrixCoefficients":
-        """Check every inclusion the differential uses by building it: its ``CoefficientError``."""
+        """Check every inclusion the differential uses by building it: its ``CoefficientError``.
+
+        An entry no slot of D reads, with B outside D or not connected, is refused first.
+        """
+        for B, S in self.table:
+            if B & ~D.full:
+                raise CoefficientError(f"{_positions(B, S)} has a B that is not a subset of the vertex set")
+            if not is_connected(D, B):
+                raise CoefficientError(f"{_positions(B, S)} has a B that is not connected")
         spaces = [cochain_space(D, self, p) for p in range(D.n + 1)]
         for lo, hi in zip(spaces, spaces[1:]):
             _differential_columns(D, lo, hi)

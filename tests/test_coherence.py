@@ -429,6 +429,85 @@ def test_an_empty_layer_is_a_disconnected_face(monkeypatch):
         good_elementary_sequence(P4, F, G)
 
 
+def test_an_empty_layer_on_gs_side_is_a_disconnected_face(monkeypatch):
+    """A face holding F, G and F's neighbours that are not G's: F's end grows at least two
+    vertices, so G's end, the smaller frontier, grows next and finds nothing."""
+    P4 = path_diagram(4)
+    F, G = ns(P4, [0], [0, 1], [0, 1, 2]), ns(P4, [2], [1, 2], [0, 1, 2])  # two steps apart
+    verts, index, adjacent, holders = nested._skeleton(P4)
+    i, j = index[F.elements], index[G.elements]
+    only_f = adjacent[i] & ~adjacent[j]
+    assert only_f.bit_count() >= 2
+    corrupt = dict(holders)
+    corrupt[0b111] = 1 << i | 1 << j | only_f
+    monkeypatch.setattr(nested, "_skeleton", lambda D: (verts, index, adjacent, corrupt))
+    monkeypatch.setattr(coherence, "_skeleton", nested._skeleton)
+    with pytest.raises(DiagramError, match="face of the intersection is disconnected"):
+        good_elementary_sequence(P4, F, G)
+
+
+@pytest.mark.parametrize("D", [cycle_diagram(7), complete_diagram(6), path_diagram(7)],
+                         ids=["C7", "K6", "P7"])
+def test_good_sequences_match_the_oracle_inside_proper_faces(D):
+    """Pairs sharing a proper tube, so the face searched is smaller than the polytope."""
+    rng = random.Random(35)
+    verts, search = breadth_first_oracle(D)
+    for _ in range(60):
+        i = rng.randrange(len(verts))
+        tube = rng.choice(verts[i].elements[:-1])
+        j = rng.choice([k for k, H in enumerate(verts) if tube in H.elements])
+        assert len(set(verts[i].elements) & set(verts[j].elements)) >= 2
+        assert good_elementary_sequence(D, verts[i], verts[j]) == search(i, j), (i, j)
+
+
+@pytest.mark.parametrize("D", [path_diagram(5), cycle_diagram(5), complete_diagram(4), star_diagram(3)],
+                         ids=["P5", "C5", "K4", "S3"])
+def test_good_sequences_of_adjacent_and_equal_ends_match_the_oracle(D):
+    """d = 1 (an elementary pair is its own sequence) and F = G (the one-vertex sequence)."""
+    verts, search = breadth_first_oracle(D)
+    index = {H.elements: k for k, H in enumerate(verts)}
+    adjacent = list(elementary_pairs(D))
+    assert adjacent
+    for F, G in adjacent:
+        assert good_elementary_sequence(D, F, G) == search(index[F.elements], index[G.elements]) == [F, G]
+    for k, F in enumerate(verts):
+        assert good_elementary_sequence(D, F, F) == search(k, k) == [F]
+
+
+def test_one_pair_query_works_out_the_supports_once():
+    """support, central_support and the search's validation share one memo entry per pair."""
+    C5 = cycle_diagram(5)
+    verts = maximal_nested_sets(C5)
+    far = (verts[0], verts[-1])
+    near = next(elementary_pairs(C5))
+    coherence._pair_supports.cache_clear()
+    for F, G in (far, near):
+        support(C5, F, G)
+        central_support(C5, F, G)
+        good_elementary_sequence(C5, F, G)
+    info = coherence._pair_supports.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_a_warm_pair_memo_still_refuses_a_relabeled_nested_set():
+    """check_maximal runs before the memo is read, so equal elements on another diagram are refused."""
+    E = next(E for E in relabelings(P3, count=5, seed=35) if E != P3)
+    index = nested._skeleton(P3)[1]
+    H = next(H for H in maximal_nested_sets(E) if H.elements in index)
+    F = maximal_nested_sets(P3)[index[H.elements]]
+    G = next(K for K in maximal_nested_sets(P3) if K != F)
+    support(P3, F, G)
+    support(P3, G, F)
+    for ends in ((H, G), (G, H)):
+        with pytest.raises(DiagramError, match="not a maximal nested set of D"):
+            support(P3, *ends)
+
+
+def test_the_pair_memo_is_small_and_bounded():
+    maxsize = coherence._pair_supports.cache_parameters()["maxsize"]
+    assert type(maxsize) is int and 0 < maxsize <= 64
+
+
 def test_support_queries_enumerate_nothing():
     """On K20 support and central support read neither the tube list nor the tube table."""
     D = complete_diagram(20)

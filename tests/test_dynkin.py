@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,6 +247,23 @@ def test_invalid_coefficient_system_rejected():
     )
     with pytest.raises(CoefficientError):
         bad.validate(P3)
+
+
+@pytest.mark.parametrize("B, message", [(0b10000, "has a B that is not a subset of the vertex set"),
+                                        (0b101, "has a B that is not connected")],
+                         ids=["outside", "disconnected"])
+def test_validate_refuses_an_entry_no_slot_reads(B, message, monkeypatch):
+    """On P4, an entry with B outside D or not connected is refused before any differential is built."""
+    import graphassoc.dynkin as dynkin
+
+    M = MatrixCoefficients(1, {(B, 0): [(1,)]})
+    built = []
+    monkeypatch.setattr(dynkin, "cochain_space", lambda *args: built.append(args))
+    monkeypatch.setattr(dynkin, "_differential_columns", lambda *args: built.append(args))
+    want = f"M(B, S) at vertex positions B={list(bits(B))}, S=[] {message}"
+    with pytest.raises(CoefficientError, match=f"^{re.escape(want)}$"):
+        M.validate(path_diagram(4))
+    assert built == []
 
 
 def test_unvalidated_broken_inclusion_fails_in_the_differential():

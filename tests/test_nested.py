@@ -1,6 +1,10 @@
 import copy
+import importlib.util
 import json
 import pickle
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -597,3 +601,24 @@ def test_canonical_sets_enumerate_no_subdiagram():
             if len(alpha) == 2:
                 pair_from_triple(P5, B, *alpha)
     assert _nested_families.cache_info().misses <= 1
+
+
+def test_face_census_rows_add_up(monkeypatch, capsys):
+    """Every row of ``scripts/face_census.py 5``: one word per pentagon or hexagon,
+    and the three 2-face kinds together are f2 of the printed f-vector."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "face_census.py"
+    spec = importlib.util.spec_from_file_location("face_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    monkeypatch.setattr(sys, "argv", ["face_census.py", "5"])
+    census.main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["diagram", "f-vector", "squares", "pentagons", "hexagons", "words"]
+    assert len(rows) == 5 + 3 + 2 + 4  # paths 1-5, cycles 3-5, stars 3-4, complete 2-5
+    for row in rows:
+        name, fvec, squares, pentagons, hexagons, words = re.fullmatch(
+            r"(\S+)\s+(\[[\d, ]+\])\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+)", row).groups()
+        f = json.loads(fvec)
+        squares, pentagons, hexagons, words = map(int, (squares, pentagons, hexagons, words))
+        assert words == pentagons + hexagons, name
+        assert squares + pentagons + hexagons == (f[2] if len(f) > 2 else 0), name
