@@ -191,22 +191,30 @@ def central_support(D: Diagram, F: NestedSet, G: NestedSet) -> int:
     return _support(D, F, G)[1]
 
 
-@lru_cache(maxsize=8)
-def _memos(D: Diagram) -> tuple[dict, dict]:
-    """D's ``tube -> D.neighbors(tube)`` and, per 1-skeleton edge between vertex positions
-    i < j, ``(i, j) -> (support, central support)``; filled on first use."""
-    return {}, {}
+@lru_cache(maxsize=1024)
+def _neighbours(D: Diagram, C: int) -> int:
+    """``D.neighbors(C)``, kept per tube for the central supports."""
+    return D.neighbors(C)
 
 
 def _minus_neighbours(D: Diagram, supp: int, delta) -> int:
     """The central support from a known support: ``supp`` minus the neighbours of Δ."""
-    table = _memos(D)[0]
     for C in delta:
-        near = table.get(C)
-        if near is None:
-            near = table[C] = D.neighbors(C)
-        supp &= ~near
+        supp &= ~_neighbours(D, C)
     return supp
+
+
+@lru_cache(maxsize=4096)
+def _edge_supports(D: Diagram, i: int, j: int) -> tuple[int, int]:
+    """``(support, central support)`` of the 1-skeleton edge between vertex positions i < j,
+    read off its two exchanged tubes, with the edge's meet cross-checked."""
+    verts = _skeleton(D)[0]
+    fs, gs = set(verts[i].elements), set(verts[j].elements)
+    if len(fs - gs) != 1:  # both hold n tubes, so gs - fs has as many
+        raise InvariantError("a 1-skeleton edge must exchange exactly one tube")
+    (b,), (c,) = fs - gs, gs - fs
+    _check_meet(NestedSet(D, tuple(m for m in verts[i].elements if m != b)), b | c)
+    return b | c, _minus_neighbours(D, b | c, (b, c))
 
 
 def are_equivalent(D: Diagram, pair1, pair2) -> bool:
@@ -315,7 +323,7 @@ def good_elementary_sequence(D: Diagram, F: NestedSet, G: NestedSet) -> list[Nes
     for layer in ahead[1:] + behind[::-1]:
         step = adjacent[path[-1]] & layer
         path.append((step & -step).bit_length() - 1)
-    _check_steps(D, F, G, path)
+    _check_steps(D, path, face, *_support(D, F, G))
     return [verts[i] for i in path]
 
 
@@ -356,41 +364,32 @@ def validate_good_sequence(D: Diagram, F: NestedSet, G: NestedSet, seq) -> None:
     path = [index.get(H.elements) for H in seq]
     if None in path:
         raise DiagramError("not a maximal nested set of D")
-    _check_steps(D, F, G, path)
-
-
-def _check_steps(D: Diagram, F: NestedSet, G: NestedSet, path) -> None:
-    """Raise unless the vertex positions ``path``, from F, step as a good sequence to G.
-
-    Every step must be an edge of D's cached 1-skeleton into the face of
-    F & G: from a vertex holding F & G, a step leaves it exactly when it
-    drops one of its tubes.  An edge's supports, read off its two
-    exchanged tubes and cross-checked, are kept in ``_memos`` by vertex pair.
-    """
-    verts, _index, adjacent, _holders = _skeleton(D)
     face = _holding(D, set(F.elements) & set(G.elements))
-    supp_fg, zsupp_fg = _support(D, F, G)
-    zcomps = components(D, zsupp_fg)
-    kept = _memos(D)[1]
+    _check_steps(D, path, face, *_support(D, F, G))
+
+
+def _check_steps(D: Diagram, path, face: int, supp_fg: int, zsupp_fg: int) -> None:
+    """Raise unless the vertex positions ``path`` step as a good sequence of a pair (F, G).
+
+    The caller gives ``face`` (the vertices holding F & G) and the pair's
+    supports.  Every step must be an edge of D's cached 1-skeleton into the
+    face: from a vertex holding F & G, a step leaves it exactly when it
+    drops one of its tubes.  A step's supports are ``_edge_supports``; a
+    central-support component is orthogonal to a step's support exactly
+    when that support misses the component and its neighbours.
+    """
+    adjacent = _skeleton(D)[2]
+    zcomps = [(comp, comp | D.neighbors(comp)) for comp in components(D, zsupp_fg)]
     for i, j in zip(path, path[1:]):
         if not adjacent[i] >> j & 1:
             raise DiagramError("non-elementary step")
         if not face >> j & 1:
             raise DiagramError("step loses the intersection")
-        edge = (i, j) if i < j else (j, i)
-        found = kept.get(edge)
-        if found is None:
-            fs, gs = set(verts[i].elements), set(verts[j].elements)
-            if len(fs - gs) != 1:  # both hold n tubes, so gs - fs has as many
-                raise InvariantError("a 1-skeleton edge must exchange exactly one tube")
-            (b,), (c,) = fs - gs, gs - fs
-            _check_meet(NestedSet(D, tuple(m for m in verts[i].elements if m != b)), b | c)
-            found = kept[edge] = b | c, _minus_neighbours(D, b | c, (b, c))
-        supp_step, zsupp_step = found
+        supp_step, zsupp_step = _edge_supports(D, i, j) if i < j else _edge_supports(D, j, i)
         if supp_step & ~supp_fg:
             raise DiagramError("step support leaves supp(F, G)")
-        for comp in zcomps:
-            if not is_orthogonal(D, comp, supp_step) and comp & ~zsupp_step:
+        for comp, near in zcomps:
+            if near & supp_step and comp & ~zsupp_step:
                 raise DiagramError("central support clause violated")
 
 

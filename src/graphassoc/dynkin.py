@@ -221,7 +221,7 @@ def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) 
 
 def dynkin_basis(D: Diagram, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """Slot labels of degree p: (connected B, ascending alpha of size p)."""
-    if not 0 <= p <= D.n:
+    if type(p) is not int or not 0 <= p <= D.n:
         raise DiagramError(f"degree {p} out of range 0..{D.n}")
     return [(B, alpha) for B in connected_subdiagrams(D) for alpha in combinations(list(bits(B)), p)]
 
@@ -303,7 +303,7 @@ def dynkin_differential(D: Diagram, M: MatrixCoefficients, p: int):
     Rows run over degree p+1, columns over degree p, entries ``Fraction``s;
     the top differential (p = |D|) is the empty matrix.
     """
-    if not 0 <= p <= D.n:
+    if type(p) is not int or not 0 <= p <= D.n:
         raise DiagramError(f"degree {p} out of range 0..{D.n}")
     if p == D.n:
         return []
@@ -345,7 +345,7 @@ def cellular_embedding_g(D: Diagram, M: MatrixCoefficients, k: int, vec):
     k >= 1 yields one ambient vector per cell of dimension k-1 (aligned with
     ``faces(D, k - 1)``), supported on irreducible cells for k >= 2.
     """
-    if not 0 <= k <= D.n:
+    if type(k) is not int or not 0 <= k <= D.n:
         raise DiagramError(f"degree {k} out of range 0..{D.n}")
     if not is_connected(D, D.full):  # degree k >= 1 reads faces(D, k - 1), which checks this too
         raise DiagramError("ambient diagram must be connected")

@@ -90,6 +90,8 @@ def shuffle(beta: int, alpha: int) -> int:
     """Transpositions moving beta (in alpha) to alpha's front: per v in beta, alpha - beta below v."""
     if beta < 0 or alpha < 0:
         raise DiagramError(f"mask {min(beta, alpha):#x} is negative")
+    if beta & ~alpha:
+        raise DiagramError("beta must be a subset of alpha")
     rest, count = alpha & ~beta, 0
     while beta:
         v = beta & -beta
@@ -205,7 +207,7 @@ def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
     Rows are (k-1)-cells, columns k-cells; for ``k = 0`` the matrix has
     no rows.
     """
-    if not 0 <= k <= D.n - 1:
+    if type(k) is not int or not 0 <= k <= D.n - 1:
         raise DiagramError(f"dimension {k} out of range")
     boundary = cell_complex(D)[1]
     M = [[0] * len(boundary[k]) for _ in boundary[k - 1]] if k else []

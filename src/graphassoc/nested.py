@@ -249,7 +249,7 @@ def maximal_nested_sets(D: Diagram) -> tuple[NestedSet, ...]:
 
 def faces(D: Diagram, dim: int) -> tuple[NestedSet, ...]:
     """All faces of the given dimension (nested sets of cardinality |D|-dim)."""
-    if not 0 <= dim <= D.n - 1:
+    if type(dim) is not int or not 0 <= dim <= D.n - 1:  # a float or a bool is no dimension
         raise DiagramError(f"dimension {dim} out of range 0..{D.n - 1}")
     families, size = _nested_families(D), D.n - dim
     return families[bisect_left(families, size, key=len):bisect_right(families, size, key=len)]
@@ -338,10 +338,10 @@ def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
     return {z: component_containing(D, 1 << z, alpha & ~(1 << z), within=B) for z in bits(alpha)}
 
 
-@lru_cache(maxsize=8)
-def _split_table(D: Diagram) -> dict:
-    """D's ``(B, alpha) -> split_components(D, B, alpha)``, filled once per key by ``two_face_split``."""
-    return {}
+@lru_cache(maxsize=4096)
+def _split(D: Diagram, B: int, alpha: int) -> dict[int, int]:
+    """``split_components(D, B, alpha)``, kept per key; ``two_face_split`` hands out copies."""
+    return split_components(D, B, alpha)
 
 
 def _non_square_key(H: NestedSet):
@@ -357,18 +357,14 @@ def two_face_split(D: Diagram, H: NestedSet):
     unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, read off
     ``split`` by the quotient lemma: a triangle (hexagon face) when all
     three splits are nonzero, else a path (pentagon face).  ``split`` is
-    a fresh copy of D's ``_split_table`` entry.
+    a fresh copy of the cached ``_split(D, B, alpha)``.
     """
     if H.dim != 2:
         raise DiagramError("classification needs a 2-dimensional face")
     key = _non_square_key(H)
     if key is None:
         return None
-    table = _split_table(D)
-    split = table.get(key)
-    if split is None:
-        split = table[key] = split_components(D, *key)
-    return (*key, dict(split))
+    return (*key, dict(_split(D, *key)))
 
 
 def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:

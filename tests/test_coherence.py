@@ -539,10 +539,30 @@ def test_edge_cache_never_skips_the_support_cross_check(monkeypatch):
     F, G = ns(P4, [0, 1, 2], [0, 1], [0]), ns(P4, [1, 2, 3], [2, 3], [3])
     assert not is_elementary(F, G)
     coherence._skeleton.cache_clear()
-    coherence._memos.cache_clear()
+    coherence._edge_supports.cache_clear()
     monkeypatch.setattr(NestedSet, "unsaturated", lambda self: [])
     with pytest.raises(InvariantError):
         good_elementary_sequence(P4, F, G)
+
+
+def test_a_sequence_query_reads_the_face_of_the_meet_once(monkeypatch):
+    """A search with F != G works out the face of F & G once and hands it to the
+    step check; the validator works it out once."""
+    D = cycle_diagram(5)
+    calls = []
+    holding = nested._holding
+
+    def counting(*args):
+        calls.append(args)
+        return holding(*args)
+
+    monkeypatch.setattr(coherence, "_holding", counting)
+    verts = maximal_nested_sets(D)
+    F, G = verts[0], verts[-1]
+    seq = good_elementary_sequence(D, F, G)
+    assert len(seq) > 2 and len(calls) == 1
+    validate_good_sequence(D, F, G, seq)
+    assert len(calls) == 2
 
 
 def test_steps_must_join_enumerated_vertices():
@@ -637,7 +657,7 @@ def test_support_clauses_read_each_edges_kept_supports(monkeypatch):
     refuse an edge whose kept supports do, each with its own message."""
     index = nested._skeleton(P3)[1]
     kept = {}
-    monkeypatch.setattr(coherence, "_memos", lambda D: ({}, kept))
+    monkeypatch.setattr(coherence, "_edge_supports", lambda D, i, j: kept[i, j])
     F, G = ns(P3, [0, 1], [0]), ns(P3, [0, 1], [1])  # supp(F, G) = {0, 1}
     edge = tuple(sorted((index[F.elements], index[G.elements])))
     kept[edge] = (P3.full, 0)
@@ -648,9 +668,12 @@ def test_support_clauses_read_each_edges_kept_supports(monkeypatch):
     kept[edge] = (P3.full, 0)
     with pytest.raises(DiagramError, match="^central support clause violated$"):
         validate_good_sequence(P3, F, G, [F, G])
-    kept.clear()
+    monkeypatch.undo()
+    coherence._edge_supports.cache_clear()
     validate_good_sequence(P3, F, G, [F, G])
-    assert kept[edge] == (P3.full, 0b001)
+    assert coherence._edge_supports.cache_info().currsize == 1
+    assert coherence._edge_supports(P3, *edge) == (P3.full, 0b001)
+    assert coherence._edge_supports.cache_info().hits == 1
 
 
 def test_pair_queries_leave_the_skeleton_unchanged():
@@ -680,7 +703,7 @@ def test_a_corrupted_edge_is_an_invariant_error_when_its_supports_are_first_read
     corrupt[i] |= 1 << j
     corrupt[j] |= 1 << i
     monkeypatch.setattr(coherence, "_skeleton", lambda D: (verts, index, tuple(corrupt), holders))
-    monkeypatch.setattr(coherence, "_memos", lambda D: ({}, {}))
+    monkeypatch.setattr(coherence, "_edge_supports", coherence._edge_supports.__wrapped__)
     with pytest.raises(InvariantError, match="exchange exactly one tube"):
         validate_good_sequence(P4, F, G, [F, G])
 
@@ -778,7 +801,7 @@ def test_two_face_consumers_split_each_b_alpha_once(monkeypatch):
         return split_components(*args)
 
     monkeypatch.setattr(nested, "split_components", counting)
-    nested._split_table.cache_clear()
+    nested._split.cache_clear()
     nested.two_faces(D)
     by_key = {}
     for H, word in relations_by_face(D):
@@ -993,7 +1016,7 @@ def test_presentation_json_splits_and_encodes_each_distinct_word_once(monkeypatc
 
     monkeypatch.setattr(nested, "split_components", counting_split)
     monkeypatch.setattr(coherence, "_letter_json", counting_letter)
-    nested._split_table.cache_clear()
+    nested._split.cache_clear()
     doc = presentation_json(D)
     keys = {H.unsaturated()[0] for H in faces(D, 2) if len(H.unsaturated()) == 1}
     assert sorted(splits) == sorted(keys)

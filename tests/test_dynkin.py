@@ -27,7 +27,7 @@ from graphassoc.dynkin import (
     verify_chain_map,
 )
 from graphassoc.homology import boundary_matrix, chain_basis
-from graphassoc.nested import NestedSet, faces
+from graphassoc.nested import NestedSet, face_poset_json, faces
 from conftest import (
     complete_diagram,
     connected_reps,
@@ -439,6 +439,24 @@ def test_whole_fraction_entries_are_stored_as_ints():
     doc = {"ambient_dim": 2, "subspaces": [{"B": ["1"], "S": ["1"], "basis": [["4/2", 1.5]]}]}
     (vector,) = MatrixCoefficients.from_json(P2, doc).table[(1, 1)]
     assert [(type(x), x) for x in vector] == [(int, 2), (Fraction, Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("degree", [1.5, True], ids=["float", "bool"])
+def test_a_degree_that_is_not_an_int_is_out_of_range(degree):
+    """Every degree or dimension check refuses a non-int, a bool included, with its range error."""
+    D = path_diagram(3)
+    entries = {
+        "faces": lambda: faces(D, degree),
+        "chain_basis": lambda: chain_basis(D, degree),
+        "face_poset_json": lambda: face_poset_json(D, degree),
+        "boundary_matrix": lambda: boundary_matrix(D, degree),
+        "dynkin_basis": lambda: dynkin_basis(D, degree),
+        "dynkin_differential": lambda: dynkin_differential(D, CONST, degree),
+        "cellular_embedding_g": lambda: cellular_embedding_g(D, CONST, degree, [1]),
+    }
+    for name, call in entries.items():
+        with pytest.raises(DiagramError, match=rf"^(dimension|degree) {degree} out of range"):
+            call()
 
 
 def test_g_refuses_a_disconnected_diagram_in_every_degree():

@@ -220,6 +220,15 @@ def test_shuffle_refuses_a_negative_alpha():
         shuffle(3, -1)
 
 
+@pytest.mark.parametrize("beta, alpha", [(0b100, 0b011), (0b001, 0), (0b110, 0b011), (0b1000, 0b0111)])
+def test_shuffle_refuses_a_beta_outside_alpha(beta, alpha):
+    """The count is defined for beta inside alpha only, as the walking oracle requires."""
+    with pytest.raises(DiagramError):
+        shuffle_number(tuple(bits(beta)), tuple(bits(alpha)))
+    with pytest.raises(DiagramError, match="^beta must be a subset of alpha$"):
+        shuffle(beta, alpha)
+
+
 def bubble_count(beta, alpha):
     """Oracle: literally bubble the beta elements to the front."""
     seq = list(alpha)

@@ -26,7 +26,7 @@ from graphassoc.nested import (
     TwoFace,
     _nested_families,
     _skeleton,
-    _split_table,
+    _split,
     all_nested_sets,
     ascending_chain,
     classify_two_face,
@@ -460,9 +460,9 @@ SPLIT_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
 
 @pytest.mark.parametrize("D", SPLIT_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
 def test_two_face_split_table_matches_recomputation(D):
-    """Cold and warm reads of the (B, alpha) split table equal a table-free
+    """Cold and warm reads of the (B, alpha) split cache equal a cache-free
     recomputation, and mutating a returned split changes no later answer."""
-    _split_table.cache_clear()
+    _split.cache_clear()
     keys = set()
     for H in faces(D, 2) if D.n >= 3 else ():
         unsat = H.unsaturated()
@@ -473,7 +473,12 @@ def test_two_face_split_table_matches_recomputation(D):
             if found is not None:
                 found[2].clear()
                 keys.add(unsat[0])
-    assert set(_split_table(D)) == keys
+    info = _split.cache_info()
+    assert info.misses == len(keys)
+    for key in keys:
+        _split(D, *key)
+    assert _split.cache_info().hits == info.hits + len(keys)
+    assert _split.cache_info().misses == len(keys)
 
 
 def test_paths_have_no_hexagons_star_does():

@@ -149,18 +149,34 @@ def test_fractions_are_built_only_at_public_boundaries():
     assert callers and callers <= allowed, sorted(callers - allowed)
 
 
+def _empty_container(node) -> bool:
+    """A literal empty dict, list or set (``{}``, ``[]``, ``dict()``...), or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return bool(node.elts) and all(map(_empty_container, node.elts))
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+
 def test_library_caches_are_bounded():
-    """Every ``lru_cache`` in the library has a literal finite ``maxsize``.
+    """Every ``lru_cache`` in the library is a decorator with a literal finite
+    ``maxsize``, and caches a value, not a container its callers fill.
 
     An unbounded cache keeps every diagram it has seen for the life of the
-    process.
+    process.  A cache written as ``lru_cache(...)(f)`` would escape the
+    decorator scan, and a cached function returning an empty container
+    hands out hidden mutable state that each caller fills by hand.
     """
     allowed = set()
-    cached, unbounded = [], []
+    cached, unbounded, wrapped, fill_in = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            decorators.update(map(id, node.decorator_list))
             for dec in node.decorator_list:
                 call = dec if isinstance(dec, ast.Call) else None
                 func = call.func if call else dec
@@ -173,8 +189,18 @@ def test_library_caches_are_bounded():
                                       and type(args[0].value) is int)
                 if name == "cache" or not finite:
                     unbounded.append(node.name)
+                returns = [r.value for r in ast.walk(node) if isinstance(r, ast.Return)]
+                if any(_empty_container(value) for value in returns):
+                    fill_in.append(node.name)
+        for node in ast.walk(tree):  # lru_cache(...)(f), lru_cache(f) or cache(f): not a decorator
+            func = getattr(node, "func", None)
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if isinstance(node, ast.Call) and name in ("lru_cache", "cache") and id(node) not in decorators:
+                wrapped.append(f"{path.name}:{node.lineno}")
     assert {"_skeleton", "cell_complex"} <= set(cached)
     assert set(unbounded) <= allowed, sorted(set(unbounded) - allowed)
+    assert wrapped == []
+    assert fill_in == []
 
 
 def test_cli_import_loads_no_heavy_modules():
