@@ -20,6 +20,7 @@ from .diagram import (
     Value,
     _union,
     bits,
+    check_index,
     component_containing,
     components,
     is_connected,
@@ -27,15 +28,14 @@ from .diagram import (
 )
 from .nested import (
     NestedSet,
-    TwoFace,
     _holding,
     _non_square_key,
+    _shape,
     _skeleton,
     connected_subdiagrams,
     faces,
     irreducible_cell,
     maximal_nested_sets,
-    two_face_split,
 )
 
 
@@ -104,7 +104,7 @@ def _check_pair(B: int, i: int, j: int) -> None:
     """Refuse a vertex pair that is not two distinct vertices of the positive mask ``B``."""
     if i == j:
         raise DiagramError("the two vertices must be distinct")
-    if B <= 0 or i < 0 or j < 0 or not (B >> i & 1 and B >> j & 1):
+    if not type(i) is type(j) is int or B <= 0 or i < 0 or j < 0 or not (B >> i & 1 and B >> j & 1):
         raise DiagramError("both vertices must lie in B")
 
 
@@ -416,9 +416,10 @@ def general_associator_letters(D: Diagram, G: NestedSet, F: NestedSet) -> list[L
 def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
     """Pairs (2-face, coherence word) for the pentagonal and hexagonal 2-faces.
 
-    Both words walk the hexagon; a pentagon's split pair (j, k) has an
-    empty component, and its letter is dropped.  A word depends only on
-    the face's (B, alpha), so it is split and built once and shared by those faces.
+    Both words walk the hexagon over the alpha vertices (i, j, k) in
+    ``nested._shape`` order; a pentagon's i is the quotient's middle, so
+    its split is empty and that letter is dropped.  A word depends only on
+    the face's (B, alpha), so it is built once and shared by those faces.
     """
     out, words = [], {}
     for H in faces(D, 2) if D.n >= 3 else ():
@@ -426,14 +427,8 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
         if key is None:
             continue
         if key not in words:
-            B, alpha, split = two_face_split(D, H)
-            i, j, k = split  # the alpha vertices, ascending
-            empty = [z for z in split if not split[z]]
-            kind = TwoFace.PENTAGON if empty else TwoFace.HEXAGON
-            if empty:
-                # relabel so the empty split is at i, the quotient middle
-                (i,) = empty
-                j, k = [z for z in split if z != i]
+            kind, (i, j, k), split = _shape(D, *key)
+            B = key[0]
             letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
                        (B, j, k), (split[k], j, i)]
             word = tuple(associator_letter(*letter) for letter in letters if letter[0])
@@ -489,8 +484,7 @@ def monodromy_word(D: Diagram, F: NestedSet, i: int) -> RelationWord:
     maximal nested set through {i} is expanded into elementary letters.
     """
     F.check_maximal(D)
-    if not 0 <= i < D.n:
-        raise DiagramError(f"vertex {i} out of range 0..{D.n - 1}")
+    check_index(i, D.n - 1, "vertex")
     single = 1 << i
     if single in F.elements:
         return RelationWord("monodromy", ((LocalGenerator(i), 1),))

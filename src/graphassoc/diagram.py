@@ -55,6 +55,12 @@ def _union(rows, mask: int) -> int:
     return out
 
 
+def check_index(value, top: int, noun: str) -> None:
+    """Refuse a degree, dimension or vertex that is not an int in ``0..top``; a bool is none."""
+    if type(value) is not int or not 0 <= value <= top:
+        raise DiagramError(f"{noun} {value} out of range 0..{top}")
+
+
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
@@ -211,7 +217,7 @@ class Diagram(Value):
 
     def label(self, i: int, j: int) -> float:
         """The multiplicity m_ij; 2 exactly when i and j are non-adjacent."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
+        if not (type(i) is type(j) is int and 0 <= i < self.n and 0 <= j < self.n):  # no bool
             raise DiagramError(f"vertex index out of range 0..{self.n - 1}")
         if i == j:
             raise DiagramError("no label on a vertex pair (i, i)")

@@ -32,6 +32,7 @@ from .diagram import (
     DiagramError,
     Value,
     bits,
+    check_index,
     component_containing,
     components,
     is_connected,
@@ -104,7 +105,7 @@ class MatrixCoefficients:
         return self._spans.get((B, S), self._full)
 
     def validate(self, D: Diagram) -> "MatrixCoefficients":
-        """Check every inclusion the differential uses by building it: its ``CoefficientError``.
+        """Check every inclusion the differential uses: ``dynkin_complex`` raises its ``CoefficientError``.
 
         An entry no slot of D reads, with B outside D or not connected, is refused first.
         """
@@ -113,9 +114,7 @@ class MatrixCoefficients:
                 raise CoefficientError(f"{_positions(B, S)} has a B that is not a subset of the vertex set")
             if not is_connected(D, B):
                 raise CoefficientError(f"{_positions(B, S)} has a B that is not connected")
-        spaces = [cochain_space(D, self, p) for p in range(D.n + 1)]
-        for lo, hi in zip(spaces, spaces[1:]):
-            _differential_columns(D, lo, hi)
+        dynkin_complex(D, self)
         return self
 
     def to_json(self, D: Diagram) -> dict:
@@ -221,8 +220,7 @@ def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) 
 
 def dynkin_basis(D: Diagram, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """Slot labels of degree p: (connected B, ascending alpha of size p)."""
-    if type(p) is not int or not 0 <= p <= D.n:
-        raise DiagramError(f"degree {p} out of range 0..{D.n}")
+    check_index(p, D.n, "degree")
     return [(B, alpha) for B in connected_subdiagrams(D) for alpha in combinations(list(bits(B)), p)]
 
 
@@ -303,8 +301,7 @@ def dynkin_differential(D: Diagram, M: MatrixCoefficients, p: int):
     Rows run over degree p+1, columns over degree p, entries ``Fraction``s;
     the top differential (p = |D|) is the empty matrix.
     """
-    if type(p) is not int or not 0 <= p <= D.n:
-        raise DiagramError(f"degree {p} out of range 0..{D.n}")
+    check_index(p, D.n, "degree")
     if p == D.n:
         return []
     src, dst = cochain_space(D, M, p), cochain_space(D, M, p + 1)
@@ -315,6 +312,13 @@ def dynkin_differential(D: Diagram, M: MatrixCoefficients, p: int):
     return rows
 
 
+def dynkin_complex(D: Diagram, M: MatrixCoefficients):
+    """``(spaces, differentials)``: the cochain spaces of degrees 0..|D| and each differential
+    as ``_differential_columns``, the counterpart of ``homology.cell_complex``."""
+    spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
+    return spaces, [_differential_columns(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
+
+
 def _rat_rank(cols) -> int:
     """Rank of a Dynkin differential given as columns: a name of its own, so traces can time it."""
     return len(eliminate(cols, unit_pivots=False)[0])
@@ -322,9 +326,8 @@ def _rat_rank(cols) -> int:
 
 def _cohomology(D: Diagram, M: MatrixCoefficients):
     """Cochain dimensions and cohomology dimensions in degrees 0..|D|."""
-    spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
-    ranks = [_rat_rank(_differential_columns(D, lo, hi)) for lo, hi in zip(spaces, spaces[1:])]
-    ranks.append(0)
+    spaces, diffs = dynkin_complex(D, M)
+    ranks = [*map(_rat_rank, diffs), 0]
     dims = [space.dim for space in spaces]
     return dims, [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(D.n + 1)]
 
@@ -345,8 +348,7 @@ def cellular_embedding_g(D: Diagram, M: MatrixCoefficients, k: int, vec):
     k >= 1 yields one ambient vector per cell of dimension k-1 (aligned with
     ``faces(D, k - 1)``), supported on irreducible cells for k >= 2.
     """
-    if type(k) is not int or not 0 <= k <= D.n:
-        raise DiagramError(f"degree {k} out of range 0..{D.n}")
+    check_index(k, D.n, "degree")
     if not is_connected(D, D.full):  # degree k >= 1 reads faces(D, k - 1), which checks this too
         raise DiagramError("ambient diagram must be connected")
     space = cochain_space(D, M, k)
@@ -410,7 +412,6 @@ def verify_chain_map(
     M: MatrixCoefficients,
     trials: int,
     rng: random.Random | None = None,
-    dynkin_diff=_differential_columns,
 ) -> ChainMapReport:
     """Prove d_cell . g = g . d_D and the injectivity of g^k for k >= 2, on the slot bases.
 
@@ -420,14 +421,12 @@ def verify_chain_map(
     column i of degree k+1 over the entries v_i of differential column j.
     For k >= 2 a cell reads at most one slot, so g^k is injective once each
     slot's irreducible cell reads it: a slot's echelon rows are independent.
-    ``trials`` must be at least 1; it and ``rng`` are accepted and unused.
-    Each degree's differential is ``dynkin_diff(D, src, dst)``, as columns
-    on the cochain spaces built here.
+    The spaces and differentials are ``dynkin_complex``'s.  ``trials`` must
+    be at least 1; it and ``rng`` are accepted and unused.
     """
     if trials < 1:
         raise DiagramError("need at least one trial")
-    spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
-    diffs = [dynkin_diff(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
+    spaces, diffs = dynkin_complex(D, M)
     boundary = cell_complex(D)[1]
     feeds = [_feeds(D, space) for space in spaces]
     leads = [_leads(space) for space in spaces]
@@ -473,9 +472,8 @@ def dynkin_json(D: Diagram, M: MatrixCoefficients) -> dict:
 def load_coefficients(D: Diagram, path: str | None) -> MatrixCoefficients:
     """CLI helper: parse a coefficient-system JSON file, defaulting to Constant.
 
-    The system is not ``validate``d here: ``_cohomology`` builds each differential
-    once, in the same degree order, and raises a broken inclusion's
-    ``CoefficientError`` there.
+    The system is not ``validate``d here: ``_cohomology`` builds the same
+    ``dynkin_complex`` and raises a broken inclusion's ``CoefficientError`` there.
     """
     if path is None:
         return ConstantCoefficients()

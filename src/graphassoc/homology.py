@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from ._ratlinalg import columns, eliminate
-from .diagram import Diagram, DiagramError, InvariantError, Value, bits
+from .diagram import Diagram, DiagramError, InvariantError, Value, bits, check_index
 from .nested import NestedSet, _tube_table, enumeration_key, faces
 
 
@@ -207,8 +207,7 @@ def boundary_matrix(D: Diagram, k: int) -> list[list[int]]:
     Rows are (k-1)-cells, columns k-cells; for ``k = 0`` the matrix has
     no rows.
     """
-    if type(k) is not int or not 0 <= k <= D.n - 1:
-        raise DiagramError(f"dimension {k} out of range")
+    check_index(k, D.n - 1, "dimension")
     boundary = cell_complex(D)[1]
     M = [[0] * len(boundary[k]) for _ in boundary[k - 1]] if k else []
     for c, col in enumerate(boundary[k]):

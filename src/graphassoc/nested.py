@@ -24,6 +24,7 @@ from .diagram import (
     DiagramError,
     Value,
     bits,
+    check_index,
     component_containing,
     components,
     induced,
@@ -249,8 +250,7 @@ def maximal_nested_sets(D: Diagram) -> tuple[NestedSet, ...]:
 
 def faces(D: Diagram, dim: int) -> tuple[NestedSet, ...]:
     """All faces of the given dimension (nested sets of cardinality |D|-dim)."""
-    if type(dim) is not int or not 0 <= dim <= D.n - 1:  # a float or a bool is no dimension
-        raise DiagramError(f"dimension {dim} out of range 0..{D.n - 1}")
+    check_index(dim, D.n - 1, "dimension")
     families, size = _nested_families(D), D.n - dim
     return families[bisect_left(families, size, key=len):bisect_right(families, size, key=len)]
 
@@ -339,13 +339,23 @@ def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _split(D: Diagram, B: int, alpha: int) -> dict[int, int]:
-    """``split_components(D, B, alpha)``, kept per key; ``two_face_split`` hands out copies."""
-    return split_components(D, B, alpha)
+def _shape(D: Diagram, B: int, alpha: int):
+    """``(kind, (i, j, k), split)`` of a 2-face whose one unsaturated element B has ``alpha``.
+
+    By the quotient lemma of ``split_components``, ``B / i_H(B)`` is a triangle
+    (a hexagon) when all three splits are nonzero, else a path (a pentagon)
+    whose middle, first in the order, has the empty split; the other vertices
+    ascend.  The cached ``split`` is read-only.
+    """
+    split = split_components(D, B, alpha)
+    order = tuple(sorted(split, key=lambda z: split[z] != 0))  # stable: ascending otherwise
+    return (TwoFace.HEXAGON if split[order[0]] else TwoFace.PENTAGON), order, split
 
 
 def _non_square_key(H: NestedSet):
     """A 2-face's unsaturated ``(B, alpha)``; ``None`` if two unsaturated elements make a square."""
+    if H.dim != 2:
+        raise DiagramError("classification needs a 2-dimensional face")
     unsat = H._unsaturated_pass()
     return None if len(unsat) == 2 else unsat[0]
 
@@ -354,25 +364,17 @@ def two_face_split(D: Diagram, H: NestedSet):
     """The shape of a 2-face: ``None`` for a square, else ``(B, alpha, split)``.
 
     A square is read off ``_non_square_key``.  Otherwise the single
-    unsaturated element B has a 3-vertex quotient ``B / i_H(B)``, read off
-    ``split`` by the quotient lemma: a triangle (hexagon face) when all
-    three splits are nonzero, else a path (pentagon face).  ``split`` is
-    a fresh copy of the cached ``_split(D, B, alpha)``.
+    unsaturated element B has a 3-vertex alpha, and ``split`` is a fresh
+    copy of the ``split_components`` that ``_shape(D, B, alpha)`` keeps.
     """
-    if H.dim != 2:
-        raise DiagramError("classification needs a 2-dimensional face")
     key = _non_square_key(H)
-    if key is None:
-        return None
-    return (*key, dict(_split(D, *key)))
+    return None if key is None else (*key, dict(_shape(D, *key)[2]))
 
 
 def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:
-    """Classify a 2-face by the shape of its unsaturated quotient (see ``two_face_split``)."""
-    face = two_face_split(D, H)
-    if face is None:
-        return TwoFace.SQUARE
-    return TwoFace.HEXAGON if all(face[2].values()) else TwoFace.PENTAGON
+    """Classify a 2-face: a square by ``_non_square_key``, else the kind ``_shape`` reads."""
+    key = _non_square_key(H)
+    return TwoFace.SQUARE if key is None else _shape(D, *key)[0]
 
 
 def two_faces(D: Diagram) -> list[tuple[NestedSet, TwoFace]]:

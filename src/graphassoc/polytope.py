@@ -67,9 +67,12 @@ def make_realization(D: Diagram, overrides=None) -> Realization:
 
     Overrides give a positive weight to each connected subdiagram and no
     other mask; ``_gap`` must be positive on every incompatible pair of tubes.
+    A weight is an int or a ``Fraction``: a bool, a float or a string is none.
     """
     if overrides is None:
         overrides = {m: 3 ** bin(m).count("1") for m in connected_subdiagrams(D)}
+    if bad := [m for m, c in overrides.items() if type(c) is not int and type(c) is not Fraction]:
+        raise RealizationError(f"weight of {_name(D, bad[0])} is not an int or a Fraction")
     table = {m: Fraction(c) for m, c in overrides.items()}
     R = Realization(D, tuple(sorted(table.items())))
     for m, c in R.weights:

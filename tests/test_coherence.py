@@ -801,7 +801,7 @@ def test_two_face_consumers_split_each_b_alpha_once(monkeypatch):
         return split_components(*args)
 
     monkeypatch.setattr(nested, "split_components", counting)
-    nested._split.cache_clear()
+    nested._shape.cache_clear()
     nested.two_faces(D)
     by_key = {}
     for H, word in relations_by_face(D):
@@ -958,6 +958,23 @@ def test_pair_entries_refuse_a_negative_vertex_index(call):
         call()
 
 
+@pytest.mark.parametrize("vertex", [1.5, True], ids=["float", "bool"])
+def test_a_vertex_index_that_is_not_an_int_is_refused(vertex):
+    """A float or a bool is no vertex index: each entry refuses it with its own message."""
+    F = ns(P3, [0, 1], [0])
+    entries = {
+        "label": (lambda: P3.label(vertex, 2), "vertex index out of range 0..2"),
+        "monodromy_word": (lambda: monodromy_word(P3, F, vertex), f"vertex {vertex} out of range 0..2"),
+        "associator_letter": (lambda: associator_letter(7, vertex, 2), "both vertices must lie in B"),
+        "twist_associator": (lambda: twist_associator(P3, 7, vertex, 2), "both vertices must lie in B"),
+        "pair_from_triple": (lambda: pair_from_triple(P3, 7, vertex, 2), "both vertices must lie in B"),
+    }
+    for name, (call, message) in entries.items():
+        with pytest.raises(DiagramError) as err:
+            call()
+        assert str(err.value) == message, name
+
+
 # -- presentation export ---------------------------------------------------------------
 
 
@@ -1016,7 +1033,7 @@ def test_presentation_json_splits_and_encodes_each_distinct_word_once(monkeypatc
 
     monkeypatch.setattr(nested, "split_components", counting_split)
     monkeypatch.setattr(coherence, "_letter_json", counting_letter)
-    nested._split.cache_clear()
+    nested._shape.cache_clear()
     doc = presentation_json(D)
     keys = {H.unsaturated()[0] for H in faces(D, 2) if len(H.unsaturated()) == 1}
     assert sorted(splits) == sorted(keys)

@@ -25,8 +25,8 @@ from graphassoc.nested import (
     NestedSet,
     TwoFace,
     _nested_families,
+    _shape,
     _skeleton,
-    _split,
     all_nested_sets,
     ascending_chain,
     classify_two_face,
@@ -462,7 +462,7 @@ SPLIT_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
 def test_two_face_split_table_matches_recomputation(D):
     """Cold and warm reads of the (B, alpha) split cache equal a cache-free
     recomputation, and mutating a returned split changes no later answer."""
-    _split.cache_clear()
+    _shape.cache_clear()
     keys = set()
     for H in faces(D, 2) if D.n >= 3 else ():
         unsat = H.unsaturated()
@@ -473,12 +473,12 @@ def test_two_face_split_table_matches_recomputation(D):
             if found is not None:
                 found[2].clear()
                 keys.add(unsat[0])
-    info = _split.cache_info()
+    info = _shape.cache_info()
     assert info.misses == len(keys)
     for key in keys:
-        _split(D, *key)
-    assert _split.cache_info().hits == info.hits + len(keys)
-    assert _split.cache_info().misses == len(keys)
+        _shape(D, *key)
+    assert _shape.cache_info().hits == info.hits + len(keys)
+    assert _shape.cache_info().misses == len(keys)
 
 
 def test_paths_have_no_hexagons_star_does():

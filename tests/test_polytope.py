@@ -100,6 +100,18 @@ def test_only_connected_subdiagrams_take_weights():
         assert str(err.value) == f"weight for {named}, not a connected subdiagram"
 
 
+@pytest.mark.parametrize("weight", ["x", float("nan"), None, float("inf"), True, 1.5, 3.0, "3"],
+                         ids=["str", "nan", "none", "inf", "bool", "float", "whole-float", "digits"])
+def test_a_weight_that_is_not_an_int_or_a_fraction_is_a_realization_error(weight):
+    table = {m: Fraction(3) ** bin(m).count("1") for m in connected_subdiagrams(P3)}
+    table[0b010] = weight
+    with pytest.raises(RealizationError) as err:
+        make_realization(P3, table)
+    assert str(err.value) == "weight of ['2'] is not an int or a Fraction"
+    table[0b010] = 3  # an int is admitted
+    assert make_realization(P3, table).weight(0b010) == 3
+
+
 def postnikov(D, y):
     """Postnikov's Minkowski sum of simplices: c(S) = sum of y(B) over the tubes B inside S."""
     tubes = connected_subdiagrams(D)

@@ -58,6 +58,32 @@ def test_spans_are_built_only_in_the_solve_cache():
     assert calls == [("_ratlinalg.py", "_solve_cached")]
 
 
+def _callers(name):
+    """The ``(file, top-level definition)`` of every call of ``name(...)`` in the library."""
+    return {
+        (path.name, getattr(top, "name", None))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+    }
+
+
+def test_each_rule_has_one_home():
+    """The 2-face splits and the Dynkin cochain spaces are each built in one place.
+
+    ``split_components`` runs only in ``nested._shape``, whose cache every
+    2-face consumer reads.  ``cochain_space`` runs only in ``dynkin_complex``,
+    which validation, cohomology and the chain-map check read, and in the two
+    entries that build one or two degrees of their own.
+    """
+    assert _callers("split_components") == {("nested.py", "_shape")}
+    assert _callers("cochain_space") == {("dynkin.py", "dynkin_complex"),
+                                         ("dynkin.py", "dynkin_differential"),
+                                         ("dynkin.py", "cellular_embedding_g")}
+
+
 def _library_attributes_read(tree):
     """The ``(module, name)`` pairs a benchmark file reads off ``graphassoc`` modules.
 
