@@ -416,10 +416,11 @@ def general_associator_letters(D: Diagram, G: NestedSet, F: NestedSet) -> list[L
 def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
     """Pairs (2-face, coherence word) for the pentagonal and hexagonal 2-faces.
 
-    Both words walk the hexagon over the alpha vertices (i, j, k) in
-    ``nested._shape`` order; a pentagon's i is the quotient's middle, so
-    its split is empty and that letter is dropped.  A word depends only on
-    the face's (B, alpha), so it is built once and shared by those faces.
+    Both words walk the hexagon over the alpha vertices (i, j, k) and their
+    splits, unpacked from ``nested._shape`` in word order; a pentagon's i is
+    the quotient's middle, so its split is empty and that letter is dropped.
+    A word depends only on the face's (B, alpha), so it is built once and
+    shared by those faces.
     """
     out, words = [], {}
     for H in faces(D, 2) if D.n >= 3 else ():
@@ -427,10 +428,9 @@ def relations_by_face(D: Diagram) -> list[tuple[NestedSet, RelationWord]]:
         if key is None:
             continue
         if key not in words:
-            kind, (i, j, k), split = _shape(D, *key)
+            kind, ((i, s_i), (j, s_j), (k, s_k)) = _shape(D, *key)
             B = key[0]
-            letters = [(B, k, i), (split[i], k, j), (B, i, j), (split[j], i, k),
-                       (B, j, k), (split[k], j, i)]
+            letters = [(B, k, i), (s_i, k, j), (B, i, j), (s_j, i, k), (B, j, k), (s_k, j, i)]
             word = tuple(associator_letter(*letter) for letter in letters if letter[0])
             words[key] = RelationWord(f"{kind.value}{len(word)}", word)
         out.append((H, words[key]))

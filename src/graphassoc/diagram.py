@@ -163,9 +163,11 @@ class Diagram(Value):
                 if not self.adj[j] & (1 << i):
                     raise DiagramError("adjacency not symmetric")
         for (i, j), label in self.edge_labels:
+            if not (type(i) is type(j) is int and 0 <= min(i, j) <= max(i, j) < len(names)):  # no bool
+                raise DiagramError("edge endpoint out of range")
             if not self.adj[i] & (1 << j):
                 raise DiagramError("label on a non-edge")
-            if label != INFINITY and (label < 3 or label != int(label)):
+            if not (label == INFINITY or type(label) is int and label >= 3):  # nor 3.0 nor True
                 raise DiagramError(f"edge label {label} must be >= 3 or infinity")
         set_field(self, "_labels", dict(edge_labels))
         set_field(self, "_hash", hash((names, adj, edge_labels)))
@@ -188,9 +190,10 @@ class Diagram(Value):
         adj = [0] * n
         labels = {}
         for edge in edges:
-            i, j = edge[0], edge[1]
-            label = edge[2] if len(edge) > 2 else INFINITY
-            if not (0 <= i < n and 0 <= j < n):
+            if type(edge) not in (tuple, list) or len(edge) not in (2, 3):
+                raise DiagramError(f"edge {edge!r} is not (i, j) or (i, j, label)")
+            i, j, label = (*edge, INFINITY)[:3]
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):  # no bool
                 raise DiagramError("edge endpoint out of range")
             key = (min(i, j), max(i, j))
             if key in labels and labels[key] != label:
@@ -212,6 +215,8 @@ class Diagram(Value):
         return [self.names[i] for i in bits(mask)]
 
     def check_subset(self, mask: int):
+        if type(mask) is not int:  # no bool
+            raise DiagramError(f"mask {mask!r} is not an int")
         if mask & ~self.full:
             raise DiagramError(f"mask {mask:#x} is not a subset of the vertex set")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import lcm
@@ -78,6 +79,8 @@ class MatrixCoefficients:
 
     def __init__(self, ambient_dim: int, table: dict | None = None):
         n = ambient_dim
+        if type(n) is not int:  # not a float, a bool or a string
+            raise CoefficientError("ambient_dim is not an integer")
         if n < 0:
             raise CoefficientError(f"ambient_dim {n} is negative")
         self.ambient_dim, self._spans = n, {}
@@ -105,7 +108,7 @@ class MatrixCoefficients:
         return self._spans.get((B, S), self._full)
 
     def validate(self, D: Diagram) -> "MatrixCoefficients":
-        """Check every inclusion the differential uses: ``dynkin_complex`` raises its ``CoefficientError``.
+        """Build each differential of ``dynkin_complex`` in turn: a failed inclusion is a ``CoefficientError``.
 
         An entry no slot of D reads, with B outside D or not connected, is refused first.
         """
@@ -114,7 +117,7 @@ class MatrixCoefficients:
                 raise CoefficientError(f"{_positions(B, S)} has a B that is not a subset of the vertex set")
             if not is_connected(D, B):
                 raise CoefficientError(f"{_positions(B, S)} has a B that is not connected")
-        dynkin_complex(D, self)
+        deque(dynkin_complex(D, self)[1], maxlen=0)
         return self
 
     def to_json(self, D: Diagram) -> dict:
@@ -158,10 +161,7 @@ class MatrixCoefficients:
                 raise CoefficientError(
                     f"basis of {where} has an entry that is not a rational"
                 ) from None
-        n = doc.get("ambient_dim")
-        if type(n) is not int:  # a JSON integer: not a float, a bool or a string
-            raise CoefficientError("ambient_dim is not an integer")
-        return MatrixCoefficients(n, table)
+        return MatrixCoefficients(doc.get("ambient_dim"), table)
 
 
 def _admitted(vec, n: int, B: int, S: int) -> tuple:
@@ -192,9 +192,10 @@ def random_coefficient_system(D: Diagram, ambient_dim: int, rng: random.Random) 
 
     Each entry lists the seeds outside the span of those kept before, up to
     full rank; entries keeping the same seeds share one ``_solve_cached``
-    Span.  A negative ``ambient_dim`` is a ``CoefficientError``.
+    Span.  An ``ambient_dim`` that is not an int of at least 0 is a
+    ``CoefficientError``, raised by ``MatrixCoefficients`` before the first draw.
     """
-    n, seeds = ambient_dim, {}
+    n, seeds = MatrixCoefficients(ambient_dim).ambient_dim, {}
     for B0, T in _pairs(D):
         if rng.random() < 0.4:
             seeds[(B0, T)] = tuple(rng.randint(-2, 2) for _ in range(n))
@@ -313,10 +314,10 @@ def dynkin_differential(D: Diagram, M: MatrixCoefficients, p: int):
 
 
 def dynkin_complex(D: Diagram, M: MatrixCoefficients):
-    """``(spaces, differentials)``: the cochain spaces of degrees 0..|D| and each differential
-    as ``_differential_columns``, the counterpart of ``homology.cell_complex``."""
+    """``(spaces, differentials)``: the cochain spaces of degrees 0..|D| and an iterator building
+    each differential as ``_differential_columns`` when reached, as ``homology.cell_complex``."""
     spaces = [cochain_space(D, M, p) for p in range(D.n + 1)]
-    return spaces, [_differential_columns(D, lo, hi) for lo, hi in zip(spaces, spaces[1:])]
+    return spaces, (_differential_columns(D, lo, hi) for lo, hi in zip(spaces, spaces[1:]))
 
 
 def _rat_rank(cols) -> int:
@@ -325,7 +326,7 @@ def _rat_rank(cols) -> int:
 
 
 def _cohomology(D: Diagram, M: MatrixCoefficients):
-    """Cochain dimensions and cohomology dimensions in degrees 0..|D|."""
+    """Cochain and cohomology dimensions in degrees 0..|D|; each differential is dropped once ranked."""
     spaces, diffs = dynkin_complex(D, M)
     ranks = [*map(_rat_rank, diffs), 0]
     dims = [space.dim for space in spaces]
@@ -421,10 +422,10 @@ def verify_chain_map(
     column i of degree k+1 over the entries v_i of differential column j.
     For k >= 2 a cell reads at most one slot, so g^k is injective once each
     slot's irreducible cell reads it: a slot's echelon rows are independent.
-    The spaces and differentials are ``dynkin_complex``'s.  ``trials`` must
-    be at least 1; it and ``rng`` are accepted and unused.
+    The differentials of ``dynkin_complex`` are read one degree at a time.
+    ``trials`` must be an int of at least 1; it and ``rng`` are unused.
     """
-    if trials < 1:
+    if type(trials) is not int or trials < 1:  # a bool is not an int here
         raise DiagramError("need at least one trial")
     spaces, diffs = dynkin_complex(D, M)
     boundary = cell_complex(D)[1]
@@ -433,7 +434,7 @@ def verify_chain_map(
     L = lcm(*(lead for degree in leads for lead in degree))
     columns = [_g_columns(space, reads, L) for space, reads in zip(spaces, feeds)]
 
-    def commutes(k):
+    def commutes(k, diff):
         # cofaces[c]: {k-cell: sign}; the augmentation's cofaces are the vertices
         cofaces = [{} for _ in boundary[k - 1]] if k else [dict.fromkeys(range(len(boundary[0])), 1)]
         for e, col in enumerate(boundary[k]):
@@ -446,14 +447,15 @@ def verify_chain_map(
                 x *= lead
                 for e, sign in cofaces[c].items():
                     gap[e, a] = gap.get((e, a), 0) + sign * x
-            for i, v in diffs[k][j].items():
+            for i, v in diff[j].items():
                 for key, x in columns[k + 1][i].items():
                     gap[key] = gap.get(key, 0) - v * x
             if any(gap.values()):
                 return False
         return True
 
-    failures = [f"chain-map identity fails at degree {k}" for k in range(D.n) if not commutes(k)]
+    failures = [f"chain-map identity fails at degree {k}"
+                for k, diff in enumerate(diffs) if not commutes(k, diff)]
     for k, space in enumerate(spaces[2:], 2):
         for s, (B, alpha) in enumerate(space.slots):
             if cell_index(D, irreducible_cell(D, B, mask_of(alpha))) not in feeds[k][s]:

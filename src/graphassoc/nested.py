@@ -340,16 +340,15 @@ def split_components(D: Diagram, B: int, alpha: int) -> dict[int, int]:
 
 @lru_cache(maxsize=4096)
 def _shape(D: Diagram, B: int, alpha: int):
-    """``(kind, (i, j, k), split)`` of a 2-face whose one unsaturated element B has ``alpha``.
+    """``(kind, ((i, s_i), (j, s_j), (k, s_k)))`` of a 2-face whose one unsaturated element B has ``alpha``.
 
-    By the quotient lemma of ``split_components``, ``B / i_H(B)`` is a triangle
-    (a hexagon) when all three splits are nonzero, else a path (a pentagon)
-    whose middle, first in the order, has the empty split; the other vertices
-    ascend.  The cached ``split`` is read-only.
+    Each alpha vertex comes with its ``split_components`` value, in word order.
+    By the quotient lemma there, ``B / i_H(B)`` is a triangle (a hexagon) when
+    all three splits are nonzero, else a path (a pentagon) whose middle, first,
+    has the empty split; the other vertices ascend.
     """
-    split = split_components(D, B, alpha)
-    order = tuple(sorted(split, key=lambda z: split[z] != 0))  # stable: ascending otherwise
-    return (TwoFace.HEXAGON if split[order[0]] else TwoFace.PENTAGON), order, split
+    splits = tuple(sorted(split_components(D, B, alpha).items(), key=lambda zs: zs[1] != 0))
+    return (TwoFace.HEXAGON if splits[0][1] else TwoFace.PENTAGON), splits
 
 
 def _non_square_key(H: NestedSet):
@@ -358,17 +357,6 @@ def _non_square_key(H: NestedSet):
         raise DiagramError("classification needs a 2-dimensional face")
     unsat = H._unsaturated_pass()
     return None if len(unsat) == 2 else unsat[0]
-
-
-def two_face_split(D: Diagram, H: NestedSet):
-    """The shape of a 2-face: ``None`` for a square, else ``(B, alpha, split)``.
-
-    A square is read off ``_non_square_key``.  Otherwise the single
-    unsaturated element B has a 3-vertex alpha, and ``split`` is a fresh
-    copy of the ``split_components`` that ``_shape(D, B, alpha)`` keeps.
-    """
-    key = _non_square_key(H)
-    return None if key is None else (*key, dict(_shape(D, *key)[2]))
 
 
 def classify_two_face(D: Diagram, H: NestedSet) -> TwoFace:

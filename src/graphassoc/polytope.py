@@ -163,8 +163,8 @@ def is_face_nonempty(R: Realization, Bs, cross_check: bool = False) -> bool:
     tubes, pos, compatible, _vertices = _tube_table(D)
     Bs, allowed = list(Bs), (1 << len(tubes)) - 1
     for B in Bs:
+        D.check_subset(B)
         if B not in pos:
-            D.check_subset(B)
             raise DiagramError("face hyperplanes need proper connected subdiagrams")
         allowed &= compatible[pos[B]]
     for i, a in enumerate(Bs):

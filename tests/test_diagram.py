@@ -18,6 +18,7 @@ from graphassoc.diagram import (
     component_containing,
     components,
     flood_fill,
+    induced,
     is_compatible,
     is_connected,
     is_orthogonal,
@@ -27,6 +28,9 @@ from graphassoc.diagram import (
     quotient,
     quotient_components,
 )
+from graphassoc.coherence import kappa
+from graphassoc.nested import ascending_chain, first_maximal_nested_set
+from graphassoc.polytope import is_face_nonempty, make_realization
 from conftest import labeled_connected, path_diagram, star_diagram
 
 P3 = path_diagram(3)
@@ -374,6 +378,69 @@ def test_mask_readers_refuse_masks_outside_the_vertex_set(method, mask):
     with pytest.raises(DiagramError, match="is not a subset of the vertex set"):
         getattr(P3, method)(mask)
     assert P3.vertex_names(0b101) == ["1", "3"] and P3.neighbors(0b001) == 0b010
+
+
+MASK_ENTRIES = {
+    "vertex_names": lambda D, m: D.vertex_names(m),
+    "neighbors": lambda D, m: D.neighbors(m),
+    "components": components,
+    "is_connected": is_connected,
+    "induced": induced,
+    "quotient": quotient,
+    "kappa": lambda D, m: kappa(D, [m]),
+    "is_face_nonempty": lambda D, m: is_face_nonempty(make_realization(D), [m]),
+    "first_maximal_nested_set": first_maximal_nested_set,
+    "ascending_chain": ascending_chain,
+}
+
+
+@pytest.mark.parametrize("entry", list(MASK_ENTRIES))
+@pytest.mark.parametrize("mask", [1.5, True], ids=["float", "bool"])
+def test_mask_entries_refuse_a_mask_that_is_not_an_int(entry, mask):
+    """Each entry whose first mask operation is ``Diagram.check_subset``; a bool is not read as 1."""
+    with pytest.raises(DiagramError) as err:
+        MASK_ENTRIES[entry](path_diagram(4), mask)
+    assert str(err.value) == f"mask {mask!r} is not an int"
+
+
+MALFORMED_EDGES = {
+    "label-str": ([(0, 1, "x")], "edge label x must be >= 3 or infinity"),
+    "label-nan": ([(0, 1, float("nan"))], "edge label nan must be >= 3 or infinity"),
+    "label-float": ([(0, 1, 3.0)], "edge label 3.0 must be >= 3 or infinity"),
+    "label-bool": ([(0, 1, True)], "edge label True must be >= 3 or infinity"),
+    "label-two": ([(0, 1, 2)], "edge label 2 must be >= 3 or infinity"),
+    "endpoint-float": ([(0, 0.5)], "edge endpoint out of range"),
+    "endpoint-bool": ([(0, True)], "edge endpoint out of range"),
+    "endpoint-bool-first": ([(True, 0, 3)], "edge endpoint out of range"),
+    "one-tuple": ([(0,)], "edge (0,) is not (i, j) or (i, j, label)"),
+    "four-tuple": ([(0, 1, 3, 4)], "edge (0, 1, 3, 4) is not (i, j) or (i, j, label)"),
+    "int": ([5], "edge 5 is not (i, j) or (i, j, label)"),
+    "str": (["01"], "edge '01' is not (i, j) or (i, j, label)"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_EDGES))
+def test_from_edges_refuses_a_malformed_edge(case):
+    edges, message = MALFORMED_EDGES[case]
+    with pytest.raises(DiagramError) as err:
+        Diagram.from_edges(["a", "b"], edges)
+    assert str(err.value) == message
+    assert Diagram.from_edges(["a", "b"], [[0, 1, 3]]).edge_labels == (((0, 1), 3),)
+
+
+@pytest.mark.parametrize("edge_labels, message", [
+    ((((0, True), 3),), "edge endpoint out of range"),
+    ((((0, 1.0), 3),), "edge endpoint out of range"),
+    ((((0, 2), 3),), "edge endpoint out of range"),
+    ((((0, 1), 3.0),), "edge label 3.0 must be >= 3 or infinity"),
+    ((((0, 1), "x"),), "edge label x must be >= 3 or infinity"),
+    ((((0, 1), True),), "edge label True must be >= 3 or infinity"),
+], ids=["endpoint-bool", "endpoint-float", "endpoint-range", "label-float", "label-str", "label-bool"])
+def test_diagram_refuses_a_malformed_edge_label_entry(edge_labels, message):
+    with pytest.raises(DiagramError) as err:
+        Diagram(("a", "b"), (0b10, 0b01), edge_labels)
+    assert str(err.value) == message
+    assert Diagram(("a", "b"), (0b10, 0b01), (((0, 1), INFINITY),)).label(0, 1) == INFINITY
 
 
 def test_bits_refuses_a_negative_mask_before_yielding():

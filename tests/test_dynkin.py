@@ -731,6 +731,7 @@ def test_chain_map_reports_every_single_entry_corruption_at_its_degree(name, sys
     M = CONST if system == "constant" else random_coefficient_system(
         D, 2, random.Random(RANDOM_SEEDS[system]))
     spaces, diffs = dynkin_complex(D, M)
+    diffs = list(diffs)
     if system == "nonunit":  # the check scales each target row by L // its pivot entry
         leads = {row[p] for space in spaces for span in space.spans
                  for row, p in zip(span.ints, span.pivots)}
@@ -747,7 +748,7 @@ def test_chain_map_reports_every_single_entry_corruption_at_its_degree(name, sys
 def test_chain_map_report_ignores_trials_and_rng(monkeypatch):
     from graphassoc import dynkin
 
-    diffs = dynkin_complex(P3, CONST)[1]
+    diffs = list(dynkin_complex(P3, CONST)[1])
     for p in range(P3.n):
         monkeypatch.setattr(dynkin, "_differential_columns", _corrupted(diffs, p, 0, 0))
         reports = [
@@ -823,3 +824,48 @@ def test_image_characterization_clauses():
 def test_dynkin_json():
     doc = dynkin_json(P2, CONST)
     assert doc == {"HD": [0, 0, 0], "dims": [3, 4, 1]}
+
+
+@pytest.mark.parametrize("name", ["P4", "C4"])
+@pytest.mark.parametrize("system", ["constant", "random"])
+def test_cohomology_ranks_each_degree_before_building_the_next(name, system, monkeypatch):
+    """``dynkin_cohomology`` builds the columns of degree p + 1 only after it ranked
+    degree p, so it holds one differential at a time."""
+    from graphassoc import dynkin
+
+    D = PINNED_DIAGRAMS[name]
+    M = CONST if system == "constant" else random_coefficient_system(D, 2, random.Random(4))
+    log, build, rat_rank = [], dynkin._differential_columns, dynkin._rat_rank
+
+    def logged_build(D, src, dst):
+        log.append(("build", src.degree))
+        return build(D, src, dst)
+
+    def logged_rank(cols):
+        log.append(("rank", len(cols)))
+        return rat_rank(cols)
+
+    monkeypatch.setattr(dynkin, "_differential_columns", logged_build)
+    monkeypatch.setattr(dynkin, "_rat_rank", logged_rank)
+    dims = dynkin_json(D, M)["dims"]
+    assert log == [event for p in range(D.n) for event in (("build", p), ("rank", dims[p]))]
+
+
+@pytest.mark.parametrize("ambient_dim", [2.5, "3", None, True], ids=["float", "str", "none", "bool"])
+def test_an_ambient_dim_that_is_not_an_int_is_refused(ambient_dim):
+    """The constructor admits ``ambient_dim``; a random system refuses it before its first draw."""
+    for build in (lambda: MatrixCoefficients(ambient_dim),
+                  lambda: MatrixCoefficients.from_json(P3, {"ambient_dim": ambient_dim}),
+                  lambda: random_coefficient_system(P3, ambient_dim, rng)):
+        rng = random.Random(0)
+        with pytest.raises(CoefficientError) as err:
+            build()
+        assert str(err.value) == "ambient_dim is not an integer"
+        assert rng.getstate() == random.Random(0).getstate()
+
+
+@pytest.mark.parametrize("trials", [0, "3", True, 1.5], ids=["zero", "str", "bool", "float"])
+def test_verify_chain_map_refuses_trials_that_are_not_a_positive_int(trials):
+    with pytest.raises(DiagramError) as err:
+        verify_chain_map(P3, CONST, trials)
+    assert str(err.value) == "need at least one trial"

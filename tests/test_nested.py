@@ -25,6 +25,7 @@ from graphassoc.nested import (
     NestedSet,
     TwoFace,
     _nested_families,
+    _non_square_key,
     _shape,
     _skeleton,
     all_nested_sets,
@@ -42,7 +43,6 @@ from graphassoc.nested import (
     irreducible_cell,
     maximal_nested_sets,
     split_components,
-    two_face_split,
 )
 from conftest import (
     complete_diagram,
@@ -461,17 +461,17 @@ SPLIT_DIAGRAMS = [D for n in range(1, 6) for D in connected_reps(n)] + [
 @pytest.mark.parametrize("D", SPLIT_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
 def test_two_face_split_table_matches_recomputation(D):
     """Cold and warm reads of the (B, alpha) split cache equal a cache-free
-    recomputation, and mutating a returned split changes no later answer."""
+    recomputation."""
     _shape.cache_clear()
     keys = set()
     for H in faces(D, 2) if D.n >= 3 else ():
         unsat = H.unsaturated()
         expected = None if len(unsat) == 2 else (*unsat[0], split_components(D, *unsat[0]))
         for _ in range(2):
-            found = two_face_split(D, H)
+            key = _non_square_key(H)
+            found = None if key is None else (*key, dict(_shape(D, *key)[1]))
             assert found == expected
             if found is not None:
-                found[2].clear()
                 keys.add(unsat[0])
     info = _shape.cache_info()
     assert info.misses == len(keys)
@@ -627,3 +627,22 @@ def test_face_census_rows_add_up(monkeypatch, capsys):
         squares, pentagons, hexagons, words = map(int, (squares, pentagons, hexagons, words))
         assert words == pentagons + hexagons, name
         assert squares + pentagons + hexagons == (f[2] if len(f) > 2 else 0), name
+
+
+@pytest.mark.parametrize("D", SPLIT_DIAGRAMS, ids=lambda D: f"n{D.n}-adj{'.'.join(map(str, D.adj))}")
+def test_each_shape_pairs_the_alpha_vertices_with_their_splits_in_word_order(D):
+    """A pentagon's middle, whose split is empty, comes first and the other two
+    ascend; in a hexagon all three splits are nonzero and the vertices ascend."""
+    for H in faces(D, 2) if D.n >= 3 else ():
+        key = _non_square_key(H)
+        if key is None:
+            continue
+        kind, splits = _shape(D, *key)
+        assert type(splits) is tuple and len(splits) == 3
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in splits)
+        assert dict(splits) == split_components(D, *key)
+        (i, s_i), (j, _), (k, _) = splits
+        assert {i, j, k} == set(bits(key[1])) and j < k
+        assert [s for _z, s in splits].count(0) == (kind is TwoFace.PENTAGON)
+        assert (s_i == 0) == (kind is TwoFace.PENTAGON)
+        assert kind is TwoFace.PENTAGON or i < j

@@ -74,14 +74,19 @@ def test_each_rule_has_one_home():
     """The 2-face splits and the Dynkin cochain spaces are each built in one place.
 
     ``split_components`` runs only in ``nested._shape``, whose cache every
-    2-face consumer reads.  ``cochain_space`` runs only in ``dynkin_complex``,
-    which validation, cohomology and the chain-map check read, and in the two
-    entries that build one or two degrees of their own.
+    2-face consumer reads, and no ``two_face_split`` copies them out.
+    ``cochain_space`` runs only in ``dynkin_complex``, which validation,
+    cohomology and the chain-map check read, and in the two entries that build
+    one or two degrees of their own; the differential columns are built only by
+    ``dynkin_complex``, one degree at a time, and by ``dynkin_differential``.
     """
     assert _callers("split_components") == {("nested.py", "_shape")}
+    assert not [path.name for path in SRC.glob("*.py") if "two_face_split" in path.read_text(encoding="utf-8")]
     assert _callers("cochain_space") == {("dynkin.py", "dynkin_complex"),
                                          ("dynkin.py", "dynkin_differential"),
                                          ("dynkin.py", "cellular_embedding_g")}
+    assert _callers("_differential_columns") == {("dynkin.py", "dynkin_complex"),
+                                                 ("dynkin.py", "dynkin_differential")}
 
 
 def _library_attributes_read(tree):
