@@ -4,16 +4,24 @@ Ranks and Smith normal forms go through ``eliminate``: the matrix is
 given as columns of ``{row: value}`` (``columns`` converts dense rows)
 and each step pivots in the shortest remaining column, on its entry
 whose row is shortest, which keeps fill-in low on the sparse boundary
-and Dynkin matrices.  Over Z only units may pivot: removing a unit
-pivot is a reduction of the chain complex (Kaczynski-Mrozek-Slusarek
-1998) that leaves the Smith normal form of the rest unchanged, so an
-empty leftover block certifies that every invariant factor is 1.  Over
-Q any nonzero entry may pivot, so nothing is left over and the pivot
-count is the rank.  Both run one integer loop, and the module builds no
-``Fraction``: over Q a ``Fraction`` column is first scaled to a primitive
-integer vector, which leaves the rank unchanged, and a non-unit pivot
-updates fraction-free (Bareiss 1968), scaling the column by the pivot
-instead of dividing by it and then dividing out the column's content.
+and Dynkin matrices.  Over Z only units may pivot, each a factor 1 of
+the Smith normal form, so an empty leftover block certifies that every
+invariant factor is 1.  Over Q any nonzero entry may pivot, so nothing
+is left over and the pivot count is the rank.  Both run one integer
+loop, and the module builds no ``Fraction``: over Q a ``Fraction``
+column is first scaled to a primitive integer vector, which leaves the
+rank unchanged, and a non-unit pivot updates fraction-free (Bareiss
+1968), scaling the column by the pivot instead of dividing by it and
+then dividing out the column's content.
+
+``reduce_complex`` ranks a chain complex by clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011).  If d has pivots
+on rows I and columns J, the block d[I, J] is nonsingular (eliminated,
+it is triangular with the pivots on its diagonal), so e . d = 0 makes
+each column i in I of the next differential e a combination of e's
+other columns, and emptying them keeps e's rank.  Under unit pivots
+d[I, J] is unimodular, so the combination is integral: e's image
+lattice, and with it e's Smith normal form, stays too.
 
 Subspaces are factored once into a ``Span``: one echelon pass over the
 spanning vectors, on integer multiples of them, gives the independent
@@ -134,14 +142,14 @@ def eliminate(cols, unit_pivots: bool):
     """Sparse elimination of a matrix given as columns ``{row: value}``.
 
     The input columns are left untouched.  Returns the pivoted columns'
-    positions, in pivot order, and the block left over, as dense rows
-    (empty when every column was eliminated).  With ``unit_pivots`` only
-    entries +1 and -1 may pivot; otherwise any nonzero entry may, once a
-    ``Fraction`` column is scaled to a primitive integer vector.  A unit
-    pivot p updates by ``col - (x * p) * pivot_col``; any other takes the
-    fraction-free ``(p/g) * col - (x/g) * pivot_col`` with g = gcd(p, x),
-    after which the column's content is divided out.  Either way the
-    entries stay integers when the input's are.
+    positions, in pivot order, the row each pivoted on, and the block left
+    over, as dense rows (empty when every column was eliminated).  With
+    ``unit_pivots`` only entries +1 and -1 may pivot; otherwise any nonzero
+    entry may, once a ``Fraction`` column is scaled to a primitive integer
+    vector.  A unit pivot p updates by ``col - (x * p) * pivot_col``; any
+    other takes the fraction-free ``(p/g) * col - (x/g) * pivot_col`` with
+    g = gcd(p, x), after which the column's content is divided out.  Either
+    way the entries stay integers when the input's are.
     """
     cols = {c: dict(col) if unit_pivots or all(type(v) is int for v in col.values())
             else dict(zip(col, _primitive(col.values()))) for c, col in enumerate(cols) if col}
@@ -151,7 +159,7 @@ def eliminate(cols, unit_pivots: bool):
             rows.setdefault(r, set()).add(c)
     heap = [(len(col), c) for c, col in cols.items()]
     heapify(heap)
-    pivoted = []
+    pivoted, pivot_rows = [], []
     while heap:
         size, pc = heappop(heap)
         pivot_col = cols.get(pc)
@@ -197,9 +205,22 @@ def eliminate(cols, unit_pivots: bool):
             else:
                 del cols[c]
         pivoted.append(pc)
+        pivot_rows.append(pr)
     left_rows = sorted({r for col in cols.values() for r in col})
     leftover = [[col.get(r, 0) for col in cols.values()] for r in left_rows]
-    return pivoted, leftover
+    return pivoted, pivot_rows, leftover
+
+
+def reduce_complex(diffs, reduce) -> list:
+    """``reduce(cols)``, a ``(result, pivot_rows)`` pair, of each differential of a complex in
+    composable order, with the columns of the previous one's pivot rows emptied: the results."""
+    results, cleared = [], ()
+    for cols in diffs:
+        result, rows = reduce([{} if c in cleared else col for c, col in enumerate(cols)])
+        results.append(result)
+        cleared = set(rows)
+        del cols  # drop each differential before the next is built
+    return results
 
 
 def rank(M) -> int:

@@ -61,6 +61,13 @@ def check_index(value, top: int, noun: str) -> None:
         raise DiagramError(f"{noun} {value} out of range 0..{top}")
 
 
+def check_mask(mask) -> int:
+    """The mask, refused unless it is an int; a bool is none, though it hashes and counts as 0 or 1."""
+    if type(mask) is not int:
+        raise DiagramError(f"mask {mask!r} is not an int")
+    return mask
+
+
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
@@ -162,14 +169,20 @@ class Diagram(Value):
             for j in bits(row):
                 if not self.adj[j] & (1 << i):
                     raise DiagramError("adjacency not symmetric")
+        labels = {}
         for (i, j), label in self.edge_labels:
             if not (type(i) is type(j) is int and 0 <= min(i, j) <= max(i, j) < len(names)):  # no bool
                 raise DiagramError("edge endpoint out of range")
             if not self.adj[i] & (1 << j):
                 raise DiagramError("label on a non-edge")
+            if i > j:  # ``label`` looks an edge up as (min, max)
+                raise DiagramError(f"edge label key {(i, j)} is not ordered i < j")
+            if (i, j) in labels:
+                raise DiagramError(f"edge {(i, j)} is labelled twice")
             if not (label == INFINITY or type(label) is int and label >= 3):  # nor 3.0 nor True
                 raise DiagramError(f"edge label {label} must be >= 3 or infinity")
-        set_field(self, "_labels", dict(edge_labels))
+            labels[i, j] = label
+        set_field(self, "_labels", labels)
         set_field(self, "_hash", hash((names, adj, edge_labels)))
         set_field(self, "n", len(names))
         set_field(self, "full", (1 << len(names)) - 1)
@@ -215,7 +228,7 @@ class Diagram(Value):
         return [self.names[i] for i in bits(mask)]
 
     def check_subset(self, mask: int):
-        if type(mask) is not int:  # no bool
+        if type(mask) is not int:  # ``check_mask`` inline: this runs in the 2-face inner loops
             raise DiagramError(f"mask {mask!r} is not an int")
         if mask & ~self.full:
             raise DiagramError(f"mask {mask:#x} is not a subset of the vertex set")

@@ -16,6 +16,9 @@ target slot are its entries at the target's pivots: the differential is
 built as sparse columns with one membership check per row and no linear
 solve.  The rows mapped are the integer ``Span.ints``, and g is built from
 them too, so neither the rank step nor the chain-map check builds a ``Fraction``.
+Degrees are ranked in ascending order by ``_ratlinalg.reduce_complex``:
+d_{p+1} is built whole, every inclusion checked, and ranked without the
+columns of d_p's pivot rows, which keeps its rank.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import lcm
 
-from ._ratlinalg import Span, _solve_cached, eliminate
+from ._ratlinalg import Span, _solve_cached, eliminate, reduce_complex
 from .diagram import (
     Diagram,
     DiagramError,
@@ -320,15 +323,16 @@ def dynkin_complex(D: Diagram, M: MatrixCoefficients):
     return spaces, (_differential_columns(D, lo, hi) for lo, hi in zip(spaces, spaces[1:]))
 
 
-def _rat_rank(cols) -> int:
-    """Rank of a Dynkin differential given as columns: a name of its own, so traces can time it."""
-    return len(eliminate(cols, unit_pivots=False)[0])
+def _rat_rank(cols) -> tuple[int, list[int]]:
+    """Rank and pivot rows of a Dynkin differential given as columns: a name of its own, for traces."""
+    pivoted, pivot_rows, _ = eliminate(cols, unit_pivots=False)
+    return len(pivoted), pivot_rows
 
 
 def _cohomology(D: Diagram, M: MatrixCoefficients):
     """Cochain and cohomology dimensions in degrees 0..|D|; each differential is dropped once ranked."""
     spaces, diffs = dynkin_complex(D, M)
-    ranks = [*map(_rat_rank, diffs), 0]
+    ranks = [*reduce_complex(diffs, _rat_rank), 0]
     dims = [space.dim for space in spaces]
     return dims, [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(D.n + 1)]
 

@@ -14,9 +14,9 @@ by ``cell_complex`` and cached as one map from a cell's tube bitmask to
 its place and every boundary as sparse signed columns, each sign read
 off popcounts of alpha bitmasks; it keeps no oriented cells.
 ``chain_basis`` and ``boundary_cell`` orient faces on demand, and
-``boundary_matrix`` is a dense view of the columns.  ``homology`` drops from d_{k+1} the rows of the k-cells paired by unit
-pivots of d_k, a reduction (Kaczynski-Mrozek-Slusarek 1998) that keeps
-the invariant factors (``chain_homology``).
+``boundary_matrix`` is a dense view of the columns.  ``homology``
+eliminates the boundaries from the top dimension down with clearing
+(``chain_homology``).
 
 Sign convention: under the volume-form identification with the faces of
 the convex realization, this boundary is the negative of the geometric
@@ -31,8 +31,8 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
-from ._ratlinalg import columns, eliminate
-from .diagram import Diagram, DiagramError, InvariantError, Value, bits, check_index
+from ._ratlinalg import columns, eliminate, reduce_complex
+from .diagram import Diagram, DiagramError, InvariantError, Value, bits, check_index, check_mask
 from .nested import NestedSet, _tube_table, enumeration_key, faces
 
 
@@ -88,6 +88,8 @@ def canonicalize(cell: OrientedCell) -> tuple[OrientedCell, int]:
 
 def shuffle(beta: int, alpha: int) -> int:
     """Transpositions moving beta (in alpha) to alpha's front: per v in beta, alpha - beta below v."""
+    check_mask(beta)
+    check_mask(alpha)
     if beta < 0 or alpha < 0:
         raise DiagramError(f"mask {min(beta, alpha):#x} is negative")
     if beta & ~alpha:
@@ -238,8 +240,8 @@ def smith_normal_form(M) -> list[int]:
 
 
 def _smith(cols) -> tuple[list[int], list[int]]:
-    """``smith_normal_form`` on columns ``{row: value}``, and the columns its unit pivots took."""
-    pivoted, A = eliminate(cols, unit_pivots=True)
+    """``smith_normal_form`` on columns ``{row: value}``, and the rows its unit pivots took."""
+    pivoted, pivot_rows, A = eliminate(cols, unit_pivots=True)
     factors, near = [], []
     while pool := near or [(abs(v), r, c) for r, row in enumerate(A) for c, v in enumerate(row) if v]:
         _, r0, c0 = min(pool)
@@ -264,27 +266,20 @@ def _smith(cols) -> tuple[list[int], list[int]]:
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
             factors[i], factors[j] = gcd(a, b), lcm(a, b)
-    return [1] * len(pivoted) + factors, pivoted
+    return [1] * len(pivoted) + factors, pivot_rows
 
 
 def chain_homology(sizes, boundary) -> list[tuple[int, list[int]]]:
     """Integer homology of a chain complex, one (betti, torsion) per degree.
 
     ``sizes[k]`` counts the k-cells; ``boundary[k]``, k >= 1, holds d_k as
-    one column ``{row: value}`` per k-cell.  A unit pivot of d_k pairs a
-    k-cell with a (k-1)-cell; removing the pair keeps the homology and
-    projects d_{k+1} off that k-cell (Kaczynski, Mrozek and Slusarek,
-    "Homology computation by reduction of chain complexes", 1998), so
-    d_{k+1} is eliminated without its row.  It keeps its invariant
-    factors: the projection is injective on ker d_k, which holds
-    im d_{k+1} (the pivoted columns are independent), so the rank stays,
-    and the torsion of the cokernel is that of H_k, which is kept.
+    one column ``{row: value}`` per k-cell.  The boundaries are reduced
+    from the top down by ``_ratlinalg.reduce_complex``: d_k is eliminated
+    without the columns of the k-cells that unit pivots of d_{k+1} sat
+    on, which keeps its invariant factors.  The dense Smith pivots of a
+    leftover block clear nothing: a non-unit pivot's block is not unimodular.
     """
-    snfs, paired = [[]], set()
-    for cols in boundary[1:]:
-        factors, pivoted = _smith([{r: v for r, v in col.items() if r not in paired} for col in cols])
-        snfs.append(factors)
-        paired = set(pivoted)
+    snfs = [[], *reduce_complex(boundary[:0:-1], _smith)[::-1]]
     return [(size - len(below) - len(above), [d for d in above if d > 1])
             for size, below, above in zip(sizes, snfs, [*snfs[1:], []])]
 
@@ -293,8 +288,7 @@ def homology(D: Diagram) -> list[tuple[int, list[int]]]:
     """Integer homology of the nested-set complex, one (betti, torsion) per degree.
 
     ``chain_homology`` of ``cell_complex(D)``, the cellular chain complex
-    of a contractible polytope, reduced by its unit pivots
-    (Kaczynski-Mrozek-Slusarek 1998): Z in degree 0, nothing above.
+    of a contractible polytope: Z in degree 0, nothing above.
     """
     boundary = cell_complex(D)[1]
     return chain_homology([len(cols) for cols in boundary], boundary)

@@ -25,6 +25,7 @@ from .diagram import (
     Value,
     bits,
     check_index,
+    check_mask,
     component_containing,
     components,
     induced,
@@ -81,7 +82,7 @@ class NestedSet(Value):
 
     @staticmethod
     def make(D: Diagram, masks) -> "NestedSet":
-        masks = sorted(set(masks), key=element_key)
+        masks = sorted({check_mask(m) for m in masks}, key=element_key)
         H = NestedSet(D, tuple(masks))
         H.validate()
         return H

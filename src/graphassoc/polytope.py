@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .diagram import Diagram, DiagramError, InvariantError, Value, bits, components, is_connected
+from .diagram import (Diagram, DiagramError, InvariantError, Value, bits, check_mask, components,
+                      is_connected)
 from .nested import (NestedSet, _skeleton, _tube_table, boundary_cycle, connected_subdiagrams,
                      faces, maximal_nested_sets)
 
@@ -56,7 +57,8 @@ class Realization(Value):
         object.__setattr__(self, "_scaled", scaled)
 
     def weight(self, mask: int) -> Fraction:
-        """c(B) for a subdiagram B with a weight; ``RealizationError`` for any other mask."""
+        """c(B) for a subdiagram B with a weight; ``RealizationError`` for any other int mask."""
+        check_mask(mask)
         if mask not in self._scaled:
             raise RealizationError(f"no weight for {_name(self.diagram, mask)}")
         return Fraction(self._scaled[mask], self._scale)

@@ -29,7 +29,8 @@ from graphassoc.diagram import (
     quotient_components,
 )
 from graphassoc.coherence import kappa
-from graphassoc.nested import ascending_chain, first_maximal_nested_set
+from graphassoc.homology import shuffle
+from graphassoc.nested import NestedSet, ascending_chain, first_maximal_nested_set
 from graphassoc.polytope import is_face_nonempty, make_realization
 from conftest import labeled_connected, path_diagram, star_diagram
 
@@ -391,13 +392,19 @@ MASK_ENTRIES = {
     "is_face_nonempty": lambda D, m: is_face_nonempty(make_realization(D), [m]),
     "first_maximal_nested_set": first_maximal_nested_set,
     "ascending_chain": ascending_chain,
+    "NestedSet.make": lambda D, m: NestedSet.make(D, [D.full, m]),
+    # beside the mask 1, a set would keep 1 and drop a True equal to it
+    "NestedSet.make-beside-1": lambda D, m: NestedSet.make(D, [1, m, D.full]),
+    "shuffle-beta": lambda D, m: shuffle(m, 1),
+    "shuffle-alpha": lambda D, m: shuffle(1, m),
+    "Realization.weight": lambda D, m: make_realization(D).weight(m),
 }
 
 
 @pytest.mark.parametrize("entry", list(MASK_ENTRIES))
 @pytest.mark.parametrize("mask", [1.5, True], ids=["float", "bool"])
 def test_mask_entries_refuse_a_mask_that_is_not_an_int(entry, mask):
-    """Each entry whose first mask operation is ``Diagram.check_subset``; a bool is not read as 1."""
+    """Each entry refuses the mask (``diagram.check_mask``) before reading it; a bool is not read as 1."""
     with pytest.raises(DiagramError) as err:
         MASK_ENTRIES[entry](path_diagram(4), mask)
     assert str(err.value) == f"mask {mask!r} is not an int"
@@ -435,7 +442,12 @@ def test_from_edges_refuses_a_malformed_edge(case):
     ((((0, 1), 3.0),), "edge label 3.0 must be >= 3 or infinity"),
     ((((0, 1), "x"),), "edge label x must be >= 3 or infinity"),
     ((((0, 1), True),), "edge label True must be >= 3 or infinity"),
-], ids=["endpoint-bool", "endpoint-float", "endpoint-range", "label-float", "label-str", "label-bool"])
+    # ``label(0, 1)`` read inf past a reversed key, and the last of two labels
+    ((((1, 0), 3),), "edge label key (1, 0) is not ordered i < j"),
+    ((((0, 1), 3), ((0, 1), 4)), "edge (0, 1) is labelled twice"),
+    ((((0, 1), 3), ((0, 1), 3)), "edge (0, 1) is labelled twice"),
+], ids=["endpoint-bool", "endpoint-float", "endpoint-range", "label-float", "label-str", "label-bool",
+        "key-reversed", "pair-twice", "pair-twice-same-label"])
 def test_diagram_refuses_a_malformed_edge_label_entry(edge_labels, message):
     with pytest.raises(DiagramError) as err:
         Diagram(("a", "b"), (0b10, 0b01), edge_labels)

@@ -481,8 +481,8 @@ def test_snf_on_leftover_blocks_matches_determinant_divisors():
     # dense reduction has a block to work on
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
     assert smith_normal_form([[1, 0], [0, 2]]) == [1, 2]
-    assert eliminate(columns([[2, 4], [6, 8]]), unit_pivots=True) == ([], [[2, 4], [6, 8]])
-    assert eliminate(columns([[1, 0], [0, 2]]), unit_pivots=True) == ([0], [[2]])
+    assert eliminate(columns([[2, 4], [6, 8]]), unit_pivots=True) == ([], [], [[2, 4], [6, 8]])
+    assert eliminate(columns([[1, 0], [0, 2]]), unit_pivots=True) == ([0], [0], [[2]])
     rng = random.Random(11)
     for entries in ([0, 2, -2, 3, -3], [0, 0, 1, -1, 2, -2, 3, -3]):
         for _ in range(40):
@@ -500,7 +500,7 @@ def test_unit_pivots_leave_no_block_on_boundary_matrices():
         for D in connected_reps(n):
             for k in range(1, D.n):
                 M = boundary_matrix(D, k)
-                pivoted, leftover = eliminate(columns(M), unit_pivots=True)
+                pivoted, _, leftover = eliminate(columns(M), unit_pivots=True)
                 assert leftover == [] and len(pivoted) == bareiss_rank(M)
 
 
@@ -521,30 +521,48 @@ def test_cell_complex_reads_faces_off_the_tube_table(monkeypatch):
 
 
 def test_homology_eliminates_each_boundary_once(monkeypatch):
+    """From the top dimension down, each boundary is eliminated once, on every column but
+    those of the cells that unit pivots of the boundary above sat on."""
     from graphassoc import homology as homology_module
 
     C6 = cycle_diagram(6)
+    boundaries = cell_complex(C6)[1]
+    # every boundary column is nonempty, and each pivot of C6's boundaries is a unit
+    ranks = [len(eliminate(cols, unit_pivots=True)[0]) for cols in boundaries] + [0]
     calls = []
     monkeypatch.setattr(homology_module, "eliminate",
-                        lambda cols, **kw: calls.append(len(cols)) or eliminate(cols, **kw))
+                        lambda cols, **kw: calls.append((len(cols), sum(map(bool, cols))))
+                        or eliminate(cols, **kw))
     assert homology(C6)[0] == (1, [])
-    assert calls == [len(chain_basis(C6, k)) for k in range(1, 6)]
+    sizes = [len(chain_basis(C6, k)) for k in range(6)]
+    assert calls == [(sizes[k], sizes[k] - ranks[k + 1]) for k in range(5, 0, -1)]
 
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """Records (entries, invariant factors) of each boundary ``chain_homology`` eliminates."""
+    """Records (columns, invariant factors) of each boundary ``chain_homology`` eliminates."""
     from graphassoc import homology as homology_module
 
     seen = []
 
     def recording(cols):
-        factors, pivoted = _smith(cols)
-        seen.append((sum(map(len, cols)), factors))
-        return factors, pivoted
+        factors, pivot_rows = _smith(cols)
+        seen.append((cols, factors))
+        return factors, pivot_rows
 
     monkeypatch.setattr(homology_module, "_smith", recording)
     return seen
+
+
+def assert_cleared_by_unit_pivots(eliminated, boundaries):
+    """Each boundary was eliminated from the top down with its invariant factors, and each below
+    the top without exactly the columns of the unit pivot rows of the one above, as handed over."""
+    descending = boundaries[:0:-1]
+    assert [factors for _, factors in eliminated] == [_smith(cols)[0] for cols in descending]
+    for (cols, _), full, (above, _) in zip(eliminated[1:], descending[1:], eliminated):
+        unit_rows = set(eliminate(above, unit_pivots=True)[1])
+        assert [c for c, col in enumerate(cols) if not col] == sorted(unit_rows)
+        assert all(col == full[c] for c, col in enumerate(cols) if c not in unit_rows)
 
 
 def test_reduction_keeps_every_boundarys_invariant_factors(eliminated):
@@ -553,9 +571,10 @@ def test_reduction_keeps_every_boundarys_invariant_factors(eliminated):
         boundaries = cell_complex(D)[1]
         eliminated.clear()
         chain_homology([len(cols) for cols in boundaries], boundaries)
-        assert [factors for _, factors in eliminated] == [_smith(cols)[0] for cols in boundaries[1:]]
-        # from d_2 on, the rows of the cells paired below are gone
-        assert all(n < sum(map(len, cols)) for (n, _), cols in zip(eliminated[1:], boundaries[2:]))
+        assert_cleared_by_unit_pivots(eliminated, boundaries)
+        # below the top, the columns cleared held entries
+        assert all(sum(map(len, cols)) < sum(map(len, full))
+                   for (cols, _), full in zip(eliminated[1:], boundaries[-2:0:-1]))
 
 
 def simplicial_chain_complex(triangles):
@@ -605,7 +624,11 @@ def test_reduction_on_surfaces_with_known_homology(triangles, expected, eliminat
     assert len(set(map(frozenset, triangles))) == len(triangles)
     assert set(Counter(r for col in boundaries[2] for r in col).values()) == {2}
     assert chain_homology(sizes, boundaries) == expected
-    assert [factors for _, factors in eliminated] == [_smith(cols)[0] for cols in boundaries[1:]]
+    assert_cleared_by_unit_pivots(eliminated, boundaries)
+    # the torsion sits in a block no unit pivot reaches, whose pivots clear no column of d_1
+    pivoted, _, leftover = eliminate(boundaries[2], unit_pivots=True)
+    assert bool(leftover) == any(torsion for _, torsion in expected)
+    assert sum(map(bool, eliminated[1][0])) == sizes[1] - len(pivoted)
 
 
 def test_six_cycle_acyclic():

@@ -18,7 +18,7 @@ def test_rank_degenerate_shapes():
     assert rank([[], []]) == rref_rank([[], []]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[0], [Fraction(3, 2)]]) == 1
-    assert eliminate(columns([[0, 0, 0]]), unit_pivots=False) == ([], [])
+    assert eliminate(columns([[0, 0, 0]]), unit_pivots=False) == ([], [], [])
 
 
 def test_rank_matches_rref_on_random_matrices():
@@ -38,16 +38,16 @@ def test_rank_matches_rref_on_random_matrices():
         if rows >= 2 and rng.random() < 0.3:
             M[-1] = [a + 2 * b for a, b in zip(M[0], M[1])]  # a dependent row
         assert rank(M) == rref_rank(M)
-        assert eliminate(columns(M), unit_pivots=False)[1] == []
+        assert eliminate(columns(M), unit_pivots=False)[2] == []
 
 
 def test_unit_pivots_revisit_columns_that_gain_a_unit():
     # column 0 has no unit until column 1's pivot is eliminated from it
-    assert eliminate(columns([[2, 1]]), unit_pivots=True) == ([1], [])
-    assert eliminate(columns([[2, 1], [3, 1]]), unit_pivots=True) == ([1, 0], [])
+    assert eliminate(columns([[2, 1]]), unit_pivots=True) == ([1], [0], [])
+    assert eliminate(columns([[2, 1], [3, 1]]), unit_pivots=True) == ([1, 0], [0, 1], [])
     # sparse columns as given, with an empty column and unused rows: the
     # pivot of column 2 takes the only unit of column 1
-    assert eliminate([{}, {0: 2, 3: 1}, {3: 1}], unit_pivots=True) == ([2], [[2]])
+    assert eliminate([{}, {0: 2, 3: 1}, {3: 1}], unit_pivots=True) == ([2], [3], [[2]])
 
 
 def _random_family(rng, trial):
@@ -210,7 +210,7 @@ def test_eliminate_leaves_fraction_columns_untouched():
     for unit_pivots in (False, True):
         eliminate(cols, unit_pivots)
         assert [[(r, type(v), v) for r, v in col.items()] for col in cols] == snapshot
-    assert eliminate(cols, unit_pivots=False) == ([2, 0, 1], [])
+    assert eliminate(cols, unit_pivots=False) == ([2, 0, 1], [2, 0, 1], [])
 
 
 def test_span_rows_are_rref_fractions_with_large_denominators():

@@ -79,6 +79,8 @@ def test_each_rule_has_one_home():
     cohomology and the chain-map check read, and in the two entries that build
     one or two degrees of their own; the differential columns are built only by
     ``dynkin_complex``, one degree at a time, and by ``dynkin_differential``.
+    Both complexes are ranked by ``reduce_complex``, the one home of clearing,
+    and ``eliminate`` runs only in the rank and Smith form steps it calls.
     """
     assert _callers("split_components") == {("nested.py", "_shape")}
     assert not [path.name for path in SRC.glob("*.py") if "two_face_split" in path.read_text(encoding="utf-8")]
@@ -87,6 +89,9 @@ def test_each_rule_has_one_home():
                                          ("dynkin.py", "cellular_embedding_g")}
     assert _callers("_differential_columns") == {("dynkin.py", "dynkin_complex"),
                                                  ("dynkin.py", "dynkin_differential")}
+    assert _callers("reduce_complex") == {("dynkin.py", "_cohomology"), ("homology.py", "chain_homology")}
+    assert _callers("eliminate") == {("_ratlinalg.py", "rank"), ("dynkin.py", "_rat_rank"),
+                                     ("homology.py", "_smith")}
 
 
 def _library_attributes_read(tree):
@@ -153,7 +158,7 @@ def test_rational_elimination_is_fraction_free():
     assert "fractions" not in modules
     M = [[2, 4, 6, 0], [3, 5, 7, 1], [5, 9, 13, 1], [0, 6, 0, 9]]  # row 2 = row 0 + row 1
     cols = _ratlinalg.columns(M)
-    assert _ratlinalg.eliminate(cols, unit_pivots=False) == ([0, 2, 1], [])
+    assert _ratlinalg.eliminate(cols, unit_pivots=False) == ([0, 2, 1], [0, 1, 3], [])
     assert len(_ratlinalg.eliminate(cols, unit_pivots=True)[0]) < 3  # the Z path stops at non-units
 
 
